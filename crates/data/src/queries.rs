@@ -79,13 +79,24 @@ pub struct QuerySpec {
 /// always presents the same exclude list and repeat queries dedup.
 /// Items are Zipf-skewed (s = 1.0) toward the popular head.
 pub fn user_history(cfg: &QueryMixConfig, user: u32) -> Vec<u32> {
-    if cfg.max_history == 0 || cfg.items == 0 {
+    history_from(cfg, user, item_table(cfg).as_ref())
+}
+
+/// The item-popularity table histories draw from, or `None` when every
+/// history is empty. Building it is O(items), which is why
+/// [`query_mix`] builds it once per stream rather than once per query.
+fn item_table(cfg: &QueryMixConfig) -> Option<Zipf> {
+    (cfg.max_history > 0 && cfg.items > 0).then(|| Zipf::new(cfg.items as usize, 1.0))
+}
+
+/// [`user_history`] over a prebuilt [`item_table`].
+fn history_from(cfg: &QueryMixConfig, user: u32, items: Option<&Zipf>) -> Vec<u32> {
+    let Some(items) = items else {
         return Vec::new();
-    }
+    };
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15 ^ (user as u64) << 17);
     // Modulo bias over a tiny range is immaterial for a synthetic mix.
     let len = rng.random::<u64>() as usize % (cfg.max_history + 1);
-    let items = Zipf::new(cfg.items as usize, 1.0);
     (0..len).map(|_| items.sample(&mut rng)).collect()
 }
 
@@ -94,6 +105,7 @@ pub fn user_history(cfg: &QueryMixConfig, user: u32) -> Vec<u32> {
 pub fn query_mix(cfg: &QueryMixConfig, n: usize) -> Vec<QuerySpec> {
     assert!(cfg.users > 0, "need at least one user");
     let users = Zipf::new(cfg.users as usize, cfg.user_s);
+    let items = item_table(cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     (0..n)
         .map(|_| {
@@ -101,7 +113,7 @@ pub fn query_mix(cfg: &QueryMixConfig, n: usize) -> Vec<QuerySpec> {
             QuerySpec {
                 user,
                 count: cfg.count,
-                exclude: user_history(cfg, user),
+                exclude: history_from(cfg, user, items.as_ref()),
             }
         })
         .collect()
@@ -150,6 +162,23 @@ mod tests {
             assert!(q.exclude.len() <= 32);
             assert!(q.exclude.iter().all(|&v| v < 5000));
         }
+    }
+
+    /// Pinned before `query_mix` started sharing one item table across
+    /// its histories: the stream is part of the benches' inputs, so a
+    /// refactor of the generator must not move a single byte of it.
+    #[test]
+    fn query_mix_stream_is_pinned() {
+        let mut bytes = Vec::new();
+        for q in query_mix(&cfg(), 500) {
+            bytes.extend_from_slice(&q.user.to_le_bytes());
+            bytes.extend_from_slice(&(q.count as u64).to_le_bytes());
+            bytes.extend_from_slice(&(q.exclude.len() as u64).to_le_bytes());
+            for v in q.exclude {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        assert_eq!(mf_sparse::hash::xxh64(&bytes), 0xf72d_02a4_af0f_3a7c);
     }
 
     #[test]

@@ -58,7 +58,9 @@ use std::sync::Mutex;
 use mf_par::ThreadPool;
 use mf_sgd::sweep::{self, total_key, PANEL_W};
 
-use crate::store::{prunable, FactorStore, Query, QueryUser, Tile, TopK, Worst, BOUND_SLACK};
+use crate::store::{
+    prunable, CacheKey, FactorStore, Query, QueryUser, Tile, TopK, Worst, BOUND_SLACK,
+};
 
 /// Items scored per inner step: the `128 × PANEL_W` f32 score scratch
 /// is 8 KiB — half of L1 — and one beat-filter reduction covers 128
@@ -187,62 +189,63 @@ impl FactorStore {
     pub fn sweep_batch_in(&self, queries: &[Query], pool: &ThreadPool) -> Vec<TopK> {
         let plan = BatchPlan::build(queries);
         let mut answers: Vec<Option<TopK>> = Vec::with_capacity(plan.groups.len());
-        // Probe the cache per group; count per *member* so the stats
-        // mean "queries answered from cache / by scanning" even when
-        // batching collapses duplicates.
+        // Probe the cache per group under one lock; count per *member*
+        // so the stats mean "queries answered from cache / by scanning"
+        // even when batching collapses duplicates. `keys[i]` is group
+        // `scan[i]`'s key, built once and kept for the publish phase.
         let mut scan: Vec<usize> = Vec::new();
-        for (ix, g) in plan.groups.iter().enumerate() {
-            let key = self.cache_key(&g.query);
-            if let (Some(cache), Some(key)) = (&self.cache, &key) {
-                if let Some(hit) = cache.lock().expect("cache lock").get(key) {
-                    self.hits
+        let mut keys: Vec<Option<CacheKey>> = Vec::new();
+        {
+            let mut cache = self.cache.as_ref().map(|c| c.lock().expect("cache lock"));
+            for (ix, g) in plan.groups.iter().enumerate() {
+                let key = self.canonical_cache_key(&g.query);
+                if let (Some(cache), Some(key)) = (&mut cache, &key) {
+                    if let Some(hit) = cache.get(key) {
+                        self.hits
+                            .fetch_add(g.members as u64, AtomicOrdering::Relaxed);
+                        answers.push(Some(hit));
+                        continue;
+                    }
+                    self.misses
                         .fetch_add(g.members as u64, AtomicOrdering::Relaxed);
-                    answers.push(Some(hit));
-                    continue;
                 }
-                self.misses
-                    .fetch_add(g.members as u64, AtomicOrdering::Relaxed);
+                answers.push(None);
+                scan.push(ix);
+                keys.push(key);
             }
-            answers.push(None);
-            scan.push(ix);
         }
         // Sweep the uncached groups, a panel of PANEL_W at a time. One
-        // task per pool thread, each owning a contiguous panel range:
+        // task per pool thread, each owning a contiguous run of panels:
         // within a task, *tiles* are the outer loop, so each tile is
         // fetched from memory once per task (once per batch on a single
-        // thread) and stays cache-resident across every panel.
+        // thread) and stays cache-resident across every panel. The run
+        // length fixes the task count, not the reverse: 5 panels on 4
+        // threads is 3 runs of 2, 2, 1 — there is no fourth.
         let panels: Vec<&[usize]> = scan.chunks(PANEL_W).collect();
-        let ntasks = panels.len().min(pool.threads());
-        let per_task = if ntasks > 0 {
-            panels.len().div_ceil(ntasks)
-        } else {
-            0
-        };
+        let per_task = panels.len().div_ceil(pool.threads()).max(1);
+        let runs: Vec<&[&[usize]]> = panels.chunks(per_task).collect();
         let slots: Vec<Mutex<Vec<Vec<TopK>>>> =
-            (0..ntasks).map(|_| Mutex::new(Vec::new())).collect();
-        pool.run_indexed(ntasks, |t| {
-            let lo = t * per_task;
-            let hi = (lo + per_task).min(panels.len());
-            let out = self.sweep_panels(&plan.groups, &panels[lo..hi]);
+            runs.iter().map(|_| Mutex::new(Vec::new())).collect();
+        pool.run_indexed(runs.len(), |t| {
+            let out = self.sweep_panels(&plan.groups, runs[t]);
             *slots[t].lock().expect("slot lock") = out;
         });
-        for (t, slot) in slots.into_iter().enumerate() {
+        for (run, slot) in runs.iter().zip(slots) {
             let outs = slot.into_inner().expect("slot lock");
-            let lo = t * per_task;
-            for (panel, out) in panels[lo..].iter().zip(outs) {
+            for (panel, out) in run.iter().zip(outs) {
                 for (&g_ix, topk) in panel.iter().zip(out) {
                     answers[g_ix] = Some(topk);
                 }
             }
         }
         // Publish scanned answers to the cache serially, in group
-        // order, so the LRU's internal clock is deterministic too.
-        if self.cache.is_some() {
-            for &g_ix in &scan {
-                let g = &plan.groups[g_ix];
-                if let (Some(cache), Some(key)) = (&self.cache, self.cache_key(&g.query)) {
-                    let value = answers[g_ix].clone().expect("group swept");
-                    cache.lock().expect("cache lock").insert(key, value);
+        // order and under one lock, so the LRU's recency order is
+        // deterministic too.
+        if let Some(cache) = &self.cache {
+            let mut cache = cache.lock().expect("cache lock");
+            for (&g_ix, key) in scan.iter().zip(keys) {
+                if let Some(key) = key {
+                    cache.insert(key, answers[g_ix].clone().expect("group swept"));
                 }
             }
         }

@@ -10,6 +10,7 @@
 
 use mf_par::ThreadPool;
 use mf_serve::{BatchPlan, FactorStore, Query, QueryUser, TopK};
+use mf_sgd::sweep::PANEL_W;
 use mf_sgd::Model;
 use proptest::prelude::*;
 
@@ -181,6 +182,36 @@ fn duplicate_heavy_batch_dedups_and_scatters_correctly() {
     assert_eq!(got.len(), 64);
     for (q, topk) in queries.iter().zip(&got) {
         assert_eq!(bits(topk), oracle(&model, q));
+    }
+}
+
+/// Regression: the panel → task split must never start a task past the
+/// last panel. `ceil(panels / threads)` panels per task can need fewer
+/// tasks than threads — 5 panels on 4 threads is runs of 2, 2, 1, and a
+/// fourth task used to slice `panels[6..5]` and abort the sweep. Every
+/// `(panels, threads)` shape in `0..=40 × 1..=8`, with the last panel
+/// both partial and full, must return and match the serial scan.
+#[test]
+fn panel_split_covers_every_panel_and_thread_count() {
+    const MAX_PANELS: usize = 40;
+    let users = (MAX_PANELS * PANEL_W) as u32;
+    let store = FactorStore::new(Model::init(users, 100, 8, 3), 1);
+    let queries: Vec<Query> = (0..users).map(|u| Query::top_k(u, 5)).collect();
+    let serial: Vec<TopK> = queries.iter().map(|q| store.serve_one(q)).collect();
+    // The global pool rides along: under CI's `MF_PAR_THREADS` legs it
+    // is the one pool whose width the test does not choose.
+    let pools: Vec<ThreadPool> = (1..=8).map(ThreadPool::new).collect();
+    for pool in pools.iter().chain([ThreadPool::global()]) {
+        for panels in 0..=MAX_PANELS {
+            for batch in [(panels * PANEL_W).saturating_sub(3), panels * PANEL_W] {
+                let got = store.sweep_batch_in(&queries[..batch], pool);
+                assert!(
+                    got.iter().map(bits).eq(serial[..batch].iter().map(bits)),
+                    "panels={panels} threads={} batch={batch}",
+                    pool.threads()
+                );
+            }
+        }
     }
 }
 
