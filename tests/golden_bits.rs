@@ -1,0 +1,304 @@
+//! Absolute bit pins across commits.
+//!
+//! Every other identity suite in this repo is *relative* — A ≡ B inside
+//! one build (DES ≡ threads, spill ≡ RAM, batched ≡ serial). Nothing
+//! there notices a refactor that moves A and B together. These tests
+//! pin XXH64 constants of trained factors, checkpoint bytes and served
+//! answers, so "same behaviour" is checkable from one commit to the next.
+//!
+//! Inputs and grids come from integer arithmetic only: explicit cut
+//! lists, no cost-model fit, no libm call whose last bit could differ
+//! between hosts. Each pin has two values, keyed by whether the process
+//! dispatches the scalar-level kernels (`MF_SIMD=scalar`, non-x86) or a
+//! fused one — the AVX2 and AVX-512 updates are bit-equal to each other
+//! (see `mf_sgd::simd`), so the `MF_SIMD=scalar` and `MF_SIMD=avx2` CI
+//! legs between them cover both columns.
+//!
+//! A constant may change only in a PR that says which arithmetic it
+//! changed and why.
+
+use hsgd_star::hetero::executor::train_with_executor;
+use hsgd_star::hetero::layout::StarLayout;
+use hsgd_star::hetero::runtime::ThreadedExecutor;
+use hsgd_star::hetero::scheduler::StarScheduler;
+use hsgd_star::hetero::trainer::run_training;
+use hsgd_star::hetero::{CostModelKind, CpuSpec, DevicePool, HeteroConfig, TrainOutcome};
+use hsgd_star::par::ThreadPool;
+use hsgd_star::serve::checkpoint::write_checkpoint;
+use hsgd_star::serve::{CheckpointMeta, FactorStore, Query};
+use hsgd_star::sgd::fpsgd::{self, FpsgdConfig};
+use hsgd_star::sgd::sequential::TrainConfig;
+use hsgd_star::sgd::simd::{self, SimdLevel};
+use hsgd_star::sgd::{HyperParams, LearningRate, Model};
+use hsgd_star::sparse::hash::Xxh64;
+use hsgd_star::sparse::{GridSpec, Rating, SparseMatrix};
+use mf_des::SimTime;
+
+const USERS: u32 = 96;
+const ITEMS: u32 = 600;
+
+/// One pinned value per kernel family.
+struct Pin {
+    scalar: u64,
+    fused: u64,
+}
+
+impl Pin {
+    fn expected(&self) -> u64 {
+        if simd::level() == SimdLevel::Scalar {
+            self.scalar
+        } else {
+            self.fused
+        }
+    }
+}
+
+/// About a fifth of the `USERS × ITEMS` cells, chosen and valued by
+/// integer mixing; ratings are multiples of 0.5 in `[1, 5]`, all exact
+/// in `f32`. Every seventh kept cell goes to the test split.
+fn dataset() -> (SparseMatrix, SparseMatrix) {
+    let (mut train, mut test) = (Vec::new(), Vec::new());
+    for u in 0..USERS {
+        for v in 0..ITEMS {
+            let h = (u * 2_654_435 + v * 40_503 + u * v) % 1_000;
+            if h >= 200 {
+                continue;
+            }
+            let r = 1.0 + ((u * 7 + v * 13 + h) % 9) as f32 * 0.5;
+            if h % 7 == 0 {
+                test.push(Rating::new(u, v, r));
+            } else {
+                train.push(Rating::new(u, v, r));
+            }
+        }
+    }
+    (
+        SparseMatrix::new(USERS, ITEMS, train).unwrap(),
+        SparseMatrix::new(USERS, ITEMS, test).unwrap(),
+    )
+}
+
+fn hyper(k: usize) -> HyperParams {
+    HyperParams {
+        k,
+        lambda_p: 0.05,
+        lambda_q: 0.05,
+        gamma: 0.01,
+        schedule: LearningRate::Fixed,
+    }
+}
+
+/// HSGD\* rig: two CPU workers, one GPU, stealing on.
+fn hetero_cfg() -> HeteroConfig {
+    HeteroConfig {
+        hyper: hyper(16),
+        nc: 2,
+        ng: 1,
+        gpu: hsgd_star::gpu::GpuSpec::quadro_p4000().scaled_down(100.0),
+        cpu: CpuSpec::default().scaled_down(100.0),
+        iterations: 4,
+        seed: 5,
+        dynamic_scheduling: true,
+        cost_model: CostModelKind::Tailored,
+        probe_interval_secs: None,
+        target_rmse: None,
+    }
+}
+
+/// The Sec. VI grid for `nc = 2`, `ng = 1`, written out by hand: six CPU
+/// row bands over users `0..60`, one GPU group of three sub-rows over
+/// `60..96`, five column bands.
+fn star_scheduler(iterations: u32) -> StarScheduler {
+    let row_cuts = vec![0, 10, 20, 30, 40, 50, 60, 72, 84, 96];
+    let col_cuts = vec![0, 120, 240, 360, 480, 600];
+    let layout = StarLayout {
+        spec: GridSpec::from_cuts(row_cuts, col_cuts).unwrap(),
+        alpha: 0.375,
+        cpu_bands: 6,
+        sub_rows_per_gpu: 3,
+        nc: 2,
+        ng: 1,
+        row_split: 60,
+    };
+    StarScheduler::new(layout, iterations, true).with_steal_ratio(2.0)
+}
+
+fn device_pool(cfg: &HeteroConfig) -> DevicePool {
+    DevicePool {
+        cpu_workers: cfg.nc,
+        gpus: vec![hsgd_star::hetero::devices::GpuWorker::new(cfg.gpu)],
+        gpu_start: vec![SimTime::ZERO],
+    }
+}
+
+fn hash_f32s(h: &mut Xxh64, xs: &[f32]) {
+    for x in xs {
+        h.update(&x.to_bits().to_le_bytes());
+    }
+}
+
+fn hash_model(model: &Model) -> u64 {
+    let mut h = Xxh64::new(0);
+    hash_f32s(&mut h, model.p_raw());
+    hash_f32s(&mut h, model.q_raw());
+    h.digest()
+}
+
+fn exclusive_run(threads: usize) -> TrainOutcome {
+    let (train, test) = dataset();
+    let cfg = hetero_cfg();
+    let pool = ThreadPool::new(threads);
+    let mut exec = ThreadedExecutor::with_pool(&pool);
+    train_with_executor(
+        &train,
+        &test,
+        star_scheduler(cfg.iterations),
+        device_pool(&cfg),
+        &cfg,
+        None,
+        "golden/exclusive",
+        |_, _| {},
+        &mut exec,
+    )
+}
+
+#[test]
+fn hsgd_star_exclusive_factors_are_pinned() {
+    const PIN: Pin = Pin {
+        scalar: 0xbeb3_116d_ef4e_9d5b,
+        fused: 0x6e41_452a_1dd6_b91c,
+    };
+    let one = exclusive_run(1);
+    let four = exclusive_run(4);
+    assert_eq!(one.model, four.model, "1 vs 4 pool threads");
+    assert!(one.report.gpu_points > 0 && one.report.cpu_points > 0);
+    assert_eq!(
+        hash_model(&one.model),
+        PIN.expected(),
+        "got {:#018x}",
+        hash_model(&one.model)
+    );
+}
+
+#[test]
+fn hsgd_star_des_factors_are_pinned() {
+    const PIN: Pin = Pin {
+        scalar: 0xb0b6_13e3_c334_63b0,
+        fused: 0x17d2_31e0_e13d_de12,
+    };
+    let (train, test) = dataset();
+    let cfg = hetero_cfg();
+    let out = run_training(
+        &train,
+        &test,
+        star_scheduler(cfg.iterations),
+        device_pool(&cfg),
+        &cfg,
+        None,
+        "golden/des",
+    );
+    assert!(out.report.gpu_points > 0 && out.report.cpu_points > 0);
+    assert_eq!(
+        hash_model(&out.model),
+        PIN.expected(),
+        "got {:#018x}",
+        hash_model(&out.model)
+    );
+}
+
+/// Single-thread FPSGD: one worker makes the free-block pool's pick
+/// order, and so the update order, a function of the data alone.
+fn fpsgd_model(k: usize) -> Model {
+    let (train, _) = dataset();
+    fpsgd::train(
+        &train,
+        &FpsgdConfig {
+            train: TrainConfig {
+                hyper: hyper(k),
+                iterations: 3,
+                seed: 7,
+                reshuffle: false,
+            },
+            threads: 1,
+            grid: Some((4, 3)),
+        },
+    )
+}
+
+#[test]
+fn fpsgd_single_thread_factors_are_pinned() {
+    // k = 8 takes the kernel's lean small-row loop, k = 16 the
+    // prefetching one, k = 12 the scalar fallback for a dimension
+    // without a monomorphized kernel (one value in both columns).
+    const PINS: [(usize, Pin); 3] = [
+        (
+            8,
+            Pin {
+                scalar: 0x764c_c2af_4575_375e,
+                fused: 0xab77_a27c_22de_09b4,
+            },
+        ),
+        (
+            12,
+            Pin {
+                scalar: 0x96c9_978e_abc8_3d0b,
+                fused: 0x96c9_978e_abc8_3d0b,
+            },
+        ),
+        (
+            16,
+            Pin {
+                scalar: 0x78cb_66ea_dc64_b197,
+                fused: 0x6884_5133_bacf_2c72,
+            },
+        ),
+    ];
+    for (k, pin) in &PINS {
+        let got = hash_model(&fpsgd_model(*k));
+        assert_eq!(got, pin.expected(), "k={k}: got {got:#018x}");
+    }
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    const PIN: Pin = Pin {
+        scalar: 0xad99_19eb_febb_7581,
+        fused: 0x6fc6_f2ad_8856_e4d7,
+    };
+    let mut bytes = Vec::new();
+    write_checkpoint(
+        &fpsgd_model(16),
+        CheckpointMeta { seed: 7, epoch: 3 },
+        &mut bytes,
+    )
+    .unwrap();
+    let got = hsgd_star::sparse::hash::xxh64(&bytes);
+    assert_eq!(
+        got,
+        PIN.expected(),
+        "got {got:#018x} over {} bytes",
+        bytes.len()
+    );
+}
+
+#[test]
+fn served_top10_is_pinned() {
+    const PIN: Pin = Pin {
+        scalar: 0x4aaf_058a_76ae_c643,
+        fused: 0xb172_8dce_ddec_ec21,
+    };
+    let store = FactorStore::new(fpsgd_model(16), 3);
+    let queries: Vec<Query> = (0..64).map(|u| Query::top_k(u, 10)).collect();
+    let answers = store.sweep_batch(&queries);
+    let serial: Vec<_> = queries.iter().map(|q| store.serve_one(q)).collect();
+    assert_eq!(answers, serial, "sweep_batch vs serve_one");
+    let mut h = Xxh64::new(0);
+    for a in &answers {
+        assert_eq!(a.items.len(), 10);
+        for &(item, score) in &a.items {
+            h.update(&item.to_le_bytes());
+            h.update(&score.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(h.digest(), PIN.expected(), "got {:#018x}", h.digest());
+}
