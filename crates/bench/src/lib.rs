@@ -19,8 +19,6 @@ use hsgd_core::{CpuSpec, HeteroConfig};
 use mf_data::{preset, Dataset, DatasetPreset, PresetName};
 use mf_sgd::{HyperParams, LearningRate};
 
-pub mod hotpath;
-
 /// Parsed command-line options shared by the experiment binaries.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {

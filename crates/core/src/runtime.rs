@@ -253,6 +253,31 @@ impl Meter {
         }
     }
 
+    /// Relaxed-mode live feedback: once both classes have enough
+    /// samples, the measured rates replace the scheduler's steal
+    /// break-even ratio. Out-of-core runs also feed the cache's
+    /// behaviour back: the hit rate sets the `StarScheduler`'s IO penalty
+    /// on the steal break-even depth (a thief stalling on loads is
+    /// slower than its busy-time rate claims).
+    ///
+    /// Kept out of line: it runs once per released task, under the hub
+    /// lock, and is dead weight in every run without feedback.
+    #[inline(never)]
+    fn feed_back(&self, scheduler: &mut (dyn BlockScheduler + Send), part: &GridPartition) {
+        if self.cpu_obs.len() >= FEEDBACK_MIN_SAMPLES && self.gpu_obs.len() >= FEEDBACK_MIN_SAMPLES
+        {
+            if let (Some(cpu), Some(gpu)) = (self.cpu_obs.mean_rate(), self.gpu_obs.mean_rate()) {
+                scheduler.observe_throughput(cpu, gpu);
+            }
+        }
+        if let Some(handle) = part.spill() {
+            let c = handle.counters();
+            if c.hits + c.misses >= FEEDBACK_MIN_SAMPLES as u64 {
+                scheduler.observe_io(c.hit_rate(), c.io_bytes_per_sec());
+            }
+        }
+    }
+
     /// Builds the end-of-run measurement record. `nc`/`ng` are the worker
     /// counts that actually ran (they normalize the measured α exactly
     /// like Eq. 7 normalizes the planned one).
@@ -299,6 +324,98 @@ fn pin_for_kernel(part: &GridPartition, task: &Task) {
     }
 }
 
+/// Where [`run_task`] runs a task's kernel.
+enum Seat<'a> {
+    /// The calling thread, through the CPU block loop.
+    Cpu,
+    /// A simulated GPU the calling thread owns (relaxed mode).
+    Gpu(&'a mut GpuWorker),
+    /// A simulated GPU the tasks of one exclusive round share.
+    SharedGpu(&'a Mutex<GpuWorker>),
+}
+
+/// The task body every real-thread path runs: pin the task's blocks,
+/// start the clock, run the kernel, stop the clock, unpin. Returns the
+/// busy seconds.
+///
+/// The pin (and any load it implies) happens before the clock starts:
+/// measured rates stay pure compute, and IO stalls are visible
+/// separately through the cache counters. A shared GPU is locked after
+/// the pin and before the clock: a round can hold two tasks for the same
+/// GPU, and the second's lock wait is queueing, not device busy time —
+/// counting it would double-charge `gpu_busy_secs` and halve the
+/// measured GPU rate.
+///
+/// # Safety
+///
+/// For the duration of the call, no other thread may access the factor
+/// rows of the task's row and column bands — the scheduler's
+/// conflict-freedom invariant for a task that is acquired and not yet
+/// released.
+unsafe fn run_task(
+    shared: &SharedModel<'_>,
+    part: &GridPartition,
+    hyper: &mf_sgd::HyperParams,
+    task: &Task,
+    seat: Seat<'_>,
+) -> f64 {
+    let gamma = hyper.gamma_at(task.pass);
+    pin_for_kernel(part, task);
+    let secs = {
+        let mut locked;
+        let gpu = match seat {
+            Seat::Cpu => None,
+            Seat::Gpu(worker) => Some(worker),
+            Seat::SharedGpu(device) => {
+                locked = device.lock();
+                Some(&mut *locked)
+            }
+        };
+        let t0 = Instant::now();
+        match gpu {
+            // SAFETY: forwarded caller contract, as below.
+            Some(worker) => unsafe {
+                worker.process_shared(SimTime::ZERO, shared, part, task, gamma, hyper);
+            },
+            None => {
+                for &b in &task.blocks {
+                    // SAFETY: the caller holds this task's bands, so no
+                    // other thread touches these factor rows.
+                    unsafe {
+                        shared.sgd_block_exclusive(
+                            part.block(b),
+                            gamma,
+                            hyper.lambda_p,
+                            hyper.lambda_q,
+                        );
+                    }
+                }
+            }
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    part.unpin_blocks(&task.blocks);
+    secs
+}
+
+/// Pulls up to `want` conflict-free tasks for `who`, stopping early when
+/// the scheduler has nothing more to assign.
+fn pull(
+    scheduler: &mut (dyn BlockScheduler + Send),
+    part: &GridPartition,
+    who: WorkerClass,
+    want: usize,
+) -> Vec<Task> {
+    let mut got = Vec::new();
+    while got.len() < want {
+        match scheduler.next_task(who, part) {
+            Some(t) => got.push(t),
+            None => break,
+        }
+    }
+    got
+}
+
 // ---------------------------------------------------------------------------
 // Exclusive mode: deterministic rounds
 // ---------------------------------------------------------------------------
@@ -317,22 +434,17 @@ fn sweep_round(
     cpu_alive: bool,
 ) -> Vec<(WorkerClass, Task)> {
     let mut tasks = Vec::new();
+    let mut sweep = |who, want| {
+        let got = pull(scheduler, part, who, want);
+        tasks.extend(got.into_iter().map(|t| (who, t)));
+    };
     for (g, &alive) in gpu_alive.iter().enumerate() {
-        if !alive {
-            continue;
-        }
-        let who = WorkerClass::Gpu(g as u32);
-        for _ in 0..GPU_QUEUE_DEPTH {
-            match scheduler.next_task(who, part) {
-                Some(t) => tasks.push((who, t)),
-                None => break,
-            }
+        if alive {
+            sweep(WorkerClass::Gpu(g as u32), GPU_QUEUE_DEPTH);
         }
     }
     if cpu_alive {
-        while let Some(t) = scheduler.next_task(WorkerClass::Cpu, part) {
-            tasks.push((WorkerClass::Cpu, t));
-        }
+        sweep(WorkerClass::Cpu, usize::MAX);
     }
     tasks
 }
@@ -352,9 +464,8 @@ fn run_exclusive(
         epoch_hook,
     } = ctx;
     // Honor the rig's requested CPU worker count (budget-clamped), so
-    // "exclusive at cpu_workers = N" means what it says — e.g. for the
-    // bench gate's pinned worker mix. A caller-provided pool (the
-    // determinism tests) overrides.
+    // "exclusive at cpu_workers = N" means what it says. A
+    // caller-provided pool (the determinism tests) overrides.
     let own_pool;
     let tpool = match pool {
         Some(p) => p,
@@ -411,48 +522,16 @@ fn run_exclusive(
             let out = mf_par::ScatterSlice::new(&mut secs);
             tpool.run_indexed(tasks.len(), |i| {
                 let (class, task) = &tasks[i];
-                let gamma = hyper.gamma_at(task.pass);
-                // Pin for exactly the kernel's duration. The pin (and
-                // any load it implies) happens before the clock starts:
-                // measured rates stay pure compute, and IO stalls are
-                // visible separately through the cache counters.
-                pin_for_kernel(part, task);
-                let secs = match class {
-                    WorkerClass::Cpu => {
-                        let t0 = Instant::now();
-                        for &b in &task.blocks {
-                            // SAFETY: the scheduler holds this task's row
-                            // and column bands busy for the whole round,
-                            // and round tasks are pairwise conflict-free.
-                            unsafe {
-                                shared.sgd_block_exclusive(
-                                    part.block(b),
-                                    gamma,
-                                    hyper.lambda_p,
-                                    hyper.lambda_q,
-                                );
-                            }
-                        }
-                        t0.elapsed()
-                    }
-                    WorkerClass::Gpu(g) => {
-                        let mut gw = gpus[*g as usize].lock();
-                        // Clock starts *after* the device lock: a round can
-                        // hold two tasks for the same GPU, and the second's
-                        // lock wait is queueing, not device busy time —
-                        // counting it would double-charge gpu_busy_secs and
-                        // halve the measured GPU rate.
-                        let t0 = Instant::now();
-                        // SAFETY: same conflict-freedom contract.
-                        unsafe {
-                            gw.process_shared(SimTime::ZERO, &shared, part, task, gamma, hyper);
-                        }
-                        t0.elapsed()
-                    }
+                let seat = match class {
+                    WorkerClass::Cpu => Seat::Cpu,
+                    WorkerClass::Gpu(g) => Seat::SharedGpu(&gpus[*g as usize]),
                 };
-                part.unpin_blocks(&task.blocks);
+                // SAFETY: the scheduler holds this task's row and column
+                // bands busy for the whole round, and round tasks are
+                // pairwise conflict-free.
+                let secs = unsafe { run_task(&shared, part, hyper, task, seat) };
                 // SAFETY: index `i` is written exactly once.
-                unsafe { out.write(i, secs.as_secs_f64()) };
+                unsafe { out.write(i, secs) };
             });
         }
 
@@ -535,29 +614,8 @@ impl HubState<'_, '_> {
         self.release_gen += 1;
         self.verdicts = 0;
         self.meter.record(class, task.points, secs);
-        if self.feedback
-            && self.meter.cpu_obs.len() >= FEEDBACK_MIN_SAMPLES
-            && self.meter.gpu_obs.len() >= FEEDBACK_MIN_SAMPLES
-        {
-            if let (Some(cpu), Some(gpu)) = (
-                self.meter.cpu_obs.mean_rate(),
-                self.meter.gpu_obs.mean_rate(),
-            ) {
-                self.scheduler.observe_throughput(cpu, gpu);
-            }
-        }
-        // Out-of-core runs also feed the cache's behaviour back: the
-        // hit rate sets the StarScheduler's IO penalty on the steal
-        // break-even depth (a thief stalling on loads is slower than
-        // its busy-time rate claims).
         if self.feedback {
-            if let Some(handle) = self.part.spill() {
-                let c = handle.counters();
-                if c.hits + c.misses >= FEEDBACK_MIN_SAMPLES as u64 {
-                    self.scheduler
-                        .observe_io(c.hit_rate(), c.io_bytes_per_sec());
-                }
-            }
+            self.meter.feed_back(&mut *self.scheduler, self.part);
         }
     }
 }
@@ -594,13 +652,7 @@ impl Hub<'_, '_> {
                 return Vec::new();
             }
             let part = st.part;
-            let mut got = Vec::new();
-            while got.len() < want {
-                match st.scheduler.next_task(who, part) {
-                    Some(t) => got.push(t),
-                    None => break,
-                }
-            }
+            let got = pull(&mut *st.scheduler, part, who, want);
             if !got.is_empty() {
                 st.inflight += got.len();
                 return got;
@@ -637,13 +689,7 @@ impl Hub<'_, '_> {
             return Vec::new();
         }
         let part = st.part;
-        let mut got = Vec::new();
-        while got.len() < want {
-            match st.scheduler.next_task(who, part) {
-                Some(t) => got.push(t),
-                None => break,
-            }
-        }
+        let got = pull(&mut *st.scheduler, part, who, want);
         st.inflight += got.len();
         got
     }
@@ -696,19 +742,10 @@ fn cpu_worker(
         let Some(task) = got.pop() else { return };
         // A successful acquire may have left more blocks assignable.
         hub.cond.notify_one();
-        let gamma = hyper.gamma_at(task.pass);
-        pin_for_kernel(part, &task);
-        let t0 = Instant::now();
-        for &b in &task.blocks {
-            // SAFETY: the scheduler marked this task's row and column
-            // bands busy; no other worker touches these factor rows until
-            // we release.
-            unsafe {
-                shared.sgd_block_exclusive(part.block(b), gamma, hyper.lambda_p, hyper.lambda_q);
-            }
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        part.unpin_blocks(&task.blocks);
+        // SAFETY: the scheduler marked this task's row and column bands
+        // busy; no other worker touches these factor rows until we
+        // release.
+        let secs = unsafe { run_task(shared, part, hyper, &task, Seat::Cpu) };
         hub.release(WorkerClass::Cpu, &task, secs);
     }
 }
@@ -766,15 +803,8 @@ fn gpu_worker(
         let Some(task) = local.pop_front() else {
             return;
         };
-        let gamma = hyper.gamma_at(task.pass);
-        pin_for_kernel(part, &task);
-        let t0 = Instant::now();
         // SAFETY: scheduler conflict-freedom for this in-flight task.
-        unsafe {
-            worker.process_shared(SimTime::ZERO, shared, part, &task, gamma, hyper);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        part.unpin_blocks(&task.blocks);
+        let secs = unsafe { run_task(shared, part, hyper, &task, Seat::Gpu(worker)) };
         hub.release(who, &task, secs);
     }
 }
@@ -805,22 +835,15 @@ fn run_relaxed_inline(
     let hyper = &cfg.hyper;
     let mut meter = Meter::new();
     let shared = SharedModel::new(model);
-    let maybe_feed = |meter: &Meter, scheduler: &mut (dyn BlockScheduler + Send)| {
-        if feedback
-            && meter.cpu_obs.len() >= FEEDBACK_MIN_SAMPLES
-            && meter.gpu_obs.len() >= FEEDBACK_MIN_SAMPLES
-        {
-            if let (Some(cpu), Some(gpu)) = (meter.cpu_obs.mean_rate(), meter.gpu_obs.mean_rate()) {
-                scheduler.observe_throughput(cpu, gpu);
-            }
-        }
+    // Runs one task to completion on the caller: kernel, release,
+    // accounting, feedback.
+    let mut run = |scheduler: &mut (dyn BlockScheduler + Send), who, task: Task, seat: Seat<'_>| {
+        // SAFETY: single-threaded here; the task's bands are ours.
+        let secs = unsafe { run_task(&shared, part, hyper, &task, seat) };
+        scheduler.release(&task);
+        meter.record(who, task.points, secs);
         if feedback {
-            if let Some(handle) = part.spill() {
-                let c = handle.counters();
-                if c.hits + c.misses >= FEEDBACK_MIN_SAMPLES as u64 {
-                    scheduler.observe_io(c.hit_rate(), c.io_bytes_per_sec());
-                }
-            }
+            meter.feed_back(scheduler, part);
         }
     };
     loop {
@@ -833,43 +856,13 @@ fn run_relaxed_inline(
                 let Some(task) = scheduler.next_task(who, part) else {
                     break;
                 };
-                let gamma = hyper.gamma_at(task.pass);
-                pin_for_kernel(part, &task);
-                let t0 = Instant::now();
-                // SAFETY: single-threaded here; the task's bands are ours.
-                unsafe {
-                    worker.process_shared(SimTime::ZERO, &shared, part, &task, gamma, hyper);
-                }
-                let secs = t0.elapsed().as_secs_f64();
-                part.unpin_blocks(&task.blocks);
-                scheduler.release(&task);
-                meter.record(who, task.points, secs);
-                maybe_feed(&meter, scheduler);
+                run(scheduler, who, task, Seat::Gpu(&mut *worker));
                 progressed = true;
             }
         }
         if nc > 0 {
             if let Some(task) = scheduler.next_task(WorkerClass::Cpu, part) {
-                let gamma = hyper.gamma_at(task.pass);
-                pin_for_kernel(part, &task);
-                let t0 = Instant::now();
-                for &b in &task.blocks {
-                    // SAFETY: single-threaded here; the task's bands are
-                    // ours.
-                    unsafe {
-                        shared.sgd_block_exclusive(
-                            part.block(b),
-                            gamma,
-                            hyper.lambda_p,
-                            hyper.lambda_q,
-                        );
-                    }
-                }
-                let secs = t0.elapsed().as_secs_f64();
-                part.unpin_blocks(&task.blocks);
-                scheduler.release(&task);
-                meter.record(WorkerClass::Cpu, task.points, secs);
-                maybe_feed(&meter, scheduler);
+                run(scheduler, WorkerClass::Cpu, task, Seat::Cpu);
                 progressed = true;
             }
         }

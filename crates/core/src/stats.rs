@@ -1,194 +1,13 @@
-//! Run reports, scheduling statistics, and streaming latency
-//! histograms.
+//! Run reports and scheduling statistics.
 
 use serde::{Deserialize, Serialize};
-
-/// A streaming quantile estimator over fixed log-spaced buckets — the
-/// serving layer's latency instrument (p50/p90/p99 under load).
-///
-/// The bucket grid is set at construction (`[lo, hi]` split into
-/// `per_decade` buckets per factor of 10, plus an underflow and an
-/// overflow bucket) and never moves, so:
-///
-/// * `record` is O(1) — one log10, one increment — and allocation-free;
-/// * two histograms over the same grid [`Histogram::merge`] by adding
-///   counts, so per-thread instruments combine exactly;
-/// * quantiles are *conservative*: [`Histogram::quantile`] returns the
-///   upper edge of the bucket holding the nearest-rank order statistic,
-///   an upper bound on the true quantile that overshoots by at most one
-///   bucket's width (a factor of `10^(1/per_decade)`; ~12% at the
-///   default 20 buckets per decade).
-///
-/// Values at or below `lo` land in the underflow bucket (reported as
-/// `lo`); values beyond the grid land in the overflow bucket (reported
-/// as the maximum recorded value). NaN is treated as underflow rather
-/// than panicking — a NaN latency is a caller bug, but not one worth
-/// poisoning a metrics pipeline over.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    /// Lower edge of the grid (exclusive for bucket 1).
-    lo: f64,
-    /// Buckets per factor of 10.
-    per_decade: u32,
-    /// `[underflow, grid buckets…, overflow]` counts.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// A histogram spanning `[lo, hi]` with `per_decade` log-spaced
-    /// buckets per decade.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < lo < hi` (finite) and `per_decade ≥ 1`.
-    pub fn new(lo: f64, hi: f64, per_decade: u32) -> Histogram {
-        assert!(
-            lo > 0.0 && hi > lo && hi.is_finite(),
-            "need 0 < lo < hi, got [{lo}, {hi}]"
-        );
-        assert!(per_decade >= 1, "need at least one bucket per decade");
-        let decades = (hi / lo).log10();
-        let grid = (decades * per_decade as f64).ceil() as usize;
-        Histogram {
-            lo,
-            per_decade,
-            buckets: vec![0; grid + 2],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// The serving default: 1 µs to 100 s at 20 buckets per decade
-    /// (≤ 12% quantile overshoot), values in seconds.
-    pub fn latency_secs() -> Histogram {
-        Histogram::new(1e-6, 100.0, 20)
-    }
-
-    fn bucket_of(&self, x: f64) -> usize {
-        if x.is_nan() || x <= self.lo {
-            return 0; // underflow (and NaN)
-        }
-        let ix = ((x / self.lo).log10() * self.per_decade as f64).floor() as isize + 1;
-        (ix.max(1) as usize).min(self.buckets.len() - 1)
-    }
-
-    /// Upper edge of bucket `i` — what [`Histogram::quantile`] reports
-    /// when the rank lands there.
-    fn edge(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.lo
-        } else if i == self.buckets.len() - 1 {
-            // Overflow: the tightest upper bound we know is the actual
-            // maximum.
-            self.max
-        } else {
-            self.lo * 10f64.powf(i as f64 / self.per_decade as f64)
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, x: f64) {
-        let b = self.bucket_of(x);
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Adds `other`'s counts into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms were built over different grids.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo
-                && self.per_decade == other.per_decade
-                && self.buckets.len() == other.buckets.len(),
-            "cannot merge histograms over different grids"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The `q`-quantile (`0 < q ≤ 1`) by the nearest-rank rule: an
-    /// upper bound on the smallest value `v` with
-    /// `#{x ≤ v} ≥ ⌈q·count⌉`, tight to one bucket. NaN when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile needs q in [0, 1]");
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return self.edge(i);
-            }
-        }
-        self.max
-    }
-
-    /// Median (upper bucket edge).
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile (upper bucket edge).
-    pub fn p90(&self) -> f64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile (upper bucket edge).
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// Values recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact mean of recorded values (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest recorded value (∞ when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest recorded value (−∞ when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
 
 /// Serving-staleness instrument: the distribution of the **epoch lag** a
 /// reader observes — how many epochs the trainer is ahead of the version
 /// currently being served. Lags are small integers (a healthy live loop
-/// sits at 0 or 1), so this is an exact linear-bucket counter rather than
-/// a log-spaced [`Histogram`]: one bucket per lag up to
-/// [`EpochLag::MAX_TRACKED`], plus an overflow bucket reported as the
-/// maximum recorded lag. `record` is O(1); quantiles are exact
+/// sits at 0 or 1), so this is an exact linear-bucket counter: one
+/// bucket per lag up to [`EpochLag::MAX_TRACKED`], plus an overflow
+/// bucket reported as the maximum recorded lag. `record` is O(1); quantiles are exact
 /// nearest-rank values (no bucket overshoot) for every tracked lag.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochLag {
@@ -441,114 +260,6 @@ mod tests {
     }
 
     use super::*;
-    use proptest::prelude::*;
-
-    /// Sort-based oracle for the nearest-rank quantile.
-    fn oracle_quantile(values: &[f64], q: f64) -> f64 {
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-        sorted[rank - 1]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Against the sort oracle: the histogram quantile is an upper
-        /// bound on the true nearest-rank quantile, within one bucket's
-        /// width (a factor of 10^(1/per_decade)).
-        #[test]
-        fn quantile_brackets_sort_oracle(
-            raw in prop::collection::vec(1e-6f64..100.0, 1..300),
-            per_decade in 1u32..40,
-            qs in prop::collection::vec(0.01f64..1.0, 1..8),
-        ) {
-            let mut h = Histogram::new(1e-6, 100.0, per_decade);
-            for &x in &raw {
-                h.record(x);
-            }
-            let width = 10f64.powf(1.0 / per_decade as f64);
-            for &q in &qs {
-                let truth = oracle_quantile(&raw, q);
-                let est = h.quantile(q);
-                prop_assert!(
-                    est >= truth * (1.0 - 1e-9),
-                    "q={} est {} below oracle {}", q, est, truth
-                );
-                prop_assert!(
-                    est <= truth * width * (1.0 + 1e-9),
-                    "q={} est {} overshoots oracle {} by more than a bucket", q, est, truth
-                );
-            }
-        }
-
-        /// Merging per-thread histograms equals one histogram over the
-        /// concatenated stream, bucket for bucket.
-        #[test]
-        fn merge_equals_single_stream(
-            a in prop::collection::vec(1e-6f64..100.0, 0..120),
-            b in prop::collection::vec(1e-6f64..100.0, 0..120),
-        ) {
-            prop_assume!(!a.is_empty() || !b.is_empty());
-            let mut whole = Histogram::latency_secs();
-            let mut ha = Histogram::latency_secs();
-            let mut hb = Histogram::latency_secs();
-            for &x in &a {
-                whole.record(x);
-                ha.record(x);
-            }
-            for &x in &b {
-                whole.record(x);
-                hb.record(x);
-            }
-            ha.merge(&hb);
-            prop_assert_eq!(ha.count(), whole.count());
-            prop_assert_eq!(ha.min(), whole.min());
-            prop_assert_eq!(ha.max(), whole.max());
-            for q in [0.5, 0.9, 0.99, 1.0] {
-                prop_assert_eq!(ha.quantile(q), whole.quantile(q), "q={}", q);
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_edge_cases() {
-        let mut h = Histogram::new(1e-3, 10.0, 10);
-        assert!(h.quantile(0.5).is_nan(), "empty histogram has no quantiles");
-        assert!(h.mean().is_nan());
-        // Underflow clamps to lo; overflow reports the recorded max.
-        h.record(1e-9);
-        assert_eq!(h.p50(), 1e-3);
-        h.record(1e6);
-        assert_eq!(h.quantile(1.0), 1e6);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 1e-9);
-        assert_eq!(h.max(), 1e6);
-        // NaN lands in underflow instead of panicking.
-        h.record(f64::NAN);
-        assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn quantiles_are_monotone_in_q() {
-        let mut h = Histogram::latency_secs();
-        for i in 1..=1000u32 {
-            h.record(i as f64 * 1e-5);
-        }
-        let (p50, p90, p99) = (h.p50(), h.p90(), h.p99());
-        assert!(p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
-        // 20 buckets/decade → within ~12.2% of the true quantiles.
-        assert!((p50 / 5e-3 - 1.0).abs() < 0.13, "p50 {p50}");
-        assert!((p99 / 9.9e-3 - 1.0).abs() < 0.13, "p99 {p99}");
-    }
-
-    #[test]
-    #[should_panic(expected = "different grids")]
-    fn merge_rejects_mismatched_grids() {
-        let mut a = Histogram::new(1e-6, 1.0, 10);
-        let b = Histogram::new(1e-6, 1.0, 20);
-        a.merge(&b);
-    }
 
     #[test]
     fn balanced_counts_have_zero_spread() {

@@ -57,8 +57,8 @@ impl GeneratorConfig {
         }
     }
 
-    /// The out-of-core preset shared by the `spill_train` example and
-    /// the `out_of_core` bench section: enough training ratings that
+    /// The out-of-core preset of the `spill_train` example: enough
+    /// training ratings that
     /// the partition's wire bytes dwarf a tight block-cache budget, and
     /// mild popularity skew so grid blocks are unevenly sized — the
     /// interesting regime for a byte-budgeted LRU.

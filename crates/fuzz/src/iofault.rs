@@ -45,9 +45,9 @@ use mf_data::{ingest_stream, IngestConfig};
 use mf_serve::checkpoint::{self, CheckpointMeta};
 use mf_serve::delta::{self, recover_in, RecoverError};
 use mf_serve::live::{LiveConfig, LiveTrainer, RecordKind};
-use mf_serve::vfs::{Vfs, TMP_SUFFIX};
 use mf_sgd::Model;
 use mf_sparse::arena::BlockArena;
+use mf_sparse::vfs::{Vfs, TMP_SUFFIX};
 use mf_sparse::{BlockOrder, GridPartition, GridSpec, Rating, SparseMatrix};
 
 use crate::rng::SplitMix;
@@ -684,7 +684,7 @@ fn fingerprint(model: &Model, seed: u64, epoch: u64) -> u64 {
     let mut buf = Vec::new();
     checkpoint::write_checkpoint(model, CheckpointMeta { seed, epoch }, &mut buf)
         .expect("in-memory serialization cannot fail");
-    mf_serve::hash::xxh64(&buf)
+    mf_sparse::hash::xxh64(&buf)
 }
 
 /// The epoch recovery *must* land on, given the shadow log and the set

@@ -39,8 +39,8 @@ use crate::checkpoint::{
     self, checked_section_lens, read_exact_or_torn, read_verified_header, Checkpoint,
     CheckpointError, CheckpointMeta, HEADER_LEN, MAGIC,
 };
-use crate::hash::Xxh64;
-use crate::vfs::{RealFs, Vfs, TMP_SUFFIX};
+use mf_sparse::hash::{xxh64, Xxh64};
+use mf_sparse::vfs::{RealFs, Vfs, TMP_SUFFIX};
 
 /// The format version of delta records. Full snapshots stay at
 /// [`checkpoint::VERSION`] (= 1); each reader accepts exactly its own
@@ -186,7 +186,7 @@ pub fn write_delta<W: Write>(
     header[32..40].copy_from_slice(&meta.epoch.to_le_bytes());
     header[40..48].copy_from_slice(&meta.base_epoch.to_le_bytes());
     w.write_all(&header)?;
-    w.write_all(&crate::hash::xxh64(&header).to_le_bytes())?;
+    w.write_all(&xxh64(&header).to_le_bytes())?;
     write_runs_section(&mut w, model.k(), p_rows, |r| model.p_row(r))?;
     write_runs_section(&mut w, model.k(), q_rows, |r| model.q_row(r))?;
     w.flush()

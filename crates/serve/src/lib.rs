@@ -31,12 +31,12 @@
 //!   `max_batch`/`max_delay` policy (optionally adaptive), and
 //!   [`sched::run_load`] replays a timestamped query mix against a
 //!   store, reporting per-query latencies for histogramming.
-//! * [`live`] + [`delta`] + [`vfs`] — the crash-safe **online
+//! * [`live`] + [`delta`] — the crash-safe **online
 //!   lifecycle**: [`live::LiveStore`] serves version N through an
 //!   atomic pointer flip while [`live::LiveTrainer`] ingests ratings,
 //!   folds in unseen ids, and persists each epoch as an `MFCK` v2
 //!   delta of the touched rows ([`delta`]), written with the
-//!   temp + fsync + rename discipline of [`vfs`];
+//!   temp + fsync + rename discipline of [`mf_sparse::vfs`];
 //!   [`delta::recover`] walks a crashed directory back to the newest
 //!   checksum-valid state and reports what it salvaged.
 //!
@@ -47,7 +47,7 @@
 //! train ──► checkpoint::save ──► checkpoint::load ──► FactorStore
 //!                                      │                  │
 //!                        FoldIn::new_user(ratings)        │
-//!                                      └── QueryUser::Factor ──► serve_batch ──► TopK
+//!                                      └── QueryUser::Factor ──► sweep_batch ──► TopK
 //!
 //! ingest ──► LiveTrainer::step ──► delta/snapshot (atomic publish)
 //!                  │                        │ crash?
@@ -59,17 +59,15 @@ pub mod batch;
 pub mod checkpoint;
 pub mod delta;
 pub mod foldin;
-pub mod hash;
 pub mod live;
 pub mod sched;
 pub mod store;
-pub mod vfs;
 
 pub use batch::BatchPlan;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointMeta};
 pub use delta::{Delta, DeltaMeta, RecoverError, Recovery};
 pub use foldin::{FoldIn, FoldInConfig};
 pub use live::{LiveConfig, LiveStore, LiveTrainer};
+pub use mf_sparse::{RealFs, Vfs};
 pub use sched::{BatchPolicy, Batcher, LoadReport};
 pub use store::{FactorStore, Precision, Query, QueryUser, TopK};
-pub use vfs::{RealFs, Vfs};

@@ -16,7 +16,7 @@
 //!   unseen users/items (the model grows), run SGD passes over the new
 //!   ratings, then persist the epoch *incrementally* as an `MFCK` v2
 //!   delta of exactly the touched rows ([`crate::delta`]), through the
-//!   atomic-publish discipline of [`crate::vfs`]. Every
+//!   atomic-publish discipline of [`mf_sparse::vfs`]. Every
 //!   `snapshot_every` epochs the trainer re-bases with a full v1
 //!   snapshot so recovery chains stay short.
 //!
@@ -42,7 +42,7 @@ use crate::checkpoint::{self, CheckpointMeta};
 use crate::delta::{self, DeltaMeta, Recovery};
 use crate::foldin::{FoldIn, FoldInConfig};
 use crate::store::FactorStore;
-use crate::vfs::Vfs;
+use mf_sparse::vfs::Vfs;
 
 /// The reader-facing side of the live loop: a versioned, atomically
 /// swappable [`FactorStore`].
@@ -352,7 +352,7 @@ impl LiveTrainer {
         let scale = 1.0 / (k as f32).sqrt();
         (0..k)
             .map(|j| {
-                let h = crate::hash::xxh64(
+                let h = mf_sparse::hash::xxh64(
                     &[
                         self.seed.to_le_bytes().as_slice(),
                         &[side],
@@ -560,7 +560,7 @@ impl Write for CountingWriter<'_> {
 mod tests {
     use super::*;
     use crate::store::{Query, QueryUser};
-    use crate::vfs::RealFs;
+    use mf_sparse::RealFs;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mf_serve_live_{tag}_{}", std::process::id()));

@@ -13,16 +13,15 @@
 //! skipped tile is skipped precisely because no item in it can win a
 //! tie-break or a strict comparison.
 //!
-//! [`FactorStore::serve_batch`] fans a query batch over the `mf-par`
-//! pool — query chunks as tasks, results written back in query order —
-//! so the output is **bit-identical for any thread count**: per-query
-//! work shares no mutable state, and an optional LRU result cache
-//! (keyed on `(user, epoch, count, canonicalized exclude list)`) only
-//! ever returns values equal to what recomputation would produce.
-//! [`FactorStore::sweep_batch`] (in [`crate::batch`]) is the
-//! throughput path: it plans the batch, dedups identical queries, and
-//! streams each tile through the core **once per batch** with the
-//! `mf-sgd` panel kernel — same bits, one catalog pass.
+//! [`FactorStore::serve_one`] is the per-query scan and the serial
+//! oracle. An optional LRU result cache (keyed on
+//! `(user, epoch, count, canonicalized exclude list)`) only ever returns
+//! values equal to what recomputation would produce.
+//! [`FactorStore::sweep_batch`] (in [`crate::batch`]) answers batches:
+//! it plans the batch, dedups identical queries, and streams each tile
+//! through the core **once per batch** with the `mf-sgd` panel kernel —
+//! the same bits as mapping `serve_one`, for any thread count, in one
+//! catalog pass.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 
 use gpu_sim::simt::{f16_bits, f16_from_bits};
-use mf_par::ThreadPool;
 use mf_sgd::{kernel, Model};
 
 /// Item rows per tile. 512 rows at k = 32 is a 64 KiB factor block —
@@ -574,8 +572,8 @@ impl FactorStore {
 
     /// Resident bytes of at-rest item-factor data across all tiles
     /// (codes plus per-row scales/offsets; norms and user factors
-    /// excluded) —
-    /// the number the `serving_quantized` bench reports.
+    /// excluded) — what `tests/quantized_store.rs` holds int8 to half
+    /// of f32 on.
     pub fn resident_factor_bytes(&self) -> usize {
         self.tiles.iter().map(Tile::factor_bytes).sum()
     }
@@ -631,50 +629,6 @@ impl FactorStore {
                 .insert(key, result.clone());
         }
         result
-    }
-
-    /// Answers a batch on the process-wide pool, one independent scan
-    /// per query. Results land at their query's index, so the output is
-    /// the same `Vec` for any thread count.
-    ///
-    /// This is the *per-query* batch path; queries that can share tile
-    /// sweeps should go through [`FactorStore::sweep_batch`] instead,
-    /// which streams each tile once per batch.
-    pub fn serve_batch(&self, queries: &[Query]) -> Vec<TopK> {
-        self.serve_batch_in(queries, ThreadPool::global())
-    }
-
-    /// [`FactorStore::serve_batch`] on an explicit pool.
-    ///
-    /// Queries are handed to the pool in *chunks* (a few per thread),
-    /// not one task each: per-query tasks made the pooled path slower
-    /// than serial — every `run_indexed` claim is an atomic RMW on a
-    /// shared counter plus a slot lock, which at ~0.5 ms of work per
-    /// query cost more than the parallelism bought back on small pools.
-    /// Chunking amortizes that overhead across `CHUNK_PER_THREAD × threads`
-    /// tasks while still leaving enough tasks for the pool's
-    /// work-stealing to balance uneven queries.
-    pub fn serve_batch_in(&self, queries: &[Query], pool: &ThreadPool) -> Vec<TopK> {
-        /// Tasks per pool thread: enough slack for stealing to smooth
-        /// out expensive queries, few enough that per-task overhead
-        /// stays amortized.
-        const CHUNK_PER_THREAD: usize = 4;
-        let chunk = queries
-            .len()
-            .div_ceil(pool.threads() * CHUNK_PER_THREAD)
-            .max(1);
-        let ntasks = queries.len().div_ceil(chunk);
-        let slots: Vec<Mutex<Vec<TopK>>> = (0..ntasks).map(|_| Mutex::new(Vec::new())).collect();
-        pool.run_indexed(ntasks, |t| {
-            let lo = t * chunk;
-            let hi = (lo + chunk).min(queries.len());
-            let answers: Vec<TopK> = queries[lo..hi].iter().map(|q| self.serve_one(q)).collect();
-            *slots[t].lock().expect("slot lock") = answers;
-        });
-        slots
-            .into_iter()
-            .flat_map(|s| s.into_inner().expect("slot lock"))
-            .collect()
     }
 
     /// The cache key of a query, if it is cacheable (known user id).
@@ -785,6 +739,7 @@ impl FactorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mf_par::ThreadPool;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -862,7 +817,7 @@ mod tests {
         let serial: Vec<TopK> = queries.iter().map(|q| store.serve_one(q)).collect();
         for threads in [1usize, 2, 5] {
             let pool = ThreadPool::new(threads);
-            assert_eq!(store.serve_batch_in(&queries, &pool), serial);
+            assert_eq!(store.sweep_batch_in(&queries, &pool), serial);
         }
     }
 

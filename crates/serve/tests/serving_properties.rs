@@ -1,6 +1,6 @@
 //! Property and quality tests for the serving layer.
 //!
-//! * `serve_batch` is **thread-count invariant** and equal to the serial
+//! * `sweep_batch` is **thread-count invariant** and equal to the serial
 //!   oracle `Model::recommend` for arbitrary stores, queries, counts,
 //!   and exclusion lists — the tiled scan + norm prune + pool fan-out is
 //!   an execution strategy, not a semantics change.
@@ -17,7 +17,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn serve_batch_matches_serial_oracle_for_any_thread_count(
+    fn sweep_batch_matches_serial_oracle_for_any_thread_count(
         m in 1u32..10,
         n in 1u32..1200,
         k in 1usize..20,
@@ -51,7 +51,7 @@ proptest! {
             .collect();
         for threads in [1usize, 2, 3, 7] {
             let pool = ThreadPool::new(threads);
-            let got = store.serve_batch_in(&queries, &pool);
+            let got = store.sweep_batch_in(&queries, &pool);
             prop_assert_eq!(&got, &oracle, "threads={}", threads);
         }
     }
@@ -71,10 +71,10 @@ proptest! {
         let queries: Vec<Query> = (0..12)
             .map(|i| Query::top_k(i % 6, 1 + (i as usize % 5)))
             .collect();
-        let a = plain.serve_batch_in(&queries, &ThreadPool::new(1));
+        let a = plain.sweep_batch_in(&queries, &ThreadPool::new(1));
         // Twice through the cached store: cold pass fills, warm pass hits.
-        let b1 = cached.serve_batch_in(&queries, &ThreadPool::new(2));
-        let b2 = cached.serve_batch_in(&queries, &ThreadPool::new(2));
+        let b1 = cached.sweep_batch_in(&queries, &ThreadPool::new(2));
+        let b2 = cached.sweep_batch_in(&queries, &ThreadPool::new(2));
         prop_assert_eq!(&a, &b1);
         prop_assert_eq!(&a, &b2);
         prop_assert!(cached.cache_stats().hits > 0, "warm pass should hit");
@@ -196,8 +196,8 @@ fn checkpoint_to_serving_pipeline() {
             exclude: vec![0, 3, 800],
         },
     ];
-    let a = store.serve_batch(&queries);
-    let b = store.serve_batch(&queries);
+    let a = store.sweep_batch(&queries);
+    let b = store.sweep_batch(&queries);
     assert_eq!(a, b);
     assert_eq!(a[0].items.len(), 5);
     assert_eq!(a[1].items.len(), 5);

@@ -18,12 +18,26 @@
 //! Dispatch is a single match on `k` per call — per *block* for the block
 //! entry points, so the hot rating loop itself is fully monomorphic.
 //!
+//! The block level is one family over the structure-of-arrays layout
+//! [`mf_sparse::GridPartition`] stores, six functions in all. One chain
+//! is what the trainers run: [`sgd_block_raw_soa`] (raw factor pointers,
+//! caller-guaranteed bounds and exclusivity — the entry behind
+//! `SharedModel::sgd_block_exclusive`) matches on `k` and enters the
+//! monomorphized body `sgd_block_raw_soa_mono`, which picks the SIMD
+//! level's step once per block and hands it to the one rating loop,
+//! `sgd_block_raw_soa_with`. Three checked wrappers sit on top for
+//! slice-holding callers: [`sgd_block_soa`] (the same chain),
+//! [`sgd_block_soa_at`] (the same body at a caller-chosen SIMD level,
+//! for side-by-side tests) and [`sgd_block_soa_scalar`] (the loop over
+//! [`sgd_step_scalar`] — the oracle). Each proves the block's ids and
+//! stream lengths against its buffers before the raw loop runs.
+//!
 //! Note the monomorphized dot reduces in a different association order
 //! than the scalar one, so results may differ from the reference in the
 //! last ulps (within 1e-6 for unit-scale factors); both orders are valid
 //! realizations of Eq. 6.
 
-use mf_sparse::{BlockSlices, Rating};
+use mf_sparse::BlockSlices;
 
 /// Latent dimensions with a dedicated monomorphized kernel. Every entry
 /// must be a multiple of [`LANES`].
@@ -329,107 +343,41 @@ pub(crate) fn sgd_step_fixed_p_ref(
     e
 }
 
-/// Applies [`sgd_step`] to every rating in `block`, with factors fetched
-/// from raw model storage. `p`/`q` are the full factor buffers; `k` the
-/// latent dimension. Returns the sum of squared pre-update errors, used
-/// for streaming loss monitoring.
-///
-/// This free-function form (instead of a `&mut Model` method) is what the
-/// shared-memory trainers need: they hold disjoint-region raw views. The
-/// `k` dispatch happens once per block, so the rating loop is monomorphic.
-#[inline]
-pub fn sgd_block(
-    p: &mut [f32],
-    q: &mut [f32],
-    k: usize,
-    block: &[Rating],
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-) -> f64 {
-    dispatch_k!(
-        k,
-        sgd_block_mono(p, q, block, gamma, lambda_p, lambda_q),
-        sgd_block_scalar(p, q, k, block, gamma, lambda_p, lambda_q)
-    )
-}
-
-/// The scalar reference block loop — [`sgd_step_scalar`] per rating.
-#[inline]
-pub fn sgd_block_scalar(
-    p: &mut [f32],
-    q: &mut [f32],
-    k: usize,
-    block: &[Rating],
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-) -> f64 {
-    let mut sq_err = 0f64;
-    for e in block {
-        let pu = &mut p[e.u as usize * k..(e.u as usize + 1) * k];
-        // SAFETY-free re-borrow: p and q are distinct slices.
-        let qv = &mut q[e.v as usize * k..(e.v as usize + 1) * k];
-        let err = sgd_step_scalar(pu, qv, e.r, gamma, lambda_p, lambda_q);
-        sq_err += (err as f64) * (err as f64);
-    }
-    sq_err
-}
-
-#[inline(always)]
-fn sgd_block_mono<const K: usize>(
-    p: &mut [f32],
-    q: &mut [f32],
-    block: &[Rating],
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-) -> f64 {
-    // Hoist the SIMD dispatch out of the rating loop: one level probe
-    // per block. The scalar level keeps the directly-inlined mono step
-    // (no fn-pointer indirection on the oracle path).
-    let lvl = crate::simd::level();
-    if lvl == crate::simd::SimdLevel::Scalar {
-        return sgd_block_mono_with::<K, _>(
-            p,
-            q,
-            block,
-            gamma,
-            lambda_p,
-            lambda_q,
-            sgd_step_mono::<K>,
-        );
-    }
-    let step = crate::simd::step_fn::<K>(lvl);
-    sgd_block_mono_with::<K, _>(p, q, block, gamma, lambda_p, lambda_q, step)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn sgd_block_mono_with<const K: usize, F: Fn(&mut [f32], &mut [f32], f32, f32, f32, f32) -> f32>(
-    p: &mut [f32],
-    q: &mut [f32],
-    block: &[Rating],
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-    step: F,
-) -> f64 {
-    let mut sq_err = 0f64;
-    for e in block {
-        let pu = &mut p[e.u as usize * K..][..K];
-        let qv = &mut q[e.v as usize * K..][..K];
-        let err = step(pu, qv, e.r, gamma, lambda_p, lambda_q);
-        sq_err += (err as f64) * (err as f64);
-    }
-    sq_err
+/// Panics unless `block`'s three streams share one length and every
+/// user/item id in it addresses a whole `k`-row inside a `p_len`/`q_len`
+/// buffer — the part of the raw block contract a safe caller could
+/// otherwise break ([`BlockSlices`] has public fields). Two `u32`
+/// max-reductions per block; the trainers' raw entry skips it.
+fn assert_block_in_bounds(p_len: usize, q_len: usize, k: usize, block: BlockSlices<'_>) {
+    let n = block.rows.len();
+    assert!(
+        block.cols.len() == n && block.vals.len() == n,
+        "block streams differ in length: {n} rows, {} cols, {} vals",
+        block.cols.len(),
+        block.vals.len()
+    );
+    // `(max + 1) · k ≤ len` without the overflow: `max < len / k`.
+    // (`fold` over `u32::max`, not `Iterator::max`: the latter's
+    // last-of-equals rule keeps the reduction from vectorizing.)
+    let fits = |ids: &[u32], len: usize| {
+        let max = ids.iter().fold(0, |m, &id| m.max(id));
+        ids.is_empty() || k == 0 || (max as usize) < len / k
+    };
+    assert!(fits(block.rows, p_len), "user id past the end of P");
+    assert!(fits(block.cols, q_len), "item id past the end of Q");
 }
 
 /// Applies [`sgd_step`] to every rating of a structure-of-arrays block —
-/// the layout [`mf_sparse::GridPartition`] stores. Semantically identical
-/// to [`sgd_block`] on the AoS form of the same ratings (the per-rating
-/// arithmetic is shared); the SoA loop reads three unit-stride streams,
-/// so the index/value loads are dense instead of 12-byte-interleaved.
+/// the layout [`mf_sparse::GridPartition`] stores — with factors fetched
+/// from the full `p`/`q` buffers (`k` floats per row). Returns the sum
+/// of squared pre-update errors, used for streaming loss monitoring.
+/// The `k` dispatch happens once per block, so the rating loop is
+/// monomorphic; it reads three unit-stride streams.
+///
+/// # Panics
+///
+/// Panics if the block's streams differ in length or an id in it lies
+/// past the end of its factor buffer.
 #[inline]
 pub fn sgd_block_soa(
     p: &mut [f32],
@@ -440,8 +388,9 @@ pub fn sgd_block_soa(
     lambda_p: f32,
     lambda_q: f32,
 ) -> f64 {
-    // SAFETY: `p`/`q` are exclusive borrows covering their buffers, so
-    // the raw-pointer contract (exclusive access, in-bounds rows) holds.
+    assert_block_in_bounds(p.len(), q.len(), k, block);
+    // SAFETY: `p`/`q` are exclusive borrows, and the assert above proved
+    // equal stream lengths and every row inside them.
     unsafe {
         sgd_block_raw_soa(
             p.as_mut_ptr(),
@@ -456,6 +405,7 @@ pub fn sgd_block_soa(
 }
 
 /// The scalar reference SoA block loop — [`sgd_step_scalar`] per rating.
+/// Panics like [`sgd_block_soa`].
 #[inline]
 pub fn sgd_block_soa_scalar(
     p: &mut [f32],
@@ -466,6 +416,7 @@ pub fn sgd_block_soa_scalar(
     lambda_p: f32,
     lambda_q: f32,
 ) -> f64 {
+    assert_block_in_bounds(p.len(), q.len(), k, block);
     // SAFETY: as in `sgd_block_soa`.
     unsafe {
         sgd_block_raw_soa_with(
@@ -489,8 +440,9 @@ pub fn sgd_block_soa_scalar(
 ///
 /// For the duration of the call, `p`/`q` must point to buffers of at
 /// least `(max u + 1) · k` / `(max v + 1) · k` floats over the
-/// users/items in `block`, and no other thread may access the factor
-/// rows of any user or item appearing in `block`.
+/// users/items in `block`, the block's three streams must share one
+/// length, and no other thread may access the factor rows of any user
+/// or item appearing in `block`.
 #[inline]
 pub unsafe fn sgd_block_raw_soa(
     p: *mut f32,
@@ -503,19 +455,21 @@ pub unsafe fn sgd_block_raw_soa(
 ) -> f64 {
     dispatch_k!(
         k,
-        sgd_block_raw_soa_mono(p, q, block, gamma, lambda_p, lambda_q),
+        sgd_block_raw_soa_mono(crate::simd::level(), p, q, block, gamma, lambda_p, lambda_q),
         unsafe {
             sgd_block_raw_soa_with(p, q, k, block, gamma, lambda_p, lambda_q, sgd_step_scalar)
         }
     )
 }
 
-/// Monomorphized SoA raw-pointer block loop (inherits the
-/// [`sgd_block_raw_soa`] safety contract). The SIMD dispatch is hoisted
-/// to one probe per block; the scalar level keeps the directly-inlined
-/// mono step.
+/// Monomorphized SoA raw-pointer block loop at SIMD `level` (inherits
+/// the [`sgd_block_raw_soa`] safety contract). The step is picked once
+/// per block, outside the rating loop; the scalar level keeps the
+/// directly-inlined mono step (no fn-pointer indirection on the oracle
+/// path, which is also the production path off x86).
 #[inline(always)]
 unsafe fn sgd_block_raw_soa_mono<const K: usize>(
+    level: crate::simd::SimdLevel,
     p: *mut f32,
     q: *mut f32,
     block: BlockSlices<'_>,
@@ -523,8 +477,7 @@ unsafe fn sgd_block_raw_soa_mono<const K: usize>(
     lambda_p: f32,
     lambda_q: f32,
 ) -> f64 {
-    let lvl = crate::simd::level();
-    if lvl == crate::simd::SimdLevel::Scalar {
+    if level == crate::simd::SimdLevel::Scalar {
         return unsafe {
             sgd_block_raw_soa_with(
                 p,
@@ -538,14 +491,14 @@ unsafe fn sgd_block_raw_soa_mono<const K: usize>(
             )
         };
     }
-    let step = crate::simd::step_fn::<K>(lvl);
+    let step = crate::simd::step_fn::<K>(level);
     unsafe { sgd_block_raw_soa_with(p, q, K, block, gamma, lambda_p, lambda_q, step) }
 }
 
 /// [`sgd_block_soa`] pinned to a SIMD dispatch level (clamped to the
-/// host) — the bench/test surface that lets one process measure every
+/// host) — the test surface that lets one process compare every
 /// reachable level side by side without re-exec'ing under different
-/// `MF_SIMD` values.
+/// `MF_SIMD` values. Panics like [`sgd_block_soa`].
 #[allow(clippy::too_many_arguments)]
 pub fn sgd_block_soa_at(
     level: crate::simd::SimdLevel,
@@ -557,48 +510,14 @@ pub fn sgd_block_soa_at(
     lambda_p: f32,
     lambda_q: f32,
 ) -> f64 {
-    // SAFETY: `p`/`q` are exclusive borrows covering their buffers (as
-    // in `sgd_block_soa`).
-    dispatch_k!(
-        k,
-        sgd_block_raw_soa_at_mono(level, p, q, block, gamma, lambda_p, lambda_q),
-        unsafe {
-            sgd_block_raw_soa_with(
-                p.as_mut_ptr(),
-                q.as_mut_ptr(),
-                k,
-                block,
-                gamma,
-                lambda_p,
-                lambda_q,
-                sgd_step_scalar,
-            )
-        }
-    )
-}
-
-#[inline(always)]
-fn sgd_block_raw_soa_at_mono<const K: usize>(
-    level: crate::simd::SimdLevel,
-    p: &mut [f32],
-    q: &mut [f32],
-    block: BlockSlices<'_>,
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-) -> f64 {
-    let step = crate::simd::step_fn::<K>(level);
-    // SAFETY: exclusive borrows cover the factor buffers.
+    assert_block_in_bounds(p.len(), q.len(), k, block);
+    let (p, q) = (p.as_mut_ptr(), q.as_mut_ptr());
+    // SAFETY: as in `sgd_block_soa`.
     unsafe {
-        sgd_block_raw_soa_with(
-            p.as_mut_ptr(),
-            q.as_mut_ptr(),
-            K,
-            block,
-            gamma,
-            lambda_p,
-            lambda_q,
-            step,
+        dispatch_k!(
+            k,
+            sgd_block_raw_soa_mono(level, p, q, block, gamma, lambda_p, lambda_q),
+            sgd_block_raw_soa_with(p, q, k, block, gamma, lambda_p, lambda_q, sgd_step_scalar)
         )
     }
 }
@@ -704,96 +623,10 @@ unsafe fn sgd_block_raw_soa_with(
     sq_err
 }
 
-/// Block update over raw factor pointers, AoS form. Kept as the
-/// reference layout the SoA baseline benchmarks compare against; the
-/// trainers route through [`sgd_block_raw_soa`]. Dispatches
-/// once per block like [`sgd_block`].
-///
-/// # Safety
-///
-/// For the duration of the call, `p`/`q` must point to buffers of at least
-/// `(max u + 1) · k` / `(max v + 1) · k` floats over the users/items in
-/// `block`, and no other thread may access the factor rows of any user or
-/// item appearing in `block`.
-#[inline]
-pub unsafe fn sgd_block_raw(
-    p: *mut f32,
-    q: *mut f32,
-    k: usize,
-    block: &[Rating],
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-) -> f64 {
-    dispatch_k!(
-        k,
-        sgd_block_raw_mono(p, q, block, gamma, lambda_p, lambda_q),
-        unsafe { sgd_block_raw_with(p, q, k, block, gamma, lambda_p, lambda_q, sgd_step_scalar) }
-    )
-}
-
-/// Monomorphized raw-pointer block loop (see [`sgd_block_raw`] for the
-/// safety contract, which this inherits).
-#[inline(always)]
-unsafe fn sgd_block_raw_mono<const K: usize>(
-    p: *mut f32,
-    q: *mut f32,
-    block: &[Rating],
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-) -> f64 {
-    let lvl = crate::simd::level();
-    if lvl == crate::simd::SimdLevel::Scalar {
-        return unsafe {
-            sgd_block_raw_with(
-                p,
-                q,
-                K,
-                block,
-                gamma,
-                lambda_p,
-                lambda_q,
-                sgd_step_mono::<K>,
-            )
-        };
-    }
-    let step = crate::simd::step_fn::<K>(lvl);
-    unsafe { sgd_block_raw_with(p, q, K, block, gamma, lambda_p, lambda_q, step) }
-}
-
-/// Shared raw-pointer block loop, parameterized over the per-rating step.
-///
-/// # Safety
-///
-/// Same contract as [`sgd_block_raw`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn sgd_block_raw_with(
-    p: *mut f32,
-    q: *mut f32,
-    k: usize,
-    block: &[Rating],
-    gamma: f32,
-    lambda_p: f32,
-    lambda_q: f32,
-    step: impl Fn(&mut [f32], &mut [f32], f32, f32, f32, f32) -> f32,
-) -> f64 {
-    let mut sq_err = 0f64;
-    for e in block {
-        // SAFETY: rows are in bounds and exclusively ours (caller
-        // contract).
-        let pu = unsafe { std::slice::from_raw_parts_mut(p.add(e.u as usize * k), k) };
-        let qv = unsafe { std::slice::from_raw_parts_mut(q.add(e.v as usize * k), k) };
-        let err = step(pu, qv, e.r, gamma, lambda_p, lambda_q);
-        sq_err += (err as f64) * (err as f64);
-    }
-    sq_err
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mf_sparse::Rating;
 
     #[test]
     fn dot_product() {
@@ -957,14 +790,15 @@ mod tests {
         let k = 2;
         let mut p = vec![0.0f32; 2 * k];
         let mut q = vec![0.0f32; 2 * k];
-        let block = vec![Rating::new(0, 0, 1.0), Rating::new(1, 1, 2.0)];
-        let sq = sgd_block(&mut p, &mut q, k, &block, 0.1, 0.0, 0.0);
+        let block = BlockSlices::new(&[0, 1], &[0, 1], &[1.0, 2.0]);
+        let sq = sgd_block_soa(&mut p, &mut q, k, block, 0.1, 0.0, 0.0);
         // With zero-initialized factors, e = r for both entries.
         assert!((sq - (1.0 + 4.0)).abs() < 1e-9);
     }
 
     #[test]
     fn mono_block_matches_scalar_block() {
+        use mf_sparse::SoaRatings;
         for &k in &MONO_DIMS {
             let users = 4u32;
             let items = 5u32;
@@ -977,12 +811,13 @@ mod tests {
             let block: Vec<Rating> = (0..40)
                 .map(|i| Rating::new(i % users, (i * 3) % items, 1.0 + (i % 5) as f32))
                 .collect();
+            let soa = SoaRatings::from_entries(&block);
             let mut pa = init(users as usize * k, 0.2);
             let mut qa = init(items as usize * k, 0.3);
             let mut pb = pa.clone();
             let mut qb = qa.clone();
-            let sa = sgd_block(&mut pa, &mut qa, k, &block, 0.01, 0.02, 0.03);
-            let sb = sgd_block_scalar(&mut pb, &mut qb, k, &block, 0.01, 0.02, 0.03);
+            let sa = sgd_block_soa(&mut pa, &mut qa, k, soa.as_slices(), 0.01, 0.02, 0.03);
+            let sb = sgd_block_soa_scalar(&mut pb, &mut qb, k, soa.as_slices(), 0.01, 0.02, 0.03);
             assert!((sa - sb).abs() < 1e-4, "k={k}: {sa} vs {sb}");
             for (a, b) in pa.iter().zip(&pb) {
                 assert!((a - b).abs() < 1e-5, "k={k} P drift");
@@ -994,10 +829,11 @@ mod tests {
     }
 
     #[test]
-    fn soa_block_matches_aos_block_bitwise() {
+    fn soa_block_matches_per_rating_steps_bitwise() {
         use mf_sparse::SoaRatings;
-        // Same per-rating arithmetic, different storage layout: the two
-        // loops must agree bit for bit, on mono and scalar dims alike.
+        // The block loop is an execution strategy over `sgd_step`, not
+        // new arithmetic: it must agree bit for bit with stepping the
+        // same ratings one by one, on mono and scalar dims alike.
         for k in [8usize, 16, 12, 5, 128] {
             let users = 7u32;
             let items = 9u32;
@@ -1015,59 +851,81 @@ mod tests {
             let mut qa = init(0.6, items as usize * k);
             let mut pb = pa.clone();
             let mut qb = qa.clone();
-            let aos = sgd_block(&mut pa, &mut qa, k, &block, 0.02, 0.01, 0.03);
+            let mut stepped = 0f64;
+            for e in &block {
+                let (u, v) = (e.u as usize, e.v as usize);
+                let err = sgd_step(
+                    &mut pa[u * k..(u + 1) * k],
+                    &mut qa[v * k..(v + 1) * k],
+                    e.r,
+                    0.02,
+                    0.01,
+                    0.03,
+                );
+                stepped += (err as f64) * (err as f64);
+            }
             let soa_sq = sgd_block_soa(&mut pb, &mut qb, k, soa.as_slices(), 0.02, 0.01, 0.03);
-            assert_eq!(aos, soa_sq, "k={k} squared error");
+            assert_eq!(stepped, soa_sq, "k={k} squared error");
             assert_eq!(pa, pb, "k={k} P");
             assert_eq!(qa, qb, "k={k} Q");
         }
     }
 
     #[test]
-    fn soa_scalar_reference_matches_dispatch_within_tolerance() {
-        use mf_sparse::SoaRatings;
-        let k = 32;
-        let block: Vec<Rating> = (0..40)
-            .map(|i| Rating::new(i % 5, (i * 3) % 6, 1.5 + (i % 3) as f32))
-            .collect();
-        let soa = SoaRatings::from_entries(&block);
-        let s = 1.0 / (k as f32).sqrt();
-        let init: Vec<f32> = (0..6 * k).map(|i| (0.2 + 0.001 * i as f32) * s).collect();
-        let (mut pa, mut qa) = (init.clone(), init.clone());
-        let (mut pb, mut qb) = (init.clone(), init);
-        let fast = sgd_block_soa(&mut pa, &mut qa, k, soa.as_slices(), 0.01, 0.02, 0.02);
-        let slow = sgd_block_soa_scalar(&mut pb, &mut qb, k, soa.as_slices(), 0.01, 0.02, 0.02);
-        assert!((fast - slow).abs() < 1e-4);
-        for (a, b) in pa.iter().zip(&pb) {
-            assert!((a - b).abs() < 1e-5);
-        }
+    #[should_panic(expected = "user id past the end of P")]
+    fn safe_block_entry_rejects_out_of_range_id() {
+        let mut p = vec![0.1f32; 16];
+        let mut q = vec![0.1f32; 16];
+        let block = BlockSlices {
+            rows: &[u32::MAX],
+            cols: &[0],
+            vals: &[0.0],
+        };
+        sgd_block_soa(&mut p, &mut q, 16, block, 0.01, 0.0, 0.0);
     }
 
     #[test]
-    fn raw_block_matches_safe_block() {
-        let k = 16;
-        let (users, items) = (6usize, 6usize);
-        let mut pa: Vec<f32> = (0..users * k).map(|i| (i % 13) as f32 * 0.01).collect();
-        let mut qa: Vec<f32> = (0..items * k).map(|i| (i % 7) as f32 * 0.02).collect();
-        let mut pb = pa.clone();
-        let mut qb = qa.clone();
-        let block: Vec<Rating> = (0..24)
-            .map(|i| Rating::new((i % 6) as u32, ((i * 5) % 6) as u32, 2.0))
-            .collect();
-        let safe = sgd_block(&mut pa, &mut qa, k, &block, 0.05, 0.01, 0.01);
-        let raw = unsafe {
-            sgd_block_raw(
-                pb.as_mut_ptr(),
-                qb.as_mut_ptr(),
-                k,
-                &block,
-                0.05,
-                0.01,
-                0.01,
-            )
+    #[should_panic(expected = "block streams differ in length")]
+    fn safe_block_entry_rejects_unequal_streams() {
+        let mut p = vec![0.1f32; 32];
+        let mut q = vec![0.1f32; 32];
+        // Nine rows against one col and one val: the prefetching loop
+        // (k = 16) would read eight entries past both short streams.
+        let block = BlockSlices {
+            rows: &[0; 9],
+            cols: &[0],
+            vals: &[0.0],
         };
-        assert_eq!(safe, raw);
-        assert_eq!(pa, pb);
-        assert_eq!(qa, qb);
+        sgd_block_soa(&mut p, &mut q, 16, block, 0.01, 0.0, 0.0);
+    }
+
+    #[test]
+    fn oracle_and_level_pinned_entries_check_too() {
+        // The same two shapes through the other two safe entries, on a
+        // mono (16) and a fallback (5) dimension.
+        let bad_id = BlockSlices {
+            rows: &[0],
+            cols: &[2],
+            vals: &[1.0],
+        };
+        let short = BlockSlices {
+            rows: &[0, 1],
+            cols: &[0, 1],
+            vals: &[1.0],
+        };
+        for k in [16usize, 5] {
+            for block in [bad_id, short] {
+                let refused = |entry: fn(&mut [f32], &mut [f32], usize, BlockSlices<'_>) -> f64| {
+                    let (mut p, mut q) = (vec![0.1f32; 2 * k], vec![0.1f32; 2 * k]);
+                    std::panic::catch_unwind(move || entry(&mut p, &mut q, k, block)).is_err()
+                };
+                assert!(refused(|p, q, k, b| sgd_block_soa_scalar(
+                    p, q, k, b, 0.01, 0.0, 0.0
+                )));
+                assert!(refused(|p, q, k, b| {
+                    sgd_block_soa_at(crate::simd::level(), p, q, k, b, 0.01, 0.0, 0.0)
+                }));
+            }
+        }
     }
 }

@@ -83,7 +83,7 @@ proptest! {
         seed in 0u64..1000,
         nnz in 1usize..120,
     ) {
-        use mf_sparse::Rating;
+        use mf_sparse::{Rating, SoaRatings};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let (users, items) = (7u32, 9u32);
@@ -105,8 +105,10 @@ proptest! {
                 )
             })
             .collect();
-        let sa = kernel::sgd_block(&mut pa, &mut qa, k, &block, 0.01, 0.03, 0.05);
-        let sb = kernel::sgd_block_scalar(&mut pb, &mut qb, k, &block, 0.01, 0.03, 0.05);
+        let soa = SoaRatings::from_entries(&block);
+        let sa = kernel::sgd_block_soa(&mut pa, &mut qa, k, soa.as_slices(), 0.01, 0.03, 0.05);
+        let sb =
+            kernel::sgd_block_soa_scalar(&mut pb, &mut qb, k, soa.as_slices(), 0.01, 0.03, 0.05);
         // Per-step drift compounds over the block; scale the tolerance by
         // the block length.
         let t = nnz as f32 * tol(1.0);
@@ -119,11 +121,11 @@ proptest! {
         }
     }
 
-    /// The SoA block loop shares its per-rating step with the AoS loop,
-    /// so on identical inputs the two layouts must agree **bit for bit**
-    /// — any k, any data, any hypers.
+    /// The block loop is an execution strategy over `sgd_step`, so on
+    /// identical inputs it must agree **bit for bit** with stepping the
+    /// ratings one by one — any k, any data, any hypers.
     #[test]
-    fn soa_block_is_bitwise_equal_to_aos_block(
+    fn soa_block_is_bitwise_equal_to_per_rating_steps(
         (k, _, _) in arb_factors(),
         seed in 0u64..1000,
         nnz in 0usize..120,
@@ -152,7 +154,16 @@ proptest! {
             })
             .collect();
         let soa = SoaRatings::from_entries(&block);
-        let sa = kernel::sgd_block(&mut pa, &mut qa, k, &block, gamma, 0.03, 0.05);
+        let mut sa = 0f64;
+        for e in &block {
+            let (u, v) = (e.u as usize, e.v as usize);
+            let err = kernel::sgd_step(
+                &mut pa[u * k..(u + 1) * k],
+                &mut qa[v * k..(v + 1) * k],
+                e.r, gamma, 0.03, 0.05,
+            );
+            sa += (err as f64) * (err as f64);
+        }
         let sb = kernel::sgd_block_soa(&mut pb, &mut qb, k, soa.as_slices(), gamma, 0.03, 0.05);
         prop_assert_eq!(sa, sb);
         prop_assert_eq!(pa, pb);

@@ -113,7 +113,7 @@ fn main() {
         count: 5,
         exclude: liked.iter().map(|&(v, _)| v).collect(),
     });
-    let answers = store.serve_batch(&queries);
+    let answers = store.sweep_batch(&queries);
     println!(
         "serving epoch {}: {} item tiles, {} queries answered\n",
         store.epoch(),
@@ -135,7 +135,7 @@ fn main() {
     }
 
     // Re-serving the same batch hits the LRU cache for the stored users.
-    let again = store.serve_batch(&queries);
+    let again = store.sweep_batch(&queries);
     assert_eq!(answers, again, "cached answers must be identical");
     let stats = store.cache_stats();
     println!(
