@@ -25,13 +25,15 @@ use hsgd_star::hetero::trainer::run_training;
 use hsgd_star::hetero::{CostModelKind, CpuSpec, DevicePool, HeteroConfig, TrainOutcome};
 use hsgd_star::par::ThreadPool;
 use hsgd_star::serve::checkpoint::write_checkpoint;
-use hsgd_star::serve::{CheckpointMeta, FactorStore, Query};
+use hsgd_star::serve::delta::{read_delta, write_delta, DeltaMeta};
+use hsgd_star::serve::{Checkpoint, CheckpointMeta, FactorStore, Query};
 use hsgd_star::sgd::fpsgd::{self, FpsgdConfig};
 use hsgd_star::sgd::sequential::TrainConfig;
 use hsgd_star::sgd::simd::{self, SimdLevel};
 use hsgd_star::sgd::{HyperParams, LearningRate, Model};
+use hsgd_star::sparse::arena::BlockArena;
 use hsgd_star::sparse::hash::Xxh64;
-use hsgd_star::sparse::{GridSpec, Rating, SparseMatrix};
+use hsgd_star::sparse::{BlockOrder, GridPartition, GridSpec, Rating, RealFs, SparseMatrix};
 use mf_des::SimTime;
 
 const USERS: u32 = 96;
@@ -108,11 +110,15 @@ fn hetero_cfg() -> HeteroConfig {
 /// The Sec. VI grid for `nc = 2`, `ng = 1`, written out by hand: six CPU
 /// row bands over users `0..60`, one GPU group of three sub-rows over
 /// `60..96`, five column bands.
-fn star_scheduler(iterations: u32) -> StarScheduler {
+fn star_spec() -> GridSpec {
     let row_cuts = vec![0, 10, 20, 30, 40, 50, 60, 72, 84, 96];
     let col_cuts = vec![0, 120, 240, 360, 480, 600];
+    GridSpec::from_cuts(row_cuts, col_cuts).unwrap()
+}
+
+fn star_scheduler(iterations: u32) -> StarScheduler {
     let layout = StarLayout {
-        spec: GridSpec::from_cuts(row_cuts, col_cuts).unwrap(),
+        spec: star_spec(),
         alpha: 0.375,
         cpu_bands: 6,
         sub_rows_per_gpu: 3,
@@ -279,6 +285,91 @@ fn checkpoint_bytes_are_pinned() {
         "got {got:#018x} over {} bytes",
         bytes.len()
     );
+}
+
+/// The epoch after `fpsgd_model(16)`'s: user rows 3 and 4 and item rows
+/// 10..13 halved (exact in `f32`), and one new user whose row is built
+/// from integers. Returns the base and the grown model.
+fn delta_fixture() -> (Model, Model) {
+    let base = fpsgd_model(16);
+    let k = base.k();
+    let grown_row = (0..k).map(|i| (i as f32 - 8.0) * 0.125);
+    let mut next = Model::from_parts(
+        USERS + 1,
+        ITEMS,
+        k,
+        base.p_raw().iter().copied().chain(grown_row).collect(),
+        base.q_raw().to_vec(),
+    );
+    for u in [3, 4] {
+        next.p_row_mut(u).iter_mut().for_each(|x| *x *= 0.5);
+    }
+    for v in 10..13 {
+        next.q_row_mut(v).iter_mut().for_each(|x| *x *= 0.5);
+    }
+    (base, next)
+}
+
+#[test]
+fn delta_bytes_are_pinned() {
+    const PIN: Pin = Pin {
+        scalar: 0x2731_a302_c91b_fe2f,
+        fused: 0xd33a_5236_da02_dd69,
+    };
+    let (base, next) = delta_fixture();
+    let meta = DeltaMeta {
+        seed: 7,
+        epoch: 4,
+        base_epoch: 3,
+    };
+    // Two P runs (rows 3..5 and the grown row 96), one Q run.
+    let mut bytes = Vec::new();
+    write_delta(&next, meta, &[3, 4, USERS], &[10, 11, 12], &mut bytes).unwrap();
+    let got = hsgd_star::sparse::hash::xxh64(&bytes);
+    assert_eq!(
+        got,
+        PIN.expected(),
+        "got {got:#018x} over {} bytes",
+        bytes.len()
+    );
+    let delta = read_delta(&bytes[..]).unwrap();
+    assert_eq!(delta.meta, meta);
+    assert_eq!((delta.p_runs.len(), delta.q_runs.len()), (2, 1));
+    let applied = delta
+        .apply(Checkpoint {
+            model: base,
+            meta: CheckpointMeta { seed: 7, epoch: 3 },
+        })
+        .unwrap();
+    assert_eq!(applied.meta, CheckpointMeta { seed: 7, epoch: 4 });
+    assert_eq!(hash_model(&applied.model), hash_model(&next));
+}
+
+#[test]
+fn arena_bytes_are_pinned() {
+    // No kernel touches these bytes: one value for every SIMD level.
+    const PIN: u64 = 0x52e7_d25a_e15a_5a10;
+    let (train, _) = dataset();
+    let part = GridPartition::build_with_order(&train, star_spec(), BlockOrder::UserMajor);
+    let dir = std::env::temp_dir().join(format!("golden_bits_arena_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    BlockArena::write(&RealFs, &dir, "golden.mfcka", &part).unwrap();
+    let path = dir.join("golden.mfcka");
+    let bytes = std::fs::read(&path).unwrap();
+    let got = hsgd_star::sparse::hash::xxh64(&bytes);
+    assert_eq!(got, PIN, "got {got:#018x} over {} bytes", bytes.len());
+    let arena = BlockArena::open(std::sync::Arc::new(RealFs), &path).unwrap();
+    arena.verify().unwrap();
+    assert_eq!(arena.spec(), part.spec());
+    assert_eq!(arena.nnz(), train.nnz() as u64);
+    for (flat, id) in part.spec().blocks().enumerate() {
+        let (got, want) = (arena.load_block(flat).unwrap(), part.block(id));
+        let got = got.slices();
+        assert_eq!((got.rows, got.cols), (want.rows, want.cols), "block {flat}");
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.vals), bits(want.vals), "block {flat}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
