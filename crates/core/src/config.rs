@@ -2,14 +2,13 @@
 
 use gpu_sim::GpuSpec;
 use mf_sgd::HyperParams;
-use serde::{Deserialize, Serialize};
 
 /// Performance model of one CPU worker thread.
 ///
 /// Observation 2: CPU throughput is insensitive to block size, so a flat
 /// rate plus a small per-block dispatch overhead captures it. The default
 /// (5 M updates/s) matches the paper's Fig. 3(b) plateau.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Sustained SGD updates per second for one thread.
     pub updates_per_sec: f64,
@@ -45,7 +44,7 @@ impl CpuSpec {
 }
 
 /// Which cost model drives the workload split (paper Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostModelKind {
     /// The paper's model (Sec. V): piecewise ramps + Eq. 9 max — HSGD\*-M.
     Tailored,
@@ -54,7 +53,7 @@ pub enum CostModelKind {
 }
 
 /// The algorithm variants evaluated in Sec. VII.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// FPSGD on CPU threads only (uniform grid).
     CpuOnly,

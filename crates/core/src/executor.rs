@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mf_des::SimTime;
 use mf_sgd::{eval, HyperParams, Model};
 use mf_sparse::{BlockOrder, GridPartition, SparseMatrix};
-use serde::{Deserialize, Serialize};
 
 use crate::config::HeteroConfig;
 use crate::devices::GpuWorker;
@@ -188,7 +187,7 @@ pub trait Device {
 /// online counterpart of the offline calibration, reported so planned and
 /// realized economics can be compared (and so the measurement can seed
 /// the next run's calibration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredThroughput {
     /// Wall-clock seconds of the whole run.
     pub wall_secs: f64,

@@ -43,7 +43,6 @@ use parking_lot::Mutex;
 use mf_des::SimTime;
 use mf_sgd::{HyperParams, Model};
 use mf_sparse::{ArenaError, BlockOrder, GridPartition, GridSpec, SparseMatrix, SpillHandle, Vfs};
-use serde::{Deserialize, Serialize};
 
 use crate::config::HeteroConfig;
 use crate::executor::{
@@ -64,7 +63,7 @@ pub const PREFETCH_WINDOW: usize = 2;
 /// Performance model of the spill device (one disk or SSD), in the same
 /// affine style as [`crate::config::CpuSpec`]: a fixed per-read latency
 /// plus streaming bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoSpec {
     /// Sustained sequential read bandwidth, bytes/second.
     pub bytes_per_sec: f64,

@@ -1,7 +1,5 @@
 //! Run reports and scheduling statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Serving-staleness instrument: the distribution of the **epoch lag** a
 /// reader observes — how many epochs the trainer is ahead of the version
 /// currently being served. Lags are small integers (a healthy live loop
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// bucket per lag up to [`EpochLag::MAX_TRACKED`], plus an overflow
 /// bucket reported as the maximum recorded lag. `record` is O(1); quantiles are exact
 /// nearest-rank values (no bucket overshoot) for every tracked lag.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochLag {
     /// `counts[lag]` for `lag ≤ MAX_TRACKED`.
     counts: Vec<u64>,
@@ -104,7 +102,7 @@ impl EpochLag {
 
 /// Distribution statistics over per-block update counts — the measurement
 /// behind the paper's Example 3 (HSGD's skewed updates) and Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImbalanceStats {
     /// Smallest per-block count.
     pub min: u32,
@@ -163,7 +161,7 @@ impl ImbalanceStats {
 
 /// Everything a training run reports — the raw material for every figure
 /// and table in the evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Algorithm label (paper naming).
     pub algorithm: String,

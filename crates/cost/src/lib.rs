@@ -23,10 +23,6 @@
 //!   wall-time recording during real execution, refit into the same
 //!   linear family so measured throughputs can replace assumed ones
 //!   (live steal-ratio feedback, measured-α reporting).
-//!
-//! All fitted models serialize with serde — the offline phase "can be
-//! performed only once on a machine, and the corresponding parameters are
-//! stored" (Sec. IV-C).
 
 pub mod alpha;
 pub mod calibrate;

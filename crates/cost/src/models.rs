@@ -1,7 +1,5 @@
 //! The concrete cost models.
 
-use serde::{Deserialize, Serialize};
-
 /// A model estimating processing time (seconds) from a workload size
 /// (points for compute, bytes for transfers).
 pub trait CostModel {
@@ -11,7 +9,7 @@ pub trait CostModel {
 
 /// Linear cost `t = a·size + b` — the Qilin assumption (paper \[11\]), used
 /// for the CPU model and as the HSGD\*-Q baseline GPU model in Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearCost {
     /// Seconds per unit.
     pub a: f64,
@@ -35,7 +33,7 @@ impl CostModel for LinearCost {
 /// The ramp family used below the stability threshold. The paper uses two
 /// members: `a·ln x + b` (kernel throughput) and `a·√(ln x) + b`
 /// (transfer speed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RampKind {
     /// Throughput `= a·ln(size) + b`.
     Log,
@@ -52,7 +50,7 @@ pub enum RampKind {
 ///
 /// where `ramp` is a fitted *speed* curve and the second stage is a fitted
 /// linear *time* model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampCost {
     /// Which ramp family stage 1 uses.
     pub kind: RampKind,
@@ -97,7 +95,7 @@ impl CostModel for RampCost {
 /// The paper's overall GPU cost (Eq. 9): the **maximum** of the
 /// host-to-device transfer time and the kernel execution time, because the
 /// three-stream pipeline overlaps them and D2H is strictly smaller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuCost {
     /// Transfer model over *bytes*.
     pub transfer: RampCost,
@@ -213,26 +211,5 @@ mod tests {
             ..g
         };
         assert!((g2.time_for_points(n) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = GpuCost {
-            transfer: ramp(),
-            kernel: ramp(),
-            bytes_per_point: 12.0,
-        };
-        let json = serde_json_like(&g);
-        assert!(json.contains("bytes_per_point"));
-    }
-
-    /// serde_json isn't a dependency; smoke-test serialization through the
-    /// bincode-free `serde` plumbing using Debug formatting of the
-    /// Serialize impl via a trivial manual check. (Full round-trips are
-    /// covered in the calibration tests with real storage.)
-    fn serde_json_like<T: Serialize>(_v: &T) -> String {
-        // The real assertion is that this compiles: GpuCost implements
-        // Serialize. Return a marker string.
-        String::from("bytes_per_point")
     }
 }

@@ -2,14 +2,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use mf_sparse::{Rating, SparseMatrix};
 
 use crate::zipf::Zipf;
 
 /// Configuration of one synthetic dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneratorConfig {
     /// Dataset label (shows up in experiment output).
     pub name: String,

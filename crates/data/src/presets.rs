@@ -5,12 +5,10 @@
 //! ratings-per-user (and hence convergence behaviour) constant. The
 //! recommended hyper-parameters are the paper's.
 
-use serde::{Deserialize, Serialize};
-
 use crate::generator::{generate, Dataset, GeneratorConfig};
 
 /// The four benchmark datasets of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PresetName {
     /// MovieLens 10M (71,567 × 65,133; 9.3M train ratings; 1–5 stars).
     MovieLens,
@@ -45,7 +43,7 @@ impl PresetName {
 }
 
 /// One row of Table I plus generator knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetPreset {
     /// Which dataset this mimics.
     pub name: PresetName,

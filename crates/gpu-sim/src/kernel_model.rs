@@ -21,8 +21,6 @@
 //! Worker count scales throughput sublinearly — `(W / 128)^η` — capped by
 //! a memory-bandwidth ceiling.
 
-use serde::{Deserialize, Serialize};
-
 use mf_des::SimTime;
 
 use crate::spec::GpuSpec;
@@ -31,7 +29,7 @@ use crate::spec::GpuSpec;
 const SATURATION_MULTIPLE: f64 = 8.0;
 
 /// Kernel execution-time model for one device configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelModel {
     /// Ramp slope (updates/s per ln-point).
     a: f64,

@@ -1,7 +1,5 @@
 //! Device specification and calibration constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a simulated GPU.
 ///
 /// The default constants are calibrated so the simulator reproduces the
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// * 128 parallel workers saturate at ≈130 M updates/s, crossing a 16-
 ///   thread CPU (≈80 M/s) just as Fig. 10 shows;
 /// * PCIe speed ramps `2.5 → 12.5 GB/s` between 64 KB and 256 MB.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Number of "parallel workers" in the cuMF sense: ratings processed
     /// simultaneously by the kernel. The paper sweeps 32–512; default 128.

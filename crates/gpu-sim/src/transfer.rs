@@ -7,8 +7,6 @@
 //! calibration points visible in Fig. 6 — (64 KB, 2.5 GB/s) and
 //! (256 MB, 12.5 GB/s) — and clamped to the plateau beyond saturation.
 
-use serde::{Deserialize, Serialize};
-
 use mf_des::SimTime;
 
 use crate::spec::GpuSpec;
@@ -23,7 +21,7 @@ pub enum Direction {
 }
 
 /// A fitted `speed(bytes) = a·√(log₂ bytes) + b` ramp with a plateau.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferModel {
     a: f64,
     b: f64,
@@ -106,7 +104,7 @@ impl TransferModel {
 }
 
 /// Convenience: both directions derived from one spec.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieBus {
     /// Host-to-device model.
     pub h2d: TransferModel,

@@ -1,7 +1,7 @@
 //! # mf-par — the data-pipeline thread pool
 //!
 //! Every `O(nnz)` pass outside the SGD hot loop — shuffling, relabeling,
-//! CSR and grid builds, RMSE reductions — is an embarrassingly parallel
+//! grid builds, RMSE reductions — is an embarrassingly parallel
 //! sweep over a flat array. This crate is the minimal substrate those
 //! passes share:
 //!
@@ -17,8 +17,8 @@
 //!   reduction applied in **chunk order**. Together these make every
 //!   result bit-identical for any thread count.
 //! * [`stable_counting_scatter`] + [`ScatterSlice`] — the parallel
-//!   histogram → prefix-sum → scatter at the core of the CSR, CSC, and
-//!   grid builds. Its output is the unique stable counting sort of the
+//!   histogram → prefix-sum → scatter at the core of the grid builds
+//!   and the shuffle. Its output is the unique stable counting sort of the
 //!   input, so it matches the serial build byte for byte.
 //!
 //! The pool is deliberately tiny (std-only, one file of unsafe with a

@@ -14,38 +14,26 @@
 //! Q payload (n·k f32 LE) · Q checksum
 //! ```
 //!
-//! Everything is little-endian. Checksums trail their section so both
-//! directions stream in one pass: the writer hashes bytes as it emits
-//! them, the reader hashes as it consumes them — in the same fixed
-//! 64 KiB chunks as `mf_sparse::io::read_text`, so a Yahoo!Music-scale
-//! checkpoint (~800 MB at k = 128) never materializes a second copy of
-//! the factors. Round-trips are **bit-identical**: floats are moved via
-//! `to_le_bytes`/`from_le_bytes`, which preserve every payload including
-//! NaNs.
+//! This module is the v1 *schema* — field offsets, version check,
+//! geometry validation. The header, the checksummed sections, the
+//! torn-vs-corrupt split and the 64 KiB streaming (a Yahoo!Music-scale
+//! checkpoint, ~800 MB at k = 128, never materializes a second copy of
+//! the factors) are [`mf_sparse::frame`]. Round-trips are
+//! **bit-identical**, NaN payloads included.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use mf_sgd::Model;
-use mf_sparse::hash::{xxh64, Xxh64};
+use mf_sparse::frame::{FrameError, FrameReader, FrameWriter, Header};
 
-/// Magic bytes opening every checkpoint file.
-pub const MAGIC: [u8; 4] = *b"MFCK";
+pub use mf_sparse::frame::{HEADER_LEN, MAGIC};
 
 /// The format version this build writes and the only one it reads.
 /// Compatibility rules live in `docs/FORMAT.md`: readers reject any
 /// other version rather than guess.
 pub const VERSION: u32 = 1;
-
-/// Fixed-size header length in bytes (through `reserved`, excluding the
-/// trailing header checksum).
-pub const HEADER_LEN: usize = 48;
-
-/// I/O chunk size of the streaming payload reader/writer — the same
-/// 64 KiB granularity as the text-ingest parser. A multiple of 4, so a
-/// chunk never splits an `f32`.
-const CHUNK: usize = 64 * 1024;
 
 /// Training provenance stored alongside the factors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,76 +162,33 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// `read_exact` that types truncation: a stream running dry is a
-/// [`CheckpointError::Torn`] tail (an interrupted write), distinct from
-/// every other I/O failure. Shared with the v2 delta reader.
-pub(crate) fn read_exact_or_torn<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    section: &'static str,
-) -> Result<(), CheckpointError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            CheckpointError::Torn { section }
-        } else {
-            CheckpointError::Io(e)
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => CheckpointError::Io(e),
+            FrameError::BadMagic => CheckpointError::BadMagic,
+            FrameError::Torn { section } => CheckpointError::Torn { section },
+            FrameError::ChecksumMismatch {
+                section,
+                expected,
+                actual,
+            } => CheckpointError::ChecksumMismatch {
+                section,
+                expected,
+                actual,
+            },
         }
-    })
+    }
 }
 
-/// Writes one factor buffer as a checksummed section: the raw f32 stream
-/// in 64 KiB chunks, then the XXH64 of exactly those bytes.
-fn write_section<W: Write>(w: &mut W, data: &[f32]) -> io::Result<()> {
-    let mut hasher = Xxh64::new(0);
-    let mut buf = vec![0u8; CHUNK];
-    for chunk in data.chunks(CHUNK / 4) {
-        let bytes = &mut buf[..chunk.len() * 4];
-        for (slot, &x) in bytes.chunks_exact_mut(4).zip(chunk) {
-            slot.copy_from_slice(&x.to_le_bytes());
-        }
-        hasher.update(bytes);
-        w.write_all(bytes)?;
-    }
-    w.write_all(&hasher.digest().to_le_bytes())
-}
-
-/// Reads one checksummed section of `len` floats, verifying the trailing
-/// checksum against the bytes consumed.
-fn read_section<R: Read>(
-    r: &mut R,
-    len: usize,
-    section: &'static str,
-) -> Result<Vec<f32>, CheckpointError> {
-    // Capacity grows with the bytes actually read rather than trusting
-    // the header: a corrupt-but-checksummed geometry claiming terabytes
-    // must fail as a `Torn` tail when the stream runs dry, not abort
-    // the process in the allocator.
-    let mut out = Vec::with_capacity(len.min(CHUNK / 4));
-    let mut hasher = Xxh64::new(0);
-    let mut buf = vec![0u8; CHUNK];
-    let mut remaining = len * 4;
-    while remaining > 0 {
-        let take = remaining.min(CHUNK);
-        let bytes = &mut buf[..take];
-        read_exact_or_torn(r, bytes, section)?;
-        hasher.update(bytes);
-        for quad in bytes.chunks_exact(4) {
-            out.push(f32::from_le_bytes(quad.try_into().expect("4 bytes")));
-        }
-        remaining -= take;
-    }
-    let mut b8 = [0u8; 8];
-    read_exact_or_torn(r, &mut b8, section)?;
-    let expected = u64::from_le_bytes(b8);
-    let actual = hasher.digest();
-    if expected != actual {
-        return Err(CheckpointError::ChecksumMismatch {
-            section,
-            expected,
-            actual,
-        });
-    }
-    Ok(out)
+/// The header fields v1 and v2 share, at their frozen offsets.
+pub(crate) fn model_header(version: u32, model: &Model, seed: u64, epoch: u64) -> Header {
+    Header::new(version)
+        .with(8, model.nrows())
+        .with(12, model.ncols())
+        .with(16, model.k() as u64)
+        .with(24, seed)
+        .with(32, epoch)
 }
 
 /// Writes a checkpoint to any sink. The sink receives exactly
@@ -262,20 +207,12 @@ pub fn write_checkpoint<W: Write>(model: &Model, meta: CheckpointMeta, w: W) -> 
             "k = 0 model cannot be checkpointed (the MFCK reader rejects zero k)",
         ));
     }
-    let mut w = BufWriter::new(w);
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    header[8..12].copy_from_slice(&model.nrows().to_le_bytes());
-    header[12..16].copy_from_slice(&model.ncols().to_le_bytes());
-    header[16..24].copy_from_slice(&(model.k() as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&meta.seed.to_le_bytes());
-    header[32..40].copy_from_slice(&meta.epoch.to_le_bytes());
-    // bytes 40..48 stay zero: reserved.
-    w.write_all(&header)?;
-    w.write_all(&xxh64(&header).to_le_bytes())?;
-    write_section(&mut w, model.p_raw())?;
-    write_section(&mut w, model.q_raw())?;
+    let mut w = FrameWriter::new(BufWriter::new(w));
+    w.header(&model_header(VERSION, model, meta.seed, meta.epoch))?;
+    for factors in [model.p_raw(), model.q_raw()] {
+        w.put(factors)?;
+        w.seal()?;
+    }
     w.flush()
 }
 
@@ -300,32 +237,6 @@ pub fn save<P: AsRef<Path>>(model: &Model, meta: CheckpointMeta, path: P) -> io:
     })
 }
 
-/// Reads and validates the 48-byte header + trailing checksum common to
-/// v1 checkpoints and v2 deltas, returning the raw header bytes.
-/// Shared with [`crate::delta`]; version/geometry interpretation stays
-/// with the caller.
-pub(crate) fn read_verified_header<R: Read>(
-    r: &mut R,
-) -> Result<[u8; HEADER_LEN], CheckpointError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_or_torn(r, &mut header, "header")?;
-    if header[0..4] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut b8 = [0u8; 8];
-    read_exact_or_torn(r, &mut b8, "header")?;
-    let stored = u64::from_le_bytes(b8);
-    let computed = xxh64(&header);
-    if stored != computed {
-        return Err(CheckpointError::ChecksumMismatch {
-            section: "header",
-            expected: stored,
-            actual: computed,
-        });
-    }
-    Ok(header)
-}
-
 /// Checked section lengths (`p_len`, `q_len` in floats) for a claimed
 /// geometry, or `None` when it is unusable: zero/oversized `k`, or a
 /// `rows · k · 4` overflowing the address space. Header fields are
@@ -345,16 +256,14 @@ pub(crate) fn checked_section_lens(m: u32, n: u32, k: u64) -> Option<(usize, usi
 
 /// Reads a checkpoint from any source, verifying all three checksums.
 pub fn read_checkpoint<R: Read>(r: R) -> Result<Checkpoint, CheckpointError> {
-    let mut r = BufReader::new(r);
-    let header = read_verified_header(&mut r)?;
-    let field_u32 = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4"));
-    let field_u64 = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8"));
-    let version = field_u32(4);
+    let mut r = FrameReader::new(BufReader::new(r));
+    let header = r.header()?;
+    let version = header.version();
     if version != VERSION {
         return Err(CheckpointError::BadVersion { version });
     }
-    let (m, n, k) = (field_u32(8), field_u32(12), field_u64(16));
-    if field_u64(40) != 0 {
+    let (m, n, k): (u32, u32, u64) = (header.get(8), header.get(12), header.get(16));
+    if header.get::<u64>(40) != 0 {
         return Err(CheckpointError::ReservedNonZero);
     }
     // Checked geometry: zero k, oversized k, and any `rows · k · 4`
@@ -365,11 +274,13 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<Checkpoint, CheckpointError> {
         return Err(CheckpointError::BadGeometry { m, n, k });
     };
     let meta = CheckpointMeta {
-        seed: field_u64(24),
-        epoch: field_u64(32),
+        seed: header.get(24),
+        epoch: header.get(32),
     };
-    let p = read_section(&mut r, p_len, "P")?;
-    let q = read_section(&mut r, q_len, "Q")?;
+    let p = r.take_vec(p_len, "P")?;
+    r.seal("P")?;
+    let q = r.take_vec(q_len, "Q")?;
+    r.seal("Q")?;
     Ok(Checkpoint {
         model: Model::from_parts(m, n, k as usize, p, q),
         meta,
@@ -405,6 +316,7 @@ pub fn epoch_hook(dir: PathBuf, seed: u64) -> impl FnMut(u64, &Model) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mf_sparse::hash::xxh64;
 
     fn meta() -> CheckpointMeta {
         CheckpointMeta { seed: 42, epoch: 7 }

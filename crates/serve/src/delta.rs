@@ -13,9 +13,9 @@
 //! Q-runs section: count · (start, len)… · row payloads… · XXH64
 //! ```
 //!
-//! The header layout is byte-for-byte the v1 layout (`docs/FORMAT.md`)
-//! with `version = 2` and the reserved u64 at offset 40 carrying
-//! `base_epoch` — legal under the format's versioning rules, since v1
+//! Framing is [`mf_sparse::frame`], shared with v1 and v3; the header
+//! is the v1 layout (`docs/FORMAT.md`) with `version = 2` and the
+//! reserved u64 at offset 40 carrying `base_epoch` — legal, since v1
 //! readers reject the version before interpreting reserved bytes.
 //! `m`/`n` are the geometry **after** the epoch (the model may have
 //! grown by fold-in); every grown row is by definition touched, so
@@ -36,19 +36,15 @@ use std::path::Path;
 use mf_sgd::Model;
 
 use crate::checkpoint::{
-    self, checked_section_lens, read_exact_or_torn, read_verified_header, Checkpoint,
-    CheckpointError, CheckpointMeta, HEADER_LEN, MAGIC,
+    self, checked_section_lens, model_header, Checkpoint, CheckpointError, CheckpointMeta,
 };
-use mf_sparse::hash::{xxh64, Xxh64};
+use mf_sparse::frame::{FrameReader, FrameWriter};
 use mf_sparse::vfs::{RealFs, Vfs, TMP_SUFFIX};
 
 /// The format version of delta records. Full snapshots stay at
 /// [`checkpoint::VERSION`] (= 1); each reader accepts exactly its own
 /// version.
 pub const DELTA_VERSION: u32 = 2;
-
-/// I/O chunk size for streaming run payloads — matches the v1 reader.
-const CHUNK: usize = 64 * 1024;
 
 /// Provenance of a delta record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,35 +112,24 @@ pub fn rows_to_runs(rows: &[u32]) -> Vec<(u32, u32)> {
     runs
 }
 
-/// Writes one checksummed run section: `count`, the run table, then the
-/// row payloads in run order, all hashed into a trailing XXH64.
+/// Writes one run section: `count`, the run table, then the row
+/// payloads in run order, sealed with the section checksum.
 fn write_runs_section<'m, W: Write>(
-    w: &mut W,
-    k: usize,
+    w: &mut FrameWriter<W>,
     rows: &[u32],
     row: impl Fn(u32) -> &'m [f32],
 ) -> io::Result<()> {
     let runs = rows_to_runs(rows);
-    let mut hasher = Xxh64::new(0);
-    let mut emit = |w: &mut W, bytes: &[u8]| -> io::Result<()> {
-        hasher.update(bytes);
-        w.write_all(bytes)
-    };
-    emit(w, &(runs.len() as u32).to_le_bytes())?;
+    w.put(&[runs.len() as u32])?;
     for &(start, len) in &runs {
-        emit(w, &start.to_le_bytes())?;
-        emit(w, &len.to_le_bytes())?;
+        w.put(&[start, len])?;
     }
-    let mut buf = vec![0u8; k * 4];
     for &(start, len) in &runs {
         for r in start..start + len {
-            for (slot, &x) in buf.chunks_exact_mut(4).zip(row(r)) {
-                slot.copy_from_slice(&x.to_le_bytes());
-            }
-            emit(w, &buf.clone())?;
+            w.put(row(r))?;
         }
     }
-    w.write_all(&hasher.digest().to_le_bytes())
+    w.seal()
 }
 
 /// Writes a delta record: the `p_rows`/`q_rows` of `model` (sorted,
@@ -175,107 +160,68 @@ pub fn write_delta<W: Write>(
     if !sorted_in(p_rows, model.nrows()) || !sorted_in(q_rows, model.ncols()) {
         return invalid("touched rows must be strictly ascending and in range");
     }
-    let mut w = BufWriter::new(w);
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..8].copy_from_slice(&DELTA_VERSION.to_le_bytes());
-    header[8..12].copy_from_slice(&model.nrows().to_le_bytes());
-    header[12..16].copy_from_slice(&model.ncols().to_le_bytes());
-    header[16..24].copy_from_slice(&(model.k() as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&meta.seed.to_le_bytes());
-    header[32..40].copy_from_slice(&meta.epoch.to_le_bytes());
-    header[40..48].copy_from_slice(&meta.base_epoch.to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&xxh64(&header).to_le_bytes())?;
-    write_runs_section(&mut w, model.k(), p_rows, |r| model.p_row(r))?;
-    write_runs_section(&mut w, model.k(), q_rows, |r| model.q_row(r))?;
+    let mut w = FrameWriter::new(BufWriter::new(w));
+    let header = model_header(DELTA_VERSION, model, meta.seed, meta.epoch);
+    w.header(&header.with(40, meta.base_epoch))?;
+    write_runs_section(&mut w, p_rows, |r| model.p_row(r))?;
+    write_runs_section(&mut w, q_rows, |r| model.q_row(r))?;
     w.flush()
 }
 
-/// Reads one checksummed run section, validating the run table
-/// (ascending, non-overlapping, in `0..max_rows`) and the trailing
-/// checksum.
+/// Reads one run section, validating the run table (ascending,
+/// non-overlapping, in `0..max_rows`) before any payload is read, and
+/// the section checksum after.
 fn read_runs_section<R: Read>(
-    r: &mut R,
+    r: &mut FrameReader<R>,
     k: usize,
     max_rows: u32,
     section: &'static str,
 ) -> Result<Vec<Run>, CheckpointError> {
-    let mut hasher = Xxh64::new(0);
-    let mut b4 = [0u8; 4];
-    read_exact_or_torn(r, &mut b4, section)?;
-    hasher.update(&b4);
-    let count = u32::from_le_bytes(b4);
+    let count = r.take_vec::<u32>(1, section)?[0];
     // Each run covers ≥ 1 distinct row, so the table can't be longer
-    // than the matrix — reject before trusting it for allocation.
+    // than the matrix.
     if count > max_rows {
         return Err(CheckpointError::BadRuns { section });
     }
-    let mut table = Vec::with_capacity(count as usize);
+    let table = r.take_vec::<u32>((count as usize).saturating_mul(2), section)?;
     let mut next_free = 0u64;
-    for _ in 0..count {
-        let mut b8 = [0u8; 8];
-        read_exact_or_torn(r, &mut b8, section)?;
-        hasher.update(&b8);
-        let start = u32::from_le_bytes(b8[0..4].try_into().expect("4"));
-        let len = u32::from_le_bytes(b8[4..8].try_into().expect("4"));
-        let end = start as u64 + len as u64;
-        if len == 0 || (start as u64) < next_free || end > max_rows as u64 {
+    for run in table.chunks_exact(2) {
+        let (start, end) = (run[0] as u64, run[0] as u64 + run[1] as u64);
+        if run[1] == 0 || start < next_free || end > max_rows as u64 {
             return Err(CheckpointError::BadRuns { section });
         }
         next_free = end;
-        table.push((start, len));
     }
-    let mut runs = Vec::with_capacity(table.len());
-    let mut buf = vec![0u8; CHUNK];
-    for (start, len) in table {
-        let mut data = Vec::with_capacity((len as usize * k).min(CHUNK / 4));
-        let mut remaining = len as usize * k * 4;
-        while remaining > 0 {
-            let take = remaining.min(CHUNK);
-            let bytes = &mut buf[..take];
-            read_exact_or_torn(r, bytes, section)?;
-            hasher.update(bytes);
-            for quad in bytes.chunks_exact(4) {
-                data.push(f32::from_le_bytes(quad.try_into().expect("4 bytes")));
-            }
-            remaining -= take;
-        }
-        runs.push(Run { start, data });
-    }
-    let mut b8 = [0u8; 8];
-    read_exact_or_torn(r, &mut b8, section)?;
-    let expected = u64::from_le_bytes(b8);
-    let actual = hasher.digest();
-    if expected != actual {
-        return Err(CheckpointError::ChecksumMismatch {
-            section,
-            expected,
-            actual,
-        });
-    }
+    let runs = table
+        .chunks_exact(2)
+        .map(|run| {
+            Ok(Run {
+                start: run[0],
+                data: r.take_vec(run[1] as usize * k, section)?,
+            })
+        })
+        .collect::<Result<Vec<Run>, CheckpointError>>()?;
+    r.seal(section)?;
     Ok(runs)
 }
 
 /// Reads a delta record from any source, verifying all three checksums
 /// and the run-table invariants.
 pub fn read_delta<R: Read>(r: R) -> Result<Delta, CheckpointError> {
-    let mut r = BufReader::new(r);
-    let header = read_verified_header(&mut r)?;
-    let field_u32 = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4"));
-    let field_u64 = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8"));
-    let version = field_u32(4);
+    let mut r = FrameReader::new(BufReader::new(r));
+    let header = r.header()?;
+    let version = header.version();
     if version != DELTA_VERSION {
         return Err(CheckpointError::BadVersion { version });
     }
-    let (m, n, k) = (field_u32(8), field_u32(12), field_u64(16));
+    let (m, n, k): (u32, u32, u64) = (header.get(8), header.get(12), header.get(16));
     if checked_section_lens(m, n, k).is_none() {
         return Err(CheckpointError::BadGeometry { m, n, k });
     }
     let meta = DeltaMeta {
-        seed: field_u64(24),
-        epoch: field_u64(32),
-        base_epoch: field_u64(40),
+        seed: header.get(24),
+        epoch: header.get(32),
+        base_epoch: header.get(40),
     };
     if meta.epoch <= meta.base_epoch {
         return Err(CheckpointError::BadGeometry { m, n, k });
@@ -619,6 +565,7 @@ pub fn recover<P: AsRef<Path>>(dir: P) -> Result<Recovery, RecoverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::HEADER_LEN;
 
     fn base_model() -> Model {
         Model::init(6, 8, 4, 9)

@@ -89,3 +89,28 @@ proptest! {
         prop_assert!(checkpoint::read_checkpoint(&buf[..cut]).is_err());
     }
 }
+
+/// A 60-byte v2 delta: valid header checksum, `m = u32::MAX` so the
+/// `count ≤ rows` rule admits `count = u32::MAX`, then nothing. The run
+/// table must run dry, not be allocated on the count's word.
+#[test]
+fn huge_claimed_run_count_is_torn_without_allocating() {
+    use mf_serve::{delta, CheckpointError};
+    let mut header = [0u8; checkpoint::HEADER_LEN];
+    header[0..4].copy_from_slice(&checkpoint::MAGIC);
+    header[4..8].copy_from_slice(&delta::DELTA_VERSION.to_le_bytes());
+    header[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // m
+    header[12..16].copy_from_slice(&1u32.to_le_bytes()); // n
+    header[16..24].copy_from_slice(&1u64.to_le_bytes()); // k
+    header[32..40].copy_from_slice(&1u64.to_le_bytes()); // epoch; base_epoch stays 0
+    let mut file = Vec::new();
+    file.extend_from_slice(&header);
+    file.extend_from_slice(&mf_sparse::hash::xxh64(&header).to_le_bytes());
+    file.extend_from_slice(&u32::MAX.to_le_bytes()); // P-runs count
+    assert_eq!(file.len(), 60);
+    let err = delta::read_delta(&file[..]).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::Torn { section: "P-runs" }),
+        "got {err}"
+    );
+}

@@ -1,13 +1,11 @@
 //! Hyper-parameters and learning-rate schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// Learning-rate schedule across iterations.
 ///
 /// The paper trains with a fixed rate per dataset (Table I) but cites Chin
 /// et al. (PAKDD'15) for schedules; the two decaying schedules here are the
 /// ones from that work's comparison set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LearningRate {
     /// `γ_t = γ₀` — the paper's experimental setting.
     Fixed,
@@ -36,7 +34,7 @@ impl LearningRate {
 }
 
 /// Hyper-parameters of the factorization (paper Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperParams {
     /// Latent dimension `k`.
     pub k: usize,

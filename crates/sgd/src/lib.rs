@@ -14,21 +14,16 @@
 //! * [`HyperParams`] / [`LearningRate`] — `k`, `λ_P`, `λ_Q`, `γ` and the
 //!   learning-rate schedules of Chin et al. (PAKDD'15), the paper's \[43\].
 //! * [`eval`] — RMSE / MAE / regularized loss (Eq. 2).
-//! * Trainers:
-//!   [`sequential::train`] (Algorithm 1),
-//!   [`hogwild::train`] (lock-free multicore, Recht et al.),
-//!   [`fpsgd::train`] (the block-grid shared-memory scheduler of Zhuang et
-//!   al. — the paper's **CPU-Only** baseline, on real threads),
-//!   [`als::train`] and [`ccd::train`] (the non-SGD baselines of
-//!   Sec. III-C).
+//! * Trainers: [`sequential::train`] (Algorithm 1) and [`fpsgd::train`]
+//!   (the block-grid shared-memory scheduler of Zhuang et al. — the
+//!   paper's **CPU-Only** baseline, on real threads).
+//!
+//! Persisting a trained model (Algorithm 1's `save_model`) is
+//! `mf_serve::checkpoint` — the checksummed `MFCK` format.
 
-pub mod als;
-pub mod ccd;
 pub mod eval;
 pub mod fpsgd;
-pub mod hogwild;
 pub mod hyper;
-pub mod io;
 pub mod kernel;
 pub mod model;
 pub mod sequential;

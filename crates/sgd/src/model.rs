@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The dense result of matrix factorization: `P ∈ R^{m×k}` and
 /// `Q ∈ R^{k×n}`, with `R ≈ P·Q` (paper Eq. 1).
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `Q` is stored **transposed** (one contiguous `k`-vector per item), so a
 /// single rating update reads and writes two contiguous cache-resident
 /// vectors — the same layout LIBMF and cuMF_SGD use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     m: u32,
     n: u32,

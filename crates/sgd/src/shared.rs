@@ -1,32 +1,16 @@
 //! Shared-memory access to a [`Model`] from multiple worker threads.
 //!
-//! Two concurrency regimes exist in this workspace, and each gets its own
-//! access path:
-//!
-//! * **Disjoint regions** (FPSGD, HSGD, HSGD\*): the block scheduler
-//!   guarantees that concurrently processed blocks share no row band and no
-//!   column band, so the factor rows they touch are disjoint.
-//!   [`SharedModel::sgd_block_exclusive`] uses plain raw-pointer access at
-//!   full (vectorizable) speed; the scheduler invariant is the safety
-//!   contract.
-//! * **Racy access** (Hogwild): threads intentionally race on factor rows.
-//!   [`SharedModel::sgd_step_atomic`] performs every load/store as a
-//!   relaxed atomic, which keeps the program sound (no UB) while preserving
-//!   Hogwild's lock-free semantics.
+//! One concurrency regime exists in this workspace — **disjoint regions**
+//! (FPSGD, HSGD, HSGD\*): the block scheduler guarantees that concurrently
+//! processed blocks share no row band and no column band, so the factor
+//! rows they touch are disjoint. [`SharedModel::sgd_block_exclusive`] uses
+//! plain raw-pointer access at full (vectorizable) speed; the scheduler
+//! invariant is the safety contract.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
-use mf_sparse::{BlockSlices, Rating};
+use mf_sparse::BlockSlices;
 
 use crate::kernel;
 use crate::model::Model;
-
-/// Maximum latent dimension supported by the *atomic* (Hogwild) path,
-/// which stages factor rows in fixed stack buffers to avoid per-step
-/// allocation. Only [`SharedModel::sgd_step_atomic`] /
-/// [`SharedModel::sgd_block_atomic`] enforce it — the exclusive and
-/// row-view paths support any latent dimension.
-pub const MAX_ATOMIC_K: usize = 512;
 
 /// A raw view over a model's factor buffers, shareable across threads.
 ///
@@ -42,8 +26,8 @@ pub struct SharedModel<'a> {
 }
 
 // SAFETY: the raw pointers refer to buffers owned by the exclusively
-// borrowed Model; all concurrent access goes through the two disciplines
-// documented on the struct.
+// borrowed Model; all concurrent access goes through the disjoint-rows
+// discipline documented on the module.
 unsafe impl Send for SharedModel<'_> {}
 unsafe impl Sync for SharedModel<'_> {}
 
@@ -132,68 +116,12 @@ impl<'a> SharedModel<'a> {
             kernel::sgd_block_raw_soa(self.p, self.q, self.k, block, gamma, lambda_p, lambda_q)
         }
     }
-
-    /// One SGD step with every factor load/store performed as a relaxed
-    /// atomic. Safe to call concurrently from any number of threads — this
-    /// is the Hogwild access path. Returns the pre-update error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the latent dimension exceeds [`MAX_ATOMIC_K`] (the
-    /// stack staging buffers below are fixed-size).
-    pub fn sgd_step_atomic(&self, e: Rating, gamma: f32, lambda_p: f32, lambda_q: f32) -> f32 {
-        debug_assert!(e.u < self.m && e.v < self.n);
-        let k = self.k;
-        assert!(
-            k <= MAX_ATOMIC_K,
-            "latent dimension {k} exceeds MAX_ATOMIC_K ({MAX_ATOMIC_K})"
-        );
-        // Stage the rows in stack buffers via relaxed atomic loads.
-        let mut pu = [0f32; MAX_ATOMIC_K];
-        let mut qv = [0f32; MAX_ATOMIC_K];
-        let p_base = self.p as *const AtomicU32;
-        let q_base = self.q as *const AtomicU32;
-        // SAFETY: AtomicU32 has the same size/alignment as f32; indices are
-        // in bounds; buffers outlive the view.
-        unsafe {
-            for i in 0..k {
-                pu[i] = f32::from_bits((*p_base.add(e.u as usize * k + i)).load(Ordering::Relaxed));
-                qv[i] = f32::from_bits((*q_base.add(e.v as usize * k + i)).load(Ordering::Relaxed));
-            }
-        }
-        let err = kernel::sgd_step(&mut pu[..k], &mut qv[..k], e.r, gamma, lambda_p, lambda_q);
-        unsafe {
-            for i in 0..k {
-                (*p_base.add(e.u as usize * k + i)).store(pu[i].to_bits(), Ordering::Relaxed);
-                (*q_base.add(e.v as usize * k + i)).store(qv[i].to_bits(), Ordering::Relaxed);
-            }
-        }
-        err
-    }
-
-    /// [`SharedModel::sgd_step_atomic`] over a whole SoA run — the
-    /// Hogwild block path. Safe to call concurrently from any number of
-    /// threads; returns the sum of squared pre-update errors.
-    pub fn sgd_block_atomic(
-        &self,
-        block: BlockSlices<'_>,
-        gamma: f32,
-        lambda_p: f32,
-        lambda_q: f32,
-    ) -> f64 {
-        let mut sq = 0f64;
-        for e in block.iter() {
-            let err = self.sgd_step_atomic(e, gamma, lambda_p, lambda_q);
-            sq += (err as f64) * (err as f64);
-        }
-        sq
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_sparse::SoaRatings;
+    use mf_sparse::{Rating, SoaRatings};
 
     #[test]
     fn exclusive_block_matches_direct_kernel() {
@@ -219,44 +147,6 @@ mod tests {
         drop(shared);
         assert_eq!(a, b);
         assert_eq!(direct_sq, shared_sq);
-    }
-
-    #[test]
-    fn atomic_block_matches_per_step_loop() {
-        let k = 8;
-        let mut a = Model::init(5, 5, k, 11);
-        let mut b = a.clone();
-        let block: Vec<Rating> = (0..12)
-            .map(|i| Rating::new(i % 5, (i * 2) % 5, 2.0 + (i % 3) as f32))
-            .collect();
-        let soa = SoaRatings::from_entries(&block);
-        let sa = SharedModel::new(&mut a);
-        let mut direct_sq = 0.0;
-        for &e in &block {
-            let err = sa.sgd_step_atomic(e, 0.02, 0.1, 0.1);
-            direct_sq += (err as f64) * (err as f64);
-        }
-        drop(sa);
-        let sb = SharedModel::new(&mut b);
-        let block_sq = sb.sgd_block_atomic(soa.as_slices(), 0.02, 0.1, 0.1);
-        drop(sb);
-        assert_eq!(a, b);
-        assert_eq!(direct_sq, block_sq);
-    }
-
-    #[test]
-    fn atomic_step_matches_direct_kernel() {
-        let k = 8;
-        let mut a = Model::init(3, 3, k, 9);
-        let mut b = a.clone();
-        let e = Rating::new(1, 2, 4.5);
-        let (p, q) = a.pq_rows_mut(e.u, e.v);
-        let err_direct = kernel::sgd_step(p, q, e.r, 0.02, 0.1, 0.1);
-        let shared = SharedModel::new(&mut b);
-        let err_atomic = shared.sgd_step_atomic(e, 0.02, 0.1, 0.1);
-        drop(shared);
-        assert_eq!(err_direct, err_atomic);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -293,19 +183,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MAX_ATOMIC_K")]
-    fn oversized_k_rejected_by_atomic_path() {
-        let mut m = Model::constant(1, 1, MAX_ATOMIC_K + 1, 0.0);
-        let shared = SharedModel::new(&mut m);
-        let _ = shared.sgd_step_atomic(Rating::new(0, 0, 1.0), 0.01, 0.0, 0.0);
-    }
-
-    #[test]
-    fn oversized_k_fine_on_exclusive_path() {
-        // Only the atomic path stages rows in MAX_ATOMIC_K buffers; the
-        // exclusive path (and everything built on it, e.g. the SIMT
+    fn large_k_fine_on_exclusive_path() {
+        // The exclusive path (and everything built on it, e.g. the SIMT
         // kernel) must support any latent dimension.
-        let k = MAX_ATOMIC_K + 8;
+        let k = 520;
         let mut a = Model::init(2, 2, k, 3);
         let mut b = a.clone();
         let block = vec![Rating::new(0, 1, 3.0)];

@@ -3,12 +3,12 @@
 //! of it.
 //!
 //! Out-of-core training keeps the [`crate::GridPartition`] geometry in
-//! RAM but moves the SoA block payloads to an arena file: one framed
-//! record per block, each frame trailed by an XXH64 checksum, written
-//! and read through the [`crate::vfs::Vfs`] seam so the fault-injecting
+//! RAM but moves the SoA block payloads to an arena file: one
+//! checksummed [`crate::frame`] section per block, written and read
+//! through the [`crate::vfs::Vfs`] seam so the fault-injecting
 //! filesystem in `mf-fuzz` exercises the format unchanged. The byte
 //! layout is specified in `docs/FORMAT.md` ("Version 3: block arena");
-//! [`BlockArena`] is the reference implementation.
+//! [`BlockArena`] is the reference implementation of that schema.
 //!
 //! In front of the arena sits [`BlockCache`]: an LRU over loaded blocks
 //! with an exact byte budget (`MF_SPILL_BUDGET`) and a **pin** count per
@@ -29,17 +29,16 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
+use crate::frame::{FrameError, FrameReader, FrameWriter, Header, HEADER_LEN};
 use crate::grid::{GridPartition, GridSpec};
-use crate::hash::Xxh64;
 use crate::matrix::{BlockSlices, Rating};
 use crate::vfs::Vfs;
 
@@ -47,12 +46,8 @@ use crate::vfs::Vfs;
 /// "Version 3: block arena").
 pub const ARENA_VERSION: u32 = 3;
 
-/// Fixed header size shared by every `MFCK` version (offsets 0–47).
-const HEADER_BYTES: usize = 48;
-
-/// Hard ceiling on bands per axis a reader will allocate for — a
-/// corrupt-but-checksummed geometry must surface as [`ArenaError::
-/// BadGeometry`], not as a giant allocation.
+/// Hard ceiling on bands per axis (`docs/FORMAT.md`); a header past it
+/// is [`ArenaError::BadGeometry`].
 const MAX_BANDS: u32 = 1 << 20;
 
 /// Environment variable naming the cache byte budget (see
@@ -131,17 +126,16 @@ impl From<io::Error> for ArenaError {
     }
 }
 
-/// Classifies a short read of `section`: EOF is a torn file, anything
-/// else an I/O error.
-fn read_exact_or(
-    r: &mut dyn Read,
-    buf: &mut [u8],
-    section: &'static str,
-) -> Result<(), ArenaError> {
-    match r.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(ArenaError::Torn { section }),
-        Err(e) => Err(ArenaError::Io(e)),
+impl From<FrameError> for ArenaError {
+    fn from(e: FrameError) -> ArenaError {
+        match e {
+            FrameError::Io(e) => ArenaError::Io(e),
+            FrameError::BadMagic => ArenaError::BadMagic,
+            FrameError::Torn { section } => ArenaError::Torn { section },
+            FrameError::ChecksumMismatch { section, .. } => ArenaError::ChecksumMismatch {
+                section: section.into(),
+            },
+        }
     }
 }
 
@@ -210,52 +204,6 @@ impl fmt::Debug for BlockArena {
     }
 }
 
-/// Hashes and writes one run of bytes.
-struct HashingWriter<'a> {
-    w: &'a mut dyn io::Write,
-    h: Xxh64,
-}
-
-impl<'a> HashingWriter<'a> {
-    fn new(w: &'a mut dyn io::Write) -> HashingWriter<'a> {
-        HashingWriter {
-            w,
-            h: Xxh64::new(0),
-        }
-    }
-
-    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.h.update(bytes);
-        self.w.write_all(bytes)
-    }
-
-    /// Emits the trailing checksum of everything `put` since the last
-    /// `seal` and resets the hasher for the next section.
-    fn seal(&mut self) -> io::Result<()> {
-        let d = self.h.digest();
-        self.w.write_all(&d.to_le_bytes())?;
-        self.h = Xxh64::new(0);
-        Ok(())
-    }
-}
-
-/// Serializes a `u32` slice as little-endian bytes.
-fn u32s_to_le(xs: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(xs.len() * 4);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-fn read_u32_at(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"))
-}
-
-fn read_u64_at(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
-}
-
 impl BlockArena {
     /// Streams `part` into `dir/name` as an `MFCK` v3 arena via the
     /// atomic-publish discipline: the final name appears only once every
@@ -271,40 +219,30 @@ impl BlockArena {
             "writing an arena from a spill-backed partition is not supported"
         );
         let spec = part.spec().clone();
+        let lens: Vec<u64> = spec.blocks().map(|id| part.block_len(id) as u64).collect();
         vfs.publish(dir, name, &mut |w| {
-            // Header.
-            let mut header = [0u8; HEADER_BYTES];
-            header[0..4].copy_from_slice(b"MFCK");
-            header[4..8].copy_from_slice(&ARENA_VERSION.to_le_bytes());
-            header[8..12].copy_from_slice(&part.nrows().to_le_bytes());
-            header[12..16].copy_from_slice(&part.ncols().to_le_bytes());
-            header[16..24].copy_from_slice(&(part.total_nnz() as u64).to_le_bytes());
-            header[24..28].copy_from_slice(&spec.nrow_blocks().to_le_bytes());
-            header[28..32].copy_from_slice(&spec.ncol_blocks().to_le_bytes());
-            // Offsets 32..48 reserved, zero in version 3.
-            let mut hw = HashingWriter::new(w);
-            hw.put(&header)?;
-            hw.seal()?;
-            // Cut points.
-            hw.put(&u32s_to_le(spec.row_cuts()))?;
-            hw.put(&u32s_to_le(spec.col_cuts()))?;
-            hw.seal()?;
+            let mut w = FrameWriter::new(w);
+            // Offsets 32..48 stay zero: reserved in version 3.
+            w.header(
+                &Header::new(ARENA_VERSION)
+                    .with(8, part.nrows())
+                    .with(12, part.ncols())
+                    .with(16, part.total_nnz() as u64)
+                    .with(24, spec.nrow_blocks())
+                    .with(28, spec.ncol_blocks()),
+            )?;
+            w.put(spec.row_cuts())?;
+            w.put(spec.col_cuts())?;
+            w.seal()?;
             // Directory: ratings per block, flat row-major.
-            for id in spec.blocks() {
-                hw.put(&(part.block_len(id) as u64).to_le_bytes())?;
-            }
-            hw.seal()?;
-            // Frames.
+            w.put(&lens)?;
+            w.seal()?;
             for id in spec.blocks() {
                 let b = part.block(id);
-                hw.put(&u32s_to_le(b.rows))?;
-                hw.put(&u32s_to_le(b.cols))?;
-                let mut vbytes = Vec::with_capacity(b.vals.len() * 4);
-                for &v in b.vals {
-                    vbytes.extend_from_slice(&v.to_le_bytes());
-                }
-                hw.put(&vbytes)?;
-                hw.seal()?;
+                w.put(b.rows)?;
+                w.put(b.cols)?;
+                w.put(b.vals)?;
+                w.seal()?;
             }
             Ok(())
         })
@@ -317,31 +255,16 @@ impl BlockArena {
     /// directory, and no value is trusted for allocation before its
     /// checksum and sanity bounds pass.
     pub fn open(vfs: Arc<dyn Vfs>, path: &Path) -> Result<BlockArena, ArenaError> {
-        let mut r = vfs.open(path)?;
-        let mut header = [0u8; HEADER_BYTES + 8];
-        read_exact_or(&mut *r, &mut header, "header")?;
-        if &header[0..4] != b"MFCK" {
-            return Err(ArenaError::BadMagic);
+        let mut r = FrameReader::new(vfs.open(path)?);
+        let header = r.header()?;
+        if header.version() != ARENA_VERSION {
+            return Err(ArenaError::BadVersion(header.version()));
         }
-        let mut h = Xxh64::new(0);
-        h.update(&header[..HEADER_BYTES]);
-        if h.digest() != read_u64_at(&header, HEADER_BYTES) {
-            return Err(ArenaError::ChecksumMismatch {
-                section: "header".into(),
-            });
-        }
-        let version = read_u32_at(&header, 4);
-        if version != ARENA_VERSION {
-            return Err(ArenaError::BadVersion(version));
-        }
-        if read_u64_at(&header, 32) != 0 || read_u64_at(&header, 40) != 0 {
+        if header.get::<u64>(32) != 0 || header.get::<u64>(40) != 0 {
             return Err(ArenaError::ReservedNonZero);
         }
-        let nrows = read_u32_at(&header, 8);
-        let ncols = read_u32_at(&header, 12);
-        let nnz = read_u64_at(&header, 16);
-        let rb = read_u32_at(&header, 24);
-        let cb = read_u32_at(&header, 28);
+        let (nrows, ncols, nnz): (u32, u32, u64) = (header.get(8), header.get(12), header.get(16));
+        let (rb, cb): (u32, u32) = (header.get(24), header.get(28));
         if rb == 0 || cb == 0 || rb > MAX_BANDS || cb > MAX_BANDS {
             return Err(ArenaError::BadGeometry(format!("band counts {rb}x{cb}")));
         }
@@ -349,24 +272,10 @@ impl BlockArena {
             return Err(ArenaError::BadGeometry(format!("nnz {nnz} unaddressable")));
         }
 
-        // Cut points.
-        let ncuts = (rb as usize + 1) + (cb as usize + 1);
-        let mut cut_bytes = vec![0u8; ncuts * 4 + 8];
-        read_exact_or(&mut *r, &mut cut_bytes, "cuts")?;
-        let mut h = Xxh64::new(0);
-        h.update(&cut_bytes[..ncuts * 4]);
-        if h.digest() != read_u64_at(&cut_bytes, ncuts * 4) {
-            return Err(ArenaError::ChecksumMismatch {
-                section: "cuts".into(),
-            });
-        }
-        let row_cuts: Vec<u32> = (0..=rb as usize)
-            .map(|i| read_u32_at(&cut_bytes, i * 4))
-            .collect();
-        let col_cuts: Vec<u32> = (0..=cb as usize)
-            .map(|i| read_u32_at(&cut_bytes, (rb as usize + 1 + i) * 4))
-            .collect();
-        if *row_cuts.last().unwrap() != nrows || *col_cuts.last().unwrap() != ncols {
+        let row_cuts: Vec<u32> = r.take_vec(rb as usize + 1, "cuts")?;
+        let col_cuts: Vec<u32> = r.take_vec(cb as usize + 1, "cuts")?;
+        r.seal("cuts")?;
+        if row_cuts.last() != Some(&nrows) || col_cuts.last() != Some(&ncols) {
             return Err(ArenaError::BadGeometry(
                 "cuts do not end at the matrix shape".into(),
             ));
@@ -374,42 +283,30 @@ impl BlockArena {
         let spec = GridSpec::from_cuts(row_cuts, col_cuts)
             .map_err(|e| ArenaError::BadGeometry(e.to_string()))?;
 
-        // Directory.
-        let nblocks = rb as usize * cb as usize;
-        let mut dir_bytes = vec![0u8; nblocks * 8 + 8];
-        read_exact_or(&mut *r, &mut dir_bytes, "directory")?;
-        let mut h = Xxh64::new(0);
-        h.update(&dir_bytes[..nblocks * 8]);
-        if h.digest() != read_u64_at(&dir_bytes, nblocks * 8) {
-            return Err(ArenaError::ChecksumMismatch {
-                section: "directory".into(),
-            });
-        }
-        let mut lens = Vec::with_capacity(nblocks);
-        let mut total: u64 = 0;
-        for i in 0..nblocks {
-            let len = read_u64_at(&dir_bytes, i * 8);
-            if len > nnz {
-                return Err(ArenaError::BadGeometry(format!(
-                    "block {i} claims {len} ratings, arena holds {nnz}"
-                )));
-            }
-            total += len;
-            lens.push(len as usize);
-        }
-        if total != nnz {
+        let nblocks = (rb as usize).saturating_mul(cb as usize);
+        let directory: Vec<u64> = r.take_vec(nblocks, "directory")?;
+        r.seal("directory")?;
+        // Summed wide so no directory can wrap its way to `nnz`; equality
+        // also bounds every entry by `nnz`, which fits `usize`.
+        let total: u128 = directory.iter().map(|&len| len as u128).sum();
+        if total != nnz as u128 {
             return Err(ArenaError::BadGeometry(format!(
                 "directory sums to {total} ratings, header says {nnz}"
             )));
         }
+        let lens: Vec<usize> = directory.iter().map(|&len| len as usize).collect();
 
         // Frame offsets: frames are back to back after the directory.
-        let mut off = (HEADER_BYTES + 8 + ncuts * 4 + 8 + nblocks * 8 + 8) as u64;
-        let mut frame_offsets = Vec::with_capacity(nblocks);
-        for &len in &lens {
-            frame_offsets.push(off);
-            off += (len * Rating::WIRE_BYTES) as u64 + 8;
-        }
+        let cut_bytes = (rb as usize + 1 + cb as usize + 1) * 4;
+        let mut off = (HEADER_LEN + 8 + cut_bytes + 8 + nblocks * 8 + 8) as u64;
+        let frame_offsets = lens
+            .iter()
+            .map(|&len| {
+                let at = off;
+                off += (len * Rating::WIRE_BYTES) as u64 + 8;
+                at
+            })
+            .collect();
 
         Ok(BlockArena {
             vfs,
@@ -454,50 +351,25 @@ impl BlockArena {
         self.lens[flat] * Rating::WIRE_BYTES
     }
 
-    /// Total wire bytes across all blocks — the "100% budget" an
-    /// in-RAM-equivalent cache would need.
-    pub fn total_wire_bytes(&self) -> usize {
-        self.nnz as usize * Rating::WIRE_BYTES
-    }
-
     /// Loads and checksum-verifies one block frame. A frame that fails
     /// any check yields a typed error and **no data** — a corrupt
     /// spilled block can never reach a kernel.
     pub fn load_block(&self, flat: usize) -> Result<BlockBuf, ArenaError> {
+        const SECTION: &str = "block frame";
+        // `open_at` reports a file that ends before the frame starts as
+        // EOF: torn, like one that ends inside it.
+        let r = self.vfs.open_at(&self.path, self.frame_offsets[flat]);
+        let mut r = FrameReader::new(r.map_err(|e| FrameError::from_read(e, SECTION))?);
         let len = self.lens[flat];
-        let payload_bytes = len * Rating::WIRE_BYTES;
-        let mut r = self.vfs.open_at(&self.path, self.frame_offsets[flat])?;
-        let mut buf = vec![0u8; payload_bytes + 8];
-        match read_exact_or(&mut *r, &mut buf, "block frame") {
-            Ok(()) => {}
-            // `open_at`'s default skip surfaces a too-short file as an
-            // EOF io::Error before the frame read starts; fold both
-            // shapes into the torn classification.
-            Err(ArenaError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(ArenaError::Torn {
-                    section: "block frame",
-                })
-            }
-            Err(e) => return Err(e),
-        }
-        let mut h = Xxh64::new(0);
-        h.update(&buf[..payload_bytes]);
-        if h.digest() != read_u64_at(&buf, payload_bytes) {
-            return Err(ArenaError::ChecksumMismatch {
+        let rows = r.take_vec(len, SECTION)?;
+        let cols = r.take_vec(len, SECTION)?;
+        let vals = r.take_vec(len, SECTION)?;
+        r.seal(SECTION).map_err(|e| match e {
+            FrameError::ChecksumMismatch { .. } => ArenaError::ChecksumMismatch {
                 section: format!("block {flat}"),
-            });
-        }
-        let rows = (0..len).map(|i| read_u32_at(&buf, i * 4)).collect();
-        let cols = (0..len).map(|i| read_u32_at(&buf, (len + i) * 4)).collect();
-        let vals = (0..len)
-            .map(|i| {
-                f32::from_le_bytes(
-                    buf[(2 * len + i) * 4..(2 * len + i) * 4 + 4]
-                        .try_into()
-                        .expect("4 bytes"),
-                )
-            })
-            .collect();
+            },
+            e => e.into(),
+        })?;
         Ok(BlockBuf { rows, cols, vals })
     }
 
@@ -545,7 +417,7 @@ struct StatCells {
 
 /// A snapshot of one spill cache's counters — the out-of-core run's
 /// observability surface, carried into `RunReport` by the trainers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpillCounters {
     /// Block accesses served from the cache.
     pub hits: u64,
@@ -624,11 +496,6 @@ impl BlockCache {
             }),
             stats: StatCells::default(),
         }
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget
     }
 
     /// Acquires block `flat` **pinned**: a hit refreshes its LRU

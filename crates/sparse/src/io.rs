@@ -1,20 +1,13 @@
-//! Reading and writing rating matrices.
-//!
-//! Two formats:
-//!
-//! * **Text** — one `u v r` triple per line, whitespace-separated, the
-//!   de-facto interchange format of the MF literature (LIBMF, cuMF).
-//! * **Binary** — a compact little-endian format with a magic header,
-//!   `~20x` smaller parse time for large matrices.
+//! Reading and writing rating matrices as **text**: one `u v r` triple
+//! per line, whitespace-separated, the de-facto interchange format of
+//! the MF literature (LIBMF, cuMF). The binary form of a partitioned
+//! matrix is the `MFCK` v3 arena ([`crate::arena`]).
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::matrix::{Rating, SparseMatrix};
-
-/// Magic bytes identifying the binary format ("MFSP" + version 1).
-const MAGIC: [u8; 4] = *b"MFS1";
 
 /// Errors arising while loading a matrix.
 #[derive(Debug)]
@@ -28,8 +21,6 @@ pub enum LoadError {
         /// Description of what failed to parse.
         what: String,
     },
-    /// Binary header mismatch.
-    BadMagic,
     /// Entry out of declared bounds.
     OutOfBounds {
         /// Index of the offending entry.
@@ -42,7 +33,6 @@ impl std::fmt::Display for LoadError {
         match self {
             LoadError::Io(e) => write!(f, "i/o error: {e}"),
             LoadError::Parse { line, what } => write!(f, "parse error on line {line}: {what}"),
-            LoadError::BadMagic => write!(f, "not a MFS1 binary matrix file"),
             LoadError::OutOfBounds { index } => {
                 write!(f, "entry {index} out of declared bounds")
             }
@@ -214,64 +204,10 @@ pub fn load_text<P: AsRef<Path>>(
     read_text(File::open(path)?, shape)
 }
 
-/// Writes a matrix in the compact binary format.
-pub fn write_binary<W: Write>(m: &SparseMatrix, w: W) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    w.write_all(&MAGIC)?;
-    w.write_all(&m.nrows().to_le_bytes())?;
-    w.write_all(&m.ncols().to_le_bytes())?;
-    w.write_all(&(m.nnz() as u64).to_le_bytes())?;
-    for e in m.entries() {
-        w.write_all(&e.u.to_le_bytes())?;
-        w.write_all(&e.v.to_le_bytes())?;
-        w.write_all(&e.r.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Saves a matrix in the binary format to a path.
-pub fn save_binary<P: AsRef<Path>>(m: &SparseMatrix, path: P) -> io::Result<()> {
-    write_binary(m, File::create(path)?)
-}
-
-/// Reads a matrix in the binary format.
-pub fn read_binary<R: Read>(r: R) -> Result<SparseMatrix, LoadError> {
-    let mut r = BufReader::new(r);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    let mut buf4 = [0u8; 4];
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf4)?;
-    let nrows = u32::from_le_bytes(buf4);
-    r.read_exact(&mut buf4)?;
-    let ncols = u32::from_le_bytes(buf4);
-    r.read_exact(&mut buf8)?;
-    let nnz = u64::from_le_bytes(buf8) as usize;
-    let mut entries = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        r.read_exact(&mut buf4)?;
-        let u = u32::from_le_bytes(buf4);
-        r.read_exact(&mut buf4)?;
-        let v = u32::from_le_bytes(buf4);
-        r.read_exact(&mut buf4)?;
-        let val = f32::from_le_bytes(buf4);
-        entries.push(Rating::new(u, v, val));
-    }
-    SparseMatrix::new(nrows, ncols, entries).map_err(|index| LoadError::OutOfBounds { index })
-}
-
-/// Loads a matrix in the binary format from a path.
-pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<SparseMatrix, LoadError> {
-    read_binary(File::open(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader};
 
     fn sample() -> SparseMatrix {
         SparseMatrix::from_triples(vec![(0, 0, 3.5), (1, 2, 4.0), (2, 1, 1.25)])
@@ -432,34 +368,12 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let m = sample();
-        let mut buf = Vec::new();
-        write_binary(&m, &mut buf).unwrap();
-        let back = read_binary(&buf[..]).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(matches!(
-            read_binary(&b"NOPE"[..]),
-            Err(LoadError::BadMagic)
-        ));
-        assert!(matches!(read_binary(&b"MF"[..]), Err(LoadError::Io(_))));
-    }
-
-    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir();
         let p_text = dir.join("mf_sparse_io_test.txt");
-        let p_bin = dir.join("mf_sparse_io_test.bin");
         let m = sample();
         save_text(&m, &p_text).unwrap();
-        save_binary(&m, &p_bin).unwrap();
         assert_eq!(load_text(&p_text, None).unwrap(), m);
-        assert_eq!(load_binary(&p_bin).unwrap(), m);
         let _ = std::fs::remove_file(p_text);
-        let _ = std::fs::remove_file(p_bin);
     }
 }

@@ -9,8 +9,6 @@
 //! * [`BlockSlices`] / [`SoaRatings`] — the structure-of-arrays layout the
 //!   vectorized SGD kernels consume: three unit-stride `u`/`v`/`r` streams
 //!   instead of a 12-byte interleaved stride.
-//! * [`CsrView`] / [`CscView`] — compressed row/column index structures built
-//!   on demand (used by the ALS / CCD++ reference solvers and by analytics).
 //! * [`grid`] — the **matrix blocking** machinery at the heart of FPSGD,
 //!   HSGD, and HSGD\*: cut a matrix into a grid of blocks along arbitrary
 //!   (possibly nonuniform) row/column boundaries, and access each block's
@@ -21,19 +19,20 @@
 //! * [`shuffle`] — deterministic entry shuffling and row/column permutation
 //!   (the paper shuffles the input so the training samples are not skewed by
 //!   input order, Sec. V-A).
-//! * [`io`] — text (one `u v r` triple per line) and compact binary formats.
+//! * [`io`] — the text interchange format (one `u v r` triple per line).
 //! * [`arena`] — the **spill-backed** partition storage for out-of-core
 //!   training: per-block frames in an on-disk arena file (`MFCK` v3,
 //!   `docs/FORMAT.md`) fronted by a byte-budgeted, pin-aware LRU cache.
-//! * [`vfs`] / [`hash`] — the atomic-publish filesystem seam and the
-//!   XXH64 checksum shared by every on-disk format in the workspace
-//!   (re-exported by `mf-serve` for the checkpoint/delta layer).
+//! * [`frame`] / [`vfs`] / [`hash`] — the one `MFCK` framing (header,
+//!   checksummed sections, torn-vs-corrupt, bounded allocation) that the
+//!   v1/v2 records of `mf-serve` and the v3 arena are schemas over, the
+//!   atomic-publish filesystem seam, and the XXH64 checksum.
 //!
 //! All RNG flows through caller-provided seeds; there is no hidden global
 //! randomness anywhere in this workspace.
 
 pub mod arena;
-pub mod csr;
+pub mod frame;
 pub mod grid;
 pub mod hash;
 pub mod io;
@@ -43,7 +42,6 @@ pub mod shuffle;
 pub mod vfs;
 
 pub use arena::{ArenaError, BlockArena, BlockCache, SpillCounters, SpillHandle};
-pub use csr::{CscView, CsrView};
 pub use grid::{balanced_cuts, BlockId, BlockOrder, GridPartition, GridSpec};
 pub use matrix::{BlockSlices, Rating, SoaRatings, SparseMatrix};
 pub use pool::FreeBlockPool;

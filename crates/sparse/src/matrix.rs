@@ -1,13 +1,11 @@
 //! COO rating-matrix storage.
 
-use serde::{Deserialize, Serialize};
-
 /// One observed rating: user `u` gave item `v` the value `r`.
 ///
 /// Matches the paper's triadic-tuple storage. 12 bytes, `Copy`, and laid out
 /// so a block of ratings can be transferred to the (simulated) GPU as a flat
 /// byte buffer — the same `4 + 4 + 4` layout cuMF_SGD ships over PCIe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]
 pub struct Rating {
     /// Row (user) index, `0 <= u < m`.
@@ -203,7 +201,7 @@ impl SoaRatings {
 ///
 /// Entry order is meaningful: SGD visits entries in storage order, so
 /// shuffling (see [`crate::shuffle`]) is an explicit, seeded operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
     nrows: u32,
     ncols: u32,

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use mf_sparse::arena::{budget_from_env, parse_bytes, BlockArena, SpillHandle};
+use mf_sparse::arena::{budget_from_env, parse_bytes, ArenaError, BlockArena, SpillHandle};
 use mf_sparse::vfs::RealFs;
 use mf_sparse::{BlockOrder, GridPartition, GridSpec, Rating, SparseMatrix};
 use proptest::prelude::*;
@@ -313,4 +313,40 @@ fn budget_from_env_overrides_default() {
     assert_eq!(budget_from_env(123), 123);
     std::env::remove_var("MF_SPILL_BUDGET");
     assert_eq!(budget_from_env(456), 456);
+}
+
+/// A prelude whose every checksum is valid but whose band counts claim
+/// a 2⁴⁰-entry directory: the open must run dry reading it, not size an
+/// allocation from the header's word.
+#[test]
+fn huge_claimed_directory_is_torn_without_allocating() {
+    use mf_sparse::hash::xxh64;
+    let bands = 1u32 << 20;
+    let mut header = [0u8; 48];
+    header[0..4].copy_from_slice(b"MFCK");
+    header[4..8].copy_from_slice(&3u32.to_le_bytes());
+    header[24..28].copy_from_slice(&bands.to_le_bytes());
+    header[28..32].copy_from_slice(&bands.to_le_bytes());
+    // m = n = nnz = 0, so all-zero cuts are a valid (degenerate) grid.
+    let cuts = vec![0u8; 2 * (bands as usize + 1) * 4];
+    let mut file = Vec::new();
+    file.extend_from_slice(&header);
+    file.extend_from_slice(&xxh64(&header).to_le_bytes());
+    file.extend_from_slice(&cuts);
+    file.extend_from_slice(&xxh64(&cuts).to_le_bytes());
+    let dir = std::env::temp_dir().join(format!("mf_sparse_arena_huge_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.mfcka");
+    std::fs::write(&path, &file).unwrap();
+    let err = BlockArena::open(Arc::new(RealFs), &path).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ArenaError::Torn {
+                section: "directory"
+            }
+        ),
+        "got {err}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -3,14 +3,12 @@
 //! 1. The SoA [`GridPartition`] is **entry-for-entry** equivalent to a
 //!    straightforward AoS reference build (stable bucket-by-block, with
 //!    an optional stable pre-sort by user), for both block orders.
-//! 2. Every parallel pass — CSR/CSC build, grid build, relabel, and the
-//!    chunked shuffle — produces **bit-identical** output for any thread
+//! 2. Every parallel pass — grid build, relabel, and the chunked
+//!    shuffle — produces **bit-identical** output for any thread
 //!    count.
 
 use mf_par::ThreadPool;
-use mf_sparse::{
-    shuffle, BlockOrder, CscView, CsrView, GridPartition, GridSpec, Rating, SparseMatrix,
-};
+use mf_sparse::{shuffle, BlockOrder, GridPartition, GridSpec, Rating, SparseMatrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with shape up to 48x48 and up to 300 entries.
@@ -83,9 +81,6 @@ proptest! {
         // Grid build.
         let grid_ref =
             GridPartition::build_with_order_in(&m, spec.clone(), BlockOrder::UserMajor, &pools[0]);
-        // CSR / CSC.
-        let csr_ref = CsrView::build_in(&m, &pools[0]);
-        let csc_ref = CscView::build_in(&m, &pools[0]);
         // Shuffle.
         let shuf_ref = {
             let mut c = m.clone();
@@ -100,20 +95,6 @@ proptest! {
                 let a: Vec<Rating> = grid_ref.block(id).iter().collect();
                 let b: Vec<Rating> = grid.block(id).iter().collect();
                 prop_assert_eq!(a, b, "grid block {} differs at {} threads", id, pool.threads());
-            }
-            let csr = CsrView::build_in(&m, pool);
-            for u in 0..m.nrows() {
-                prop_assert_eq!(
-                    csr.row(u).collect::<Vec<_>>(),
-                    csr_ref.row(u).collect::<Vec<_>>()
-                );
-            }
-            let csc = CscView::build_in(&m, pool);
-            for v in 0..m.ncols() {
-                prop_assert_eq!(
-                    csc.col(v).collect::<Vec<_>>(),
-                    csc_ref.col(v).collect::<Vec<_>>()
-                );
             }
             let mut shuf = m.clone();
             shuffle::par_shuffle_entries_in(&mut shuf, seed, pool);
@@ -149,7 +130,6 @@ fn large_input_parallel_passes_are_thread_count_invariant() {
 
     let grid_ref =
         GridPartition::build_with_order_in(&m, spec.clone(), BlockOrder::UserMajor, &serial);
-    let csr_ref = CsrView::build_in(&m, &serial);
     let shuf_ref = {
         let mut c = m.clone();
         shuffle::par_shuffle_entries_in(&mut c, 7, &serial);
@@ -173,13 +153,6 @@ fn large_input_parallel_passes_are_thread_count_invariant() {
                 grid.block(id).iter().collect::<Vec<_>>(),
                 grid_ref.block(id).iter().collect::<Vec<_>>(),
                 "block {id} at {threads} threads"
-            );
-        }
-        let csr = CsrView::build_in(&m, &pool);
-        for u in 0..rows {
-            assert!(
-                csr.row(u).eq(csr_ref.row(u)),
-                "row {u} at {threads} threads"
             );
         }
         let mut shuf = m.clone();

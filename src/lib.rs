@@ -18,8 +18,8 @@
 //!   models.
 //! * [`data::preset`] — the Table I benchmark datasets (synthetic
 //!   stand-ins at configurable scale).
-//! * [`sgd`] — the single-resource trainers (sequential, Hogwild, FPSGD
-//!   on real threads, ALS, CCD++).
+//! * [`sgd`] — the single-resource trainers (sequential, FPSGD on real
+//!   threads).
 //! * [`gpu`] — the virtual GPU device used in place of CUDA hardware.
 //! * [`serve`] — the trained model's lifecycle: checksummed `MFCK`
 //!   checkpoints, fold-in for new users/items, batched top-k serving.
@@ -61,10 +61,10 @@ pub use mf_cost as cost;
 /// Deterministic discrete-event simulation core.
 pub use mf_des as des;
 
-/// SGD substrate: model, kernels, trainers, metrics, ALS/CCD++.
+/// SGD substrate: model, kernels, trainers, metrics.
 pub use mf_sgd as sgd;
 
-/// Sparse rating-matrix substrate: COO/CSR, grid partitioning, I/O.
+/// Sparse rating-matrix substrate: COO, grid partitioning, `MFCK` framing, I/O.
 pub use mf_sparse as sparse;
 
 /// The data-pipeline thread pool (deterministic chunked parallelism).
