@@ -20,15 +20,13 @@
 use hsgd_star::hetero::executor::train_with_executor;
 use hsgd_star::hetero::layout::StarLayout;
 use hsgd_star::hetero::runtime::ThreadedExecutor;
-use hsgd_star::hetero::scheduler::StarScheduler;
+use hsgd_star::hetero::scheduler::{StarScheduler, UniformScheduler};
 use hsgd_star::hetero::trainer::run_training;
 use hsgd_star::hetero::{CostModelKind, CpuSpec, DevicePool, HeteroConfig, TrainOutcome};
 use hsgd_star::par::ThreadPool;
 use hsgd_star::serve::checkpoint::write_checkpoint;
 use hsgd_star::serve::delta::{read_delta, write_delta, DeltaMeta};
 use hsgd_star::serve::{Checkpoint, CheckpointMeta, FactorStore, Query};
-use hsgd_star::sgd::fpsgd::{self, FpsgdConfig};
-use hsgd_star::sgd::sequential::TrainConfig;
 use hsgd_star::sgd::simd::{self, SimdLevel};
 use hsgd_star::sgd::{HyperParams, LearningRate, Model};
 use hsgd_star::sparse::arena::BlockArena;
@@ -212,23 +210,34 @@ fn hsgd_star_des_factors_are_pinned() {
     );
 }
 
-/// Single-thread FPSGD: one worker makes the free-block pool's pick
-/// order, and so the update order, a function of the data alone.
-fn fpsgd_model(k: usize) -> Model {
-    let (train, _) = dataset();
-    fpsgd::train(
+/// CPU-Only (the FPSGD policy: a capped `UniformScheduler`) in exclusive
+/// mode on a pool of `threads`: each round's task set, and so the update
+/// order, is a function of the data alone.
+fn cpu_only_model(k: usize, threads: usize) -> Model {
+    let (train, test) = dataset();
+    let cfg = HeteroConfig {
+        hyper: hyper(k),
+        iterations: 3,
+        seed: 7,
+        ..hetero_cfg()
+    };
+    let pool = ThreadPool::new(threads);
+    train_with_executor(
         &train,
-        &FpsgdConfig {
-            train: TrainConfig {
-                hyper: hyper(k),
-                iterations: 3,
-                seed: 7,
-                reshuffle: false,
-            },
-            threads: 1,
-            grid: Some((4, 3)),
+        &test,
+        UniformScheduler::new(GridSpec::uniform(USERS, ITEMS, 4, 3), 3, true),
+        DevicePool {
+            cpu_workers: 1,
+            gpus: vec![],
+            gpu_start: vec![],
         },
+        &cfg,
+        None,
+        "golden/cpu-only",
+        |_, _| {},
+        &mut ThreadedExecutor::with_pool(&pool),
     )
+    .model
 }
 
 #[test]
@@ -240,27 +249,29 @@ fn fpsgd_single_thread_factors_are_pinned() {
         (
             8,
             Pin {
-                scalar: 0x764c_c2af_4575_375e,
-                fused: 0xab77_a27c_22de_09b4,
+                scalar: 0xa7f4_c2f8_6782_046d,
+                fused: 0xd582_5bdd_e5a0_af72,
             },
         ),
         (
             12,
             Pin {
-                scalar: 0x96c9_978e_abc8_3d0b,
-                fused: 0x96c9_978e_abc8_3d0b,
+                scalar: 0xb5c8_2e64_ab9d_d099,
+                fused: 0xb5c8_2e64_ab9d_d099,
             },
         ),
         (
             16,
             Pin {
-                scalar: 0x78cb_66ea_dc64_b197,
-                fused: 0x6884_5133_bacf_2c72,
+                scalar: 0x640d_c072_af92_e2b9,
+                fused: 0xde25_16bd_93cc_cb8a,
             },
         ),
     ];
     for (k, pin) in &PINS {
-        let got = hash_model(&fpsgd_model(*k));
+        let model = cpu_only_model(*k, 1);
+        assert_eq!(model, cpu_only_model(*k, 4), "k={k}: 1 vs 4 pool threads");
+        let got = hash_model(&model);
         assert_eq!(got, pin.expected(), "k={k}: got {got:#018x}");
     }
 }
@@ -268,12 +279,12 @@ fn fpsgd_single_thread_factors_are_pinned() {
 #[test]
 fn checkpoint_bytes_are_pinned() {
     const PIN: Pin = Pin {
-        scalar: 0xad99_19eb_febb_7581,
-        fused: 0x6fc6_f2ad_8856_e4d7,
+        scalar: 0x5d71_7b77_5fa5_91ed,
+        fused: 0x3317_ef0e_0966_8d6f,
     };
     let mut bytes = Vec::new();
     write_checkpoint(
-        &fpsgd_model(16),
+        &cpu_only_model(16, 1),
         CheckpointMeta { seed: 7, epoch: 3 },
         &mut bytes,
     )
@@ -287,11 +298,11 @@ fn checkpoint_bytes_are_pinned() {
     );
 }
 
-/// The epoch after `fpsgd_model(16)`'s: user rows 3 and 4 and item rows
+/// The epoch after `cpu_only_model(16, 1)`'s: user rows 3 and 4 and item rows
 /// 10..13 halved (exact in `f32`), and one new user whose row is built
 /// from integers. Returns the base and the grown model.
 fn delta_fixture() -> (Model, Model) {
-    let base = fpsgd_model(16);
+    let base = cpu_only_model(16, 1);
     let k = base.k();
     let grown_row = (0..k).map(|i| (i as f32 - 8.0) * 0.125);
     let mut next = Model::from_parts(
@@ -313,8 +324,8 @@ fn delta_fixture() -> (Model, Model) {
 #[test]
 fn delta_bytes_are_pinned() {
     const PIN: Pin = Pin {
-        scalar: 0x2731_a302_c91b_fe2f,
-        fused: 0xd33a_5236_da02_dd69,
+        scalar: 0xaac8_aeff_4da4_d6ea,
+        fused: 0xc53f_ba26_860d_d922,
     };
     let (base, next) = delta_fixture();
     let meta = DeltaMeta {
@@ -375,10 +386,10 @@ fn arena_bytes_are_pinned() {
 #[test]
 fn served_top10_is_pinned() {
     const PIN: Pin = Pin {
-        scalar: 0x4aaf_058a_76ae_c643,
-        fused: 0xb172_8dce_ddec_ec21,
+        scalar: 0x6a54_4b7c_f73b_66ec,
+        fused: 0xa376_f14d_9ace_0b6d,
     };
-    let store = FactorStore::new(fpsgd_model(16), 3);
+    let store = FactorStore::new(cpu_only_model(16, 1), 3);
     let queries: Vec<Query> = (0..64).map(|u| Query::top_k(u, 10)).collect();
     let answers = store.sweep_batch(&queries);
     let serial: Vec<_> = queries.iter().map(|q| store.serve_one(q)).collect();
