@@ -55,10 +55,8 @@
 //! the bytes. None of this perturbs exclusive-mode round composition,
 //! so the bit-determinism contract survives spilling unchanged.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::{Condvar, Mutex};
 
 use mf_cost::{balance_alpha, CostModel, ThroughputObserver};
 use mf_des::SimTime;
@@ -82,6 +80,13 @@ pub const GPU_QUEUE_DEPTH: usize = 2;
 /// Samples each device class must accumulate before measured rates are
 /// fed back into the scheduler (relaxed mode).
 pub const FEEDBACK_MIN_SAMPLES: usize = 4;
+
+/// Locks `m`, absorbing poison as `mf-par` does: a thread that panicked
+/// under one of this world's locks is already propagating that panic
+/// through its scope or pool, so the flag carries no extra information.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How a [`ThreadedExecutor`] orders task execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,7 +372,7 @@ unsafe fn run_task(
             Seat::Cpu => None,
             Seat::Gpu(worker) => Some(worker),
             Seat::SharedGpu(device) => {
-                locked = device.lock();
+                locked = lock(device);
                 Some(&mut *locked)
             }
         };
@@ -424,9 +429,10 @@ fn pull(
 /// CPU tasks until nothing conflict-free is left. Depends only on
 /// scheduler state — never on thread timing — which is the heart of the
 /// determinism argument. `gpu_alive[g]` / `cpu_alive` exclude failed
-/// devices from the sweep: health flips between rounds (deterministic
-/// points — failures are applied at release boundaries), so skipping a
-/// dead device here is itself deterministic.
+/// devices, and a CPU class the rig has no workers for, from the sweep:
+/// health flips between rounds (deterministic points — failures are
+/// applied at release boundaries), so skipping a dead device here is
+/// itself deterministic.
 fn sweep_round(
     scheduler: &mut (dyn BlockScheduler + Send),
     part: &GridPartition,
@@ -477,6 +483,7 @@ fn run_exclusive(
     let nblocks = scheduler.spec().block_count() as u64;
     let mut probes = ProbeState::new(nblocks, cfg.target_rmse);
     let mut meter = Meter::new();
+    let has_cpu = dev_pool.cpu_workers > 0;
     let ng = dev_pool.gpus.len();
     let gpu_health: Vec<Arc<HealthCell>> =
         dev_pool.gpus.iter().map(|g| g.health_handle()).collect();
@@ -493,7 +500,8 @@ fn run_exclusive(
         // flip cells from the release path (between rounds), so the alive
         // set is stable and deterministic for the whole sweep.
         let gpu_alive: Vec<bool> = gpu_health.iter().map(|h| !h.is_failed()).collect();
-        let cpu_alive = cpu_health.is_empty() || cpu_health.iter().any(|h| !h.is_failed());
+        let cpu_alive =
+            has_cpu && (cpu_health.is_empty() || cpu_health.iter().any(|h| !h.is_failed()));
         let tasks = sweep_round(scheduler, part, &gpu_alive, cpu_alive);
         if tasks.is_empty() {
             stalled = scheduler.remaining() > 0;
@@ -642,7 +650,7 @@ impl Hub<'_, '_> {
     /// re-checked after the latest release can never be counted against
     /// newly freed work.
     fn acquire(&self, who: WorkerClass, want: usize) -> Vec<Task> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         // This worker's verdict generation (None = no current verdict).
         let mut verdict_at: Option<u64> = None;
         loop {
@@ -675,7 +683,7 @@ impl Hub<'_, '_> {
                     self.cond.notify_all();
                 }
             }
-            self.cond.wait(&mut st);
+            st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -684,7 +692,7 @@ impl Hub<'_, '_> {
     /// window while it still holds executable work — it must never park
     /// with work in hand.
     fn try_acquire(&self, who: WorkerClass, want: usize) -> Vec<Task> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.done || st.scheduler.remaining() == 0 {
             return Vec::new();
         }
@@ -696,12 +704,12 @@ impl Hub<'_, '_> {
 
     fn release(&self, class: WorkerClass, task: &Task, secs: f64) {
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             st.release(class, task, secs);
         }
         // A release frees one row band and one column band, enabling at
         // most a couple of new assignments — baton-pass to one sleeper
-        // (it re-notifies after its own acquire), as in FPSGD.
+        // (it re-notifies after its own acquire).
         self.cond.notify_one();
     }
 
@@ -712,7 +720,7 @@ impl Hub<'_, '_> {
     /// newly assignable, and the survivors' quorum shrank.
     fn retire_failed(&self, tasks: Vec<Task>) {
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             st.inflight -= tasks.len();
             for t in &tasks {
                 st.scheduler.requeue(t);
@@ -955,7 +963,10 @@ fn run_relaxed(ctx: ExecContext<'_>, feedback: bool) -> ExecOutcome {
             }
         });
 
-        let st = hub.state.into_inner();
+        let st = hub
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let ratio = st.scheduler.dynamic_ratio();
         (st.meter, st.stalled, ratio)
     };
@@ -983,8 +994,8 @@ mod tests {
     use super::*;
     use crate::config::{CostModelKind, CpuSpec};
     use crate::layout::{uniform_layout, StarLayout};
-    use crate::scheduler::{StarScheduler, UniformScheduler};
-    use mf_sgd::{eval, HyperParams};
+    use crate::scheduler::{StarScheduler, UniformScheduler, SOFT_CAP_SLACK};
+    use mf_sgd::{eval, HyperParams, Model};
     use mf_sparse::Rating;
 
     fn low_rank_data(m: u32, n: u32, seed: u64) -> (SparseMatrix, SparseMatrix) {
@@ -1064,6 +1075,13 @@ mod tests {
             "CPU-Only/real",
         );
         assert_eq!(out.report.total_passes, 20 * 40);
+        // The soft cap: the budget is exact, the per-block count bounded.
+        let counts = &out.report.update_counts;
+        assert_eq!(counts.iter().map(|&c| c as u64).sum::<u64>(), 20 * 40);
+        assert!(
+            counts.iter().all(|&c| c <= 40 + SOFT_CAP_SLACK),
+            "{counts:?}"
+        );
         assert!(
             out.report.final_test_rmse < 0.3,
             "rmse {}",
@@ -1077,6 +1095,38 @@ mod tests {
         assert!(measured.gpu_points_per_sec.is_none());
         // RMSE must match an independent evaluation of the returned model.
         assert_eq!(out.report.final_test_rmse, eval::rmse(&out.model, &test));
+    }
+
+    #[test]
+    fn zero_iterations_return_the_initial_model_in_both_modes() {
+        let (train, test) = low_rank_data(24, 24, 12);
+        let cfg = test_cfg(0);
+        let init = Model::init_for_ratings(24, 24, cfg.hyper.k, cfg.seed, train.mean_rating());
+        for mode in [ExecMode::Exclusive, ExecMode::Relaxed] {
+            let sched = UniformScheduler::new(uniform_layout(&train, 3, 3), 0, true);
+            let out =
+                run_training_real(&train, &test, sched, cpu_pool(2), &cfg, mode, None, "zero");
+            assert_eq!(out.report.total_passes, 0, "{mode:?}");
+            assert_eq!(out.model, init, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn gpu_only_rig_gets_no_cpu_work_in_either_mode() {
+        let (train, test) = low_rank_data(40, 40, 13);
+        let cfg = test_cfg(3);
+        for mode in [ExecMode::Exclusive, ExecMode::Relaxed] {
+            let sched = UniformScheduler::new(uniform_layout(&train, 4, 4), cfg.iterations, true);
+            let pool = DevicePool {
+                cpu_workers: 0,
+                gpus: vec![GpuWorker::new(cfg.gpu)],
+                gpu_start: vec![],
+            };
+            let out = run_training_real(&train, &test, sched, pool, &cfg, mode, None, "gpu-only");
+            assert_eq!(out.report.cpu_points, 0, "{mode:?}");
+            assert!(out.report.measured.unwrap().cpu_points_per_sec.is_none());
+            assert_eq!(out.report.total_passes, 16 * 3, "{mode:?}");
+        }
     }
 
     #[test]
@@ -1105,6 +1155,12 @@ mod tests {
         let four = run_with(4);
         assert_eq!(one.model, two.model, "1 vs 2 workers must agree bitwise");
         assert_eq!(one.model, four.model, "1 vs 4 workers must agree bitwise");
+        let counts = &one.report.update_counts;
+        assert_eq!(counts.iter().map(|&c| c as u64).sum::<u64>(), 20 * 6);
+        assert!(
+            counts.iter().all(|&c| c <= 6 + SOFT_CAP_SLACK),
+            "{counts:?}"
+        );
         // The probe series is identical too (same boundaries, same model
         // states) up to timestamps.
         let strip = |o: &TrainOutcome| -> Vec<f64> {
@@ -1353,9 +1409,9 @@ mod tests {
                 None,
                 "nested",
             );
-            results.lock().push(out.report.total_passes);
+            lock(&results).push(out.report.total_passes);
         });
-        let results = results.into_inner();
+        let results = results.into_inner().unwrap();
         assert_eq!(results, vec![9 * 2, 9 * 2]);
     }
 
@@ -1368,8 +1424,11 @@ mod tests {
         let (train, test) = low_rank_data(40, 40, 8);
         let cfg = test_cfg(2);
         let total = Mutex::new(Vec::new());
+        // The partition build and RMSE probes use the global pool: start
+        // its workers now so they are not counted against the run.
+        ThreadPool::global();
         pool.run_indexed(2, |_| {
-            let before = thread_count();
+            let before = thread_ids();
             let layout = StarLayout::build(&train, 2, 1, 0.5);
             let blocks = layout.spec.block_count() as u64;
             let sched = StarScheduler::new(layout, cfg.iterations, true);
@@ -1387,21 +1446,22 @@ mod tests {
                 None,
                 "nested-hetero",
             );
-            assert_eq!(
-                thread_count(),
-                before,
-                "nested relaxed run must not spawn any thread"
-            );
+            // Other tests in this process start and stop threads of their
+            // own, so compare thread ids, not counts.
+            let new: Vec<_> = thread_ids().difference(&before).cloned().collect();
+            assert!(new.is_empty(), "nested relaxed run spawned {new:?}");
             assert!(out.report.gpu_points > 0, "inline loop must serve GPUs");
-            total.lock().push((out.report.total_passes, blocks));
+            lock(&total).push((out.report.total_passes, blocks));
         });
-        for (passes, blocks) in total.into_inner() {
+        for (passes, blocks) in total.into_inner().unwrap() {
             assert_eq!(passes, blocks * cfg.iterations as u64);
         }
     }
 
-    /// Live threads of this process (Linux procfs; fine for tests).
-    fn thread_count() -> usize {
-        std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+    /// Ids of this process's live threads (Linux procfs; fine for tests).
+    fn thread_ids() -> std::collections::HashSet<std::ffi::OsString> {
+        std::fs::read_dir("/proc/self/task")
+            .map(|d| d.filter_map(|e| Some(e.ok()?.file_name())).collect())
+            .unwrap_or_default()
     }
 }

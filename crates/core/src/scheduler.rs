@@ -27,10 +27,12 @@ use crate::layout::StarLayout;
 /// Slack allowed above the per-block pass target. An *exact* cap
 /// level-synchronizes the run: the last pass level drains with ever fewer
 /// eligible blocks, chained by row/column conflicts, and measured time
-/// balloons by 2-3× while workers idle. A slack of two passes keeps the
-/// count distribution essentially uniform (max spread ±2 around the
-/// target; contrast HSGD's unbounded skew in Example 3) while letting
-/// every worker stay busy until the global budget is spent.
+/// balloons by 2-3× while workers idle. A slack of two passes bounds the
+/// maximum at target + 2 while letting every worker stay busy until the
+/// global budget is spent. It bounds nothing below: the budget is global,
+/// so the passes some blocks take above the target leave others short of
+/// it, and free-running workers drift further than exclusive rounds.
+/// Contrast HSGD's unbounded skew in Example 3.
 pub const SOFT_CAP_SLACK: u32 = 2;
 
 /// Who is asking for work.
@@ -195,13 +197,14 @@ fn task_from_blocks(
 // Uniform scheduler (CPU-Only / GPU-Only / HSGD)
 // ---------------------------------------------------------------------------
 
-/// FPSGD-style scheduling over a uniform grid.
+/// FPSGD-style scheduling over a uniform grid — the paper's CPU-Only
+/// baseline on either execution world.
 ///
-/// Selection is delegated to a [`FreeBlockPool`], so each `next_task` is
-/// amortized O(log B) rather than a full O(rows × cols) grid scan; the
-/// policy (least count, row-major tie-break, per-block soft cap) is
-/// bit-identical to the exhaustive scan it replaced — the pool tests
-/// cross-check against that oracle.
+/// Selection is delegated to a [`FreeBlockPool`]: grids of at most
+/// [`mf_sparse::pool::SCAN_MAX_BLOCKS`] blocks take its linear scan,
+/// larger ones its two-level heap (amortized O(log B)). The policy (least
+/// count, row-major tie-break, per-block soft cap) is the same either way
+/// — the pool tests cross-check the heap against the scan.
 #[derive(Debug, Clone)]
 pub struct UniformScheduler {
     spec: GridSpec,
@@ -216,7 +219,7 @@ pub struct UniformScheduler {
 
 impl UniformScheduler {
     /// Creates the scheduler. Total work is `blocks × iterations` passes;
-    /// `cap_per_block` selects the exact-count discipline.
+    /// `cap_per_block` caps each block at `iterations + SOFT_CAP_SLACK`.
     pub fn new(spec: GridSpec, iterations: u32, cap_per_block: bool) -> UniformScheduler {
         let blocks = spec.block_count();
         UniformScheduler {

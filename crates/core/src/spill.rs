@@ -35,10 +35,8 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use parking_lot::Mutex;
 
 use mf_des::SimTime;
 use mf_sgd::{HyperParams, Model};
@@ -49,7 +47,7 @@ use crate::executor::{
     train_with_executor_on, Device, DeviceCompletion, DeviceHealth, DevicePool, HealthCell,
     TrainOutcome,
 };
-use crate::runtime::{ExecMode, ThreadedExecutor};
+use crate::runtime::{lock, ExecMode, ThreadedExecutor};
 use crate::scheduler::{BlockScheduler, Task};
 use crate::trainer::{DeviceWrapper, VirtualExecutor};
 
@@ -116,7 +114,7 @@ impl IoTimeline {
     /// Reserves `secs` of disk time starting no earlier than `now`;
     /// returns the completion instant.
     fn reserve(&self, now: SimTime, secs: f64) -> SimTime {
-        let mut st = self.0.lock();
+        let mut st = lock(&self.0);
         let start = if st.free > now { st.free } else { now };
         let done = start + SimTime::from_secs(secs);
         st.free = done;
@@ -126,7 +124,7 @@ impl IoTimeline {
 
     /// Total modeled seconds the disk spent reading.
     pub fn busy_secs(&self) -> f64 {
-        self.0.lock().busy_secs
+        lock(&self.0).busy_secs
     }
 }
 
@@ -289,7 +287,7 @@ impl Prefetcher {
     /// when the window is full.
     pub fn feed(&self, flats: Vec<usize>) {
         if let Some(tx) = &self.tx {
-            match tx.lock().try_send(flats) {
+            match lock(tx).try_send(flats) {
                 Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {}
             }
         }

@@ -1,7 +1,9 @@
 //! End-to-end adversarial runs: generated seeds and the committed
 //! regression corpus, replayed through both execution worlds.
 
-use mf_fuzz::{fuzz_seed, run_io_script, run_script, shrink, Event, IoScript, Script, World};
+use mf_fuzz::{
+    fuzz_seed, run_io_script, run_script, shrink, Event, IoScript, IoSubject, Script, World,
+};
 
 /// Pinned seeds exercised in both worlds on every test run. The
 /// `fuzz_smoke` bench binary covers a much wider random batch.
@@ -134,6 +136,7 @@ fn corpus_scripts_replay_green_in_both_worlds() {
         .collect();
     entries.sort();
     assert!(!entries.is_empty(), "fuzz corpus is empty");
+    let mut io_scripts = 0;
     for path in entries {
         let text = std::fs::read_to_string(&path).expect("readable script");
         // Dispatch on the magic line: storage-lifecycle scripts replay
@@ -143,9 +146,15 @@ fn corpus_scripts_replay_green_in_both_worlds() {
             let script: IoScript = text
                 .parse()
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            if let Err(f) = run_io_script(&script) {
-                panic!("{} failed the durability harness:\n{f}", path.display());
-            }
+            let stats = run_io_script(&script).unwrap_or_else(|f| {
+                panic!("{} failed the durability harness:\n{f}", path.display())
+            });
+            let exercised = match script.subject {
+                IoSubject::Lifecycle => stats.crashed || stats.recovered_epoch.is_some(),
+                IoSubject::Arena => stats.crashed || stats.acked_epochs < stats.epochs_run,
+            };
+            assert!(exercised, "{}: scenario exercised nothing", path.display());
+            io_scripts += 1;
             continue;
         }
         let script: Script = text
@@ -157,4 +166,8 @@ fn corpus_scripts_replay_green_in_both_worlds() {
             }
         }
     }
+    assert!(
+        io_scripts >= 3,
+        "expected ≥ 3 committed lifecycle scenarios, found {io_scripts}"
+    );
 }

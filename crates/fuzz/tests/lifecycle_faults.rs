@@ -1,55 +1,12 @@
-//! The fault-injected durability suite: committed lifecycle scenarios,
-//! a batch of fresh generated ones, and a negative test proving the
-//! harness actually detects silent corruption.
+//! The fault-injected durability suite: a batch of fresh generated
+//! scenarios and a negative test proving the harness actually detects
+//! silent corruption. The committed scenarios replay in `adversarial.rs`
+//! with the rest of the corpus.
 
 use mf_fuzz::{
     fuzz_io_seed, probe_offsets, run_io_script, run_io_script_with, shrink_io, IoEvent, IoOptions,
     IoScript, IoSubject,
 };
-
-fn corpus_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_corpus")
-}
-
-/// Every committed IO scenario (`hsgd-fuzz io v1` magic) replays green.
-#[test]
-fn corpus_lifecycle_scripts_replay_green() {
-    let mut seen = 0;
-    let mut paths: Vec<_> = std::fs::read_dir(corpus_dir())
-        .expect("corpus dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "fz"))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let text = std::fs::read_to_string(&path).expect("read corpus file");
-        if text.lines().next().map(str::trim) != Some(IoScript::MAGIC) {
-            continue; // a scheduler script; fuzz_smoke covers it
-        }
-        let name = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .into_owned();
-        let script: IoScript = text.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
-        let stats = run_io_script(&script).unwrap_or_else(|f| panic!("{name}: {f}"));
-        match script.subject {
-            IoSubject::Lifecycle => assert!(
-                stats.crashed || stats.recovered_epoch.is_some(),
-                "{name}: scenario exercised nothing"
-            ),
-            IoSubject::Arena => assert!(
-                stats.crashed || stats.acked_epochs < stats.epochs_run,
-                "{name}: arena scenario exercised nothing"
-            ),
-        }
-        seen += 1;
-    }
-    assert!(
-        seen >= 3,
-        "expected ≥ 3 committed lifecycle scenarios, found {seen}"
-    );
-}
 
 /// Freshly generated hostile scenarios hold the durability contract.
 #[test]

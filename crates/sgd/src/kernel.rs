@@ -1,7 +1,7 @@
 //! The inner SGD update (paper Eq. 3–6).
 //!
 //! This is the hottest code in the workspace: every trainer — sequential,
-//! FPSGD, the simulated GPU — funnels through [`sgd_step`]. Two
+//! the CPU block workers, the simulated GPU — funnels through [`sgd_step`]. Two
 //! implementations exist behind one dispatching front door:
 //!
 //! * **Monomorphized kernels** for the common latent dimensions

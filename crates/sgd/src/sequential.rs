@@ -6,7 +6,7 @@ use crate::hyper::HyperParams;
 use crate::kernel;
 use crate::model::Model;
 
-/// Configuration shared by the CPU trainers.
+/// Configuration of the sequential trainer.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Factorization hyper-parameters.

@@ -32,10 +32,8 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::frame::{FrameError, FrameReader, FrameWriter, Header, HEADER_LEN};
 use crate::grid::{GridPartition, GridSpec};
@@ -498,6 +496,14 @@ impl BlockCache {
         }
     }
 
+    /// The cache state. Poison is absorbed, as in `mf-par`: the panics
+    /// under this lock (an unpin without a pin, an evict of a pinned
+    /// block) fire before any mutation and are already unwinding through
+    /// their caller, so the flag carries no extra information.
+    fn state(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Acquires block `flat` **pinned**: a hit refreshes its LRU
     /// position, a miss runs `load` (under the cache lock — loads are
     /// serialized, which is exactly the one-IO-lane discipline the
@@ -509,7 +515,7 @@ impl BlockCache {
         flat: usize,
         load: impl FnOnce() -> Result<BlockBuf, ArenaError>,
     ) -> Result<Arc<BlockBuf>, ArenaError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.state();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(e) = inner.resident.get_mut(&flat) {
@@ -551,7 +557,7 @@ impl BlockCache {
     /// Panics if the block is not resident or not pinned — an unpin
     /// without a matching pin is an executor bug.
     pub fn release(&self, flat: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.state();
         let e = inner
             .resident
             .get_mut(&flat)
@@ -580,7 +586,7 @@ impl BlockCache {
     /// Panics if the block is pinned — **pin-while-in-flight**: a
     /// dispatched block can never be evicted.
     pub fn evict(&self, flat: usize) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.state();
         match inner.resident.get(&flat) {
             None => false,
             Some(e) => {
@@ -617,23 +623,22 @@ impl BlockCache {
 
     /// Whether block `flat` is currently resident.
     pub fn is_resident(&self, flat: usize) -> bool {
-        self.inner.lock().resident.contains_key(&flat)
+        self.state().resident.contains_key(&flat)
     }
 
     /// Pins currently held on block `flat` (0 when absent).
     pub fn pin_count(&self, flat: usize) -> u32 {
-        self.inner.lock().resident.get(&flat).map_or(0, |e| e.pins)
+        self.state().resident.get(&flat).map_or(0, |e| e.pins)
     }
 
     /// Exact resident bytes (pinned included).
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().used
+        self.state().used
     }
 
     /// Bytes of currently pinned blocks.
     pub fn pinned_bytes(&self) -> usize {
-        self.inner
-            .lock()
+        self.state()
             .resident
             .values()
             .filter(|e| e.pins > 0)
@@ -644,7 +649,7 @@ impl BlockCache {
     /// Snapshot of the counters.
     pub fn counters(&self) -> SpillCounters {
         let (resident, pinned) = {
-            let inner = self.inner.lock();
+            let inner = self.state();
             (
                 inner.used as u64,
                 inner
@@ -766,7 +771,7 @@ impl SpillHandle {
     /// before the borrow ends would let a concurrent eviction free the
     /// buffers; that is the one obligation the type system cannot see.
     pub(crate) unsafe fn pinned_slices(&self, flat: usize) -> BlockSlices<'_> {
-        let inner = self.0.cache.inner.lock();
+        let inner = self.0.cache.state();
         let e = inner.resident.get(&flat).unwrap_or_else(|| {
             panic!("spilled block {flat} accessed while not resident — pin it first")
         });

@@ -18,8 +18,8 @@
 //!   models.
 //! * [`data::preset`] — the Table I benchmark datasets (synthetic
 //!   stand-ins at configurable scale).
-//! * [`sgd`] — the single-resource trainers (sequential, FPSGD on real
-//!   threads).
+//! * [`sgd`] — the factor model, SGD kernels, evaluation, and the
+//!   sequential Algorithm 1 trainer.
 //! * [`gpu`] — the virtual GPU device used in place of CUDA hardware.
 //! * [`serve`] — the trained model's lifecycle: checksummed `MFCK`
 //!   checkpoints, fold-in for new users/items, batched top-k serving.

@@ -2,8 +2,12 @@
 //! exercised end to end through the public facade API.
 
 use hsgd_star::data::{generator, preset, GeneratorConfig, PresetName};
-use hsgd_star::hetero::{experiments, Algorithm, CpuSpec, HeteroConfig};
-use hsgd_star::sgd::{eval, HyperParams, LearningRate};
+use hsgd_star::hetero::scheduler::UniformScheduler;
+use hsgd_star::hetero::{
+    experiments, run_training_real, Algorithm, CpuSpec, DevicePool, ExecMode, HeteroConfig,
+};
+use hsgd_star::sgd::{HyperParams, LearningRate};
+use hsgd_star::sparse::GridSpec;
 
 const DEV_SCALE: f64 = 100.0;
 
@@ -179,8 +183,8 @@ fn presets_train_end_to_end_on_all_four_datasets() {
 
 #[test]
 fn single_resource_trainers_agree_with_hetero_quality() {
-    // The real-thread CPU substrate (FPSGD) and the virtual-time pipeline
-    // train to comparable quality on the same data.
+    // CPU-Only on free-running real threads and the virtual-time
+    // pipeline train to comparable quality on the same data.
     let ds = generator::generate(&GeneratorConfig {
         name: "itest-small".into(),
         num_users: 400,
@@ -202,38 +206,39 @@ fn single_resource_trainers_agree_with_hetero_quality() {
         gamma: 0.02,
         schedule: LearningRate::Fixed,
     };
-    let fpsgd_model = hsgd_star::sgd::fpsgd::train(
-        &ds.train,
-        &hsgd_star::sgd::fpsgd::FpsgdConfig {
-            train: hsgd_star::sgd::sequential::TrainConfig {
-                hyper,
-                iterations: 25,
-                seed: 2,
-                reshuffle: true,
-            },
-            threads: 4,
-            grid: None,
-        },
-    );
     let mut cfg = rig(8, 25);
     cfg.hyper = hyper;
     cfg.nc = 4;
+    let cpu = run_training_real(
+        &ds.train,
+        &ds.test,
+        UniformScheduler::new(GridSpec::uniform(400, 300, 5, 4), 25, true),
+        DevicePool {
+            cpu_workers: 4,
+            gpus: vec![],
+            gpu_start: vec![],
+        },
+        &cfg,
+        ExecMode::Relaxed,
+        None,
+        "CPU-Only/real",
+    );
     let hetero = experiments::run(Algorithm::HsgdStar, &ds.train, &ds.test, &cfg);
-    let rmse_fpsgd = eval::rmse(&fpsgd_model, &ds.test);
+    let rmse_cpu = cpu.report.final_test_rmse;
     let rmse_hetero = hetero.report.final_test_rmse;
-    // FPSGD runs on real threads, so its trajectory depends on OS
-    // scheduling: on an oversubscribed single-core host its final RMSE
-    // drifts by a few hundredths (observed 0.42–0.47 against 0.376 from
-    // the deterministic virtual-time pipeline). Allow that jitter, and
-    // separately pin both trainers near the generator's noise floor so a
-    // genuinely broken trainer still fails.
+    // Free-running workers' trajectory depends on OS scheduling: on an
+    // oversubscribed host the final RMSE drifts by a few hundredths
+    // (observed 0.36–0.45 against 0.373 from the deterministic
+    // virtual-time pipeline). Allow that jitter, and separately pin both
+    // trainers near the generator's noise floor so a genuinely broken
+    // trainer still fails.
     assert!(
-        (rmse_fpsgd - rmse_hetero).abs() < 0.15,
-        "fpsgd {rmse_fpsgd:.3} vs hetero {rmse_hetero:.3}"
+        (rmse_cpu - rmse_hetero).abs() < 0.15,
+        "CPU-Only {rmse_cpu:.3} vs hetero {rmse_hetero:.3}"
     );
     let ceiling = 1.8 * ds.noise_std as f64;
     assert!(
-        rmse_fpsgd < ceiling && rmse_hetero < ceiling,
-        "quality far above the noise floor: fpsgd {rmse_fpsgd:.3}, hetero {rmse_hetero:.3}"
+        rmse_cpu < ceiling && rmse_hetero < ceiling,
+        "quality far above the noise floor: CPU-Only {rmse_cpu:.3}, hetero {rmse_hetero:.3}"
     );
 }
