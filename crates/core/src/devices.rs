@@ -1,15 +1,17 @@
 //! Virtual devices: CPU workers and the GPU adapter.
 //!
 //! Both execute *real* SGD arithmetic on the shared model; only durations
-//! are modeled. CPU workers process a task's blocks in storage order at
-//! the flat Observation-2 throughput; GPU workers delegate to
+//! are modeled. Both seats run mf-sgd's one SoA block loop
+//! ([`SharedModel::sgd_block_exclusive`]), as the real-thread seats do.
+//! CPU workers run a task's blocks in storage order and charge the flat
+//! Observation-2 throughput; GPU workers delegate to
 //! [`gpu_sim::GpuDevice`], which accounts PCIe transfers and the 3-stream
-//! pipeline and runs the SIMT kernel.
+//! pipeline and runs the SIMT kernel (the same loop, in lane order).
 
 use std::sync::Arc;
 
 use mf_des::SimTime;
-use mf_sgd::{kernel, HyperParams, Model, SharedModel};
+use mf_sgd::{HyperParams, Model, SharedModel};
 use mf_sparse::GridPartition;
 
 use crate::config::CpuSpec;
@@ -45,7 +47,8 @@ pub struct CpuWorker {
 }
 
 impl CpuWorker {
-    /// Executes `task` on `model`, returning `(duration, Σ err²)`.
+    /// Executes `task` on `model`, returning `(duration, Σ err²)`; the
+    /// squared errors are summed per block, then across blocks.
     pub fn process(
         &self,
         model: &mut Model,
@@ -54,13 +57,14 @@ impl CpuWorker {
         gamma: f32,
         hyper: &HyperParams,
     ) -> (SimTime, f64) {
+        let shared = SharedModel::new(model);
         let mut sq = 0f64;
         for &b in &task.blocks {
-            for e in part.block(b).iter() {
-                let (p, q) = model.pq_rows_mut(e.u, e.v);
-                let err = kernel::sgd_step(p, q, e.r, gamma, hyper.lambda_p, hyper.lambda_q);
-                sq += (err as f64) * (err as f64);
-            }
+            // SAFETY: `model` is exclusively borrowed for the whole call,
+            // so no other thread can touch any factor row.
+            sq += unsafe {
+                shared.sgd_block_exclusive(part.block(b), gamma, hyper.lambda_p, hyper.lambda_q)
+            };
         }
         let secs = self.spec.time_secs(task.points) * jitter_factor(task, 0x0c9, TIME_JITTER);
         (SimTime::from_secs(secs), sq)
@@ -285,6 +289,46 @@ mod tests {
         let expect = CpuSpec::default().time_secs(task.points);
         let rel = (dur.as_secs() - expect).abs() / expect;
         assert!(rel <= TIME_JITTER + 1e-12, "duration off by {rel:.4}");
+    }
+
+    #[test]
+    fn cpu_worker_matches_per_rating_steps_bitwise() {
+        // A two-block task through the block loop equals stepping every
+        // rating in storage order, on the scalar fallback (k = 4), the lean
+        // loop (8) and the prefetching loop (16). Pairs repeat inside each
+        // block, so order shows in the bits.
+        let (_, part, mut task) = setup();
+        task.blocks.push(BlockId::new(0, 1));
+        task.points += part.block_len(BlockId::new(0, 1));
+        let hyper = mf_sgd::HyperParams::movielens(4);
+        let worker = CpuWorker {
+            spec: CpuSpec::default(),
+        };
+        for k in [4usize, 8, 16] {
+            let mut model = Model::init(8, 8, k, 1);
+            let mut oracle = model.clone();
+            let (_, sq) = worker.process(&mut model, &part, &task, 0.01, &hyper);
+            let mut sq_oracle = 0f64;
+            for &b in &task.blocks {
+                let mut block_sq = 0f64;
+                for e in part.block(b).iter() {
+                    let (p, q) = oracle.pq_rows_mut(e.u, e.v);
+                    let err =
+                        mf_sgd::kernel::sgd_step(p, q, e.r, 0.01, hyper.lambda_p, hyper.lambda_q);
+                    block_sq += (err as f64) * (err as f64);
+                }
+                sq_oracle += block_sq;
+            }
+            let bits = |m: &Model| -> Vec<u32> {
+                m.p_raw()
+                    .iter()
+                    .chain(m.q_raw())
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(sq.to_bits(), sq_oracle.to_bits(), "k={k}: Σ err²");
+            assert_eq!(bits(&model), bits(&oracle), "k={k}: factors");
+        }
     }
 
     #[test]

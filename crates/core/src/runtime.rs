@@ -654,7 +654,10 @@ impl Hub<'_, '_> {
         // This worker's verdict generation (None = no current verdict).
         let mut verdict_at: Option<u64> = None;
         loop {
-            if st.done || st.scheduler.remaining() == 0 {
+            // Drained means nothing unassigned *and* nothing in flight: a
+            // worker whose device fails requeues its unstarted window, and
+            // a survivor must still be here to take it.
+            if st.done || (st.scheduler.remaining() == 0 && st.inflight == 0) {
                 st.done = true;
                 self.cond.notify_all();
                 return Vec::new();
@@ -1223,13 +1226,18 @@ mod tests {
             Some(0.5),
             "HSGD*/real",
         );
-        assert_eq!(
-            out.report.total_passes as usize,
-            out.report.update_counts.len() * 3
-        );
         // Which class processed how much depends on thread timing (that
         // is what "relaxed" means); the budget being fully drained does
-        // not.
+        // not. Drained means at least the budget: when a CPU steal has
+        // left fewer passes than a GPU group holds, the group's slack
+        // passes overdraw it (`StarScheduler`'s signed budgets), and only
+        // some interleavings reach that state.
+        assert!(out.report.total_passes as usize >= out.report.update_counts.len() * 3);
+        assert!(out
+            .report
+            .update_counts
+            .iter()
+            .all(|&c| c <= 3 + SOFT_CAP_SLACK));
         assert!(out.report.cpu_points + out.report.gpu_points > 0);
         let m = out.report.measured.unwrap();
         // Feedback replaced the configured ratio with the measured one
@@ -1423,39 +1431,49 @@ mod tests {
         let pool = ThreadPool::new(2);
         let (train, test) = low_rank_data(40, 40, 8);
         let cfg = test_cfg(2);
-        let total = Mutex::new(Vec::new());
         // The partition build and RMSE probes use the global pool: start
         // its workers now so they are not counted against the run.
         ThreadPool::global();
-        pool.run_indexed(2, |_| {
-            let before = thread_ids();
-            let layout = StarLayout::build(&train, 2, 1, 0.5);
-            let blocks = layout.spec.block_count() as u64;
-            let sched = StarScheduler::new(layout, cfg.iterations, true);
-            let out = run_training_real(
-                &train,
-                &test,
-                sched,
-                DevicePool {
-                    cpu_workers: 4,
-                    gpus: vec![GpuWorker::new(cfg.gpu)],
-                    gpu_start: vec![],
-                },
-                &cfg,
-                ExecMode::Relaxed,
-                None,
-                "nested-hetero",
-            );
-            // Other tests in this process start and stop threads of their
-            // own, so compare thread ids, not counts.
-            let new: Vec<_> = thread_ids().difference(&before).cloned().collect();
-            assert!(new.is_empty(), "nested relaxed run spawned {new:?}");
-            assert!(out.report.gpu_points > 0, "inline loop must serve GPUs");
-            lock(&total).push((out.report.total_passes, blocks));
-        });
-        for (passes, blocks) in total.into_inner().unwrap() {
-            assert_eq!(passes, blocks * cfg.iterations as u64);
+        // Other tests in this process start and stop threads of their own,
+        // so compare thread ids, not counts — and retry, since a test
+        // running beside this one can start a thread inside the window.
+        // A nested run that spawns does so on every attempt.
+        let mut spawned = Vec::new();
+        for _ in 0..5 {
+            let total = Mutex::new(Vec::new());
+            pool.run_indexed(2, |_| {
+                let before = thread_ids();
+                let layout = StarLayout::build(&train, 2, 1, 0.5);
+                let blocks = layout.spec.block_count() as u64;
+                let sched = StarScheduler::new(layout, cfg.iterations, true);
+                let out = run_training_real(
+                    &train,
+                    &test,
+                    sched,
+                    DevicePool {
+                        cpu_workers: 4,
+                        gpus: vec![GpuWorker::new(cfg.gpu)],
+                        gpu_start: vec![],
+                    },
+                    &cfg,
+                    ExecMode::Relaxed,
+                    None,
+                    "nested-hetero",
+                );
+                let new: Vec<_> = thread_ids().difference(&before).cloned().collect();
+                assert!(out.report.gpu_points > 0, "inline loop must serve GPUs");
+                lock(&total).push((new, out.report.total_passes, blocks));
+            });
+            spawned.clear();
+            for (new, passes, blocks) in total.into_inner().unwrap() {
+                assert_eq!(passes, blocks * cfg.iterations as u64);
+                spawned.extend(new);
+            }
+            if spawned.is_empty() {
+                break;
+            }
         }
+        assert!(spawned.is_empty(), "nested relaxed run spawned {spawned:?}");
     }
 
     /// Ids of this process's live threads (Linux procfs; fine for tests).
