@@ -57,11 +57,21 @@ impl CpuWorker {
         gamma: f32,
         hyper: &HyperParams,
     ) -> (SimTime, f64) {
+        assert!(
+            part.nrows() <= model.nrows() && part.ncols() <= model.ncols(),
+            "partition ({}×{}) exceeds model ({}×{})",
+            part.nrows(),
+            part.ncols(),
+            model.nrows(),
+            model.ncols()
+        );
         let shared = SharedModel::new(model);
         let mut sq = 0f64;
         for &b in &task.blocks {
-            // SAFETY: `model` is exclusively borrowed for the whole call,
-            // so no other thread can touch any factor row.
+            // SAFETY: every rating of `part` indexes below its dimensions,
+            // which the assert above bounds by the model's, so each factor
+            // row is in bounds; `model` is exclusively borrowed for the
+            // whole call, so no other thread can touch any factor row.
             sq += unsafe {
                 shared.sgd_block_exclusive(part.block(b), gamma, hyper.lambda_p, hyper.lambda_q)
             };
@@ -289,6 +299,18 @@ mod tests {
         let expect = CpuSpec::default().time_secs(task.points);
         let rel = (dur.as_secs() - expect).abs() / expect;
         assert!(rel <= TIME_JITTER + 1e-12, "duration off by {rel:.4}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds model")]
+    fn cpu_worker_rejects_partition_larger_than_model() {
+        let (_, part, task) = setup();
+        let worker = CpuWorker {
+            spec: CpuSpec::default(),
+        };
+        let hyper = mf_sgd::HyperParams::movielens(4);
+        let mut model = Model::init(8, 4, 4, 1);
+        worker.process(&mut model, &part, &task, 0.01, &hyper);
     }
 
     #[test]
