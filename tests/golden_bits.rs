@@ -26,7 +26,7 @@ use hsgd_star::hetero::{CostModelKind, CpuSpec, DevicePool, HeteroConfig, TrainO
 use hsgd_star::par::ThreadPool;
 use hsgd_star::serve::checkpoint::write_checkpoint;
 use hsgd_star::serve::delta::{read_delta, write_delta, DeltaMeta};
-use hsgd_star::serve::{Checkpoint, CheckpointMeta, FactorStore, Query};
+use hsgd_star::serve::{Checkpoint, CheckpointMeta, FactorStore, LiveConfig, LiveTrainer, Query};
 use hsgd_star::sgd::simd::{self, SimdLevel};
 use hsgd_star::sgd::{HyperParams, LearningRate, Model};
 use hsgd_star::sparse::arena::BlockArena;
@@ -403,4 +403,169 @@ fn served_top10_is_pinned() {
         }
     }
     assert_eq!(h.digest(), PIN.expected(), "got {:#018x}", h.digest());
+}
+
+const LIVE_USERS: u32 = 40;
+const LIVE_ITEMS: u32 = 30;
+
+/// The live loop's starting model: `LIVE_USERS × LIVE_ITEMS` at k = 8,
+/// every entry a multiple of 1/128 in `[0, 0.5)`.
+fn live_base() -> Model {
+    let k = 8;
+    let cell = |i: u32| ((i * 37 + 11) % 64) as f32 / 128.0;
+    Model::from_parts(
+        LIVE_USERS,
+        LIVE_ITEMS,
+        k as usize,
+        (0..LIVE_USERS * k).map(cell).collect(),
+        (0..LIVE_ITEMS * k).map(|i| cell(i + 5)).collect(),
+    )
+}
+
+/// Epoch `epoch`'s ratings against a model of `m` users and `n` items:
+/// 48 over known ids, and in epochs 1, 3 and 4 ten more naming four new
+/// users and four new items, spread through the batch out of id order.
+/// User `m + 1` rates only new items, item `n + 1` is rated only by a
+/// new user, and user `m + 2` and item `n + 2` are gaps no rating names.
+/// Epoch 5 is empty.
+fn live_events(epoch: u32, m: u32, n: u32) -> Vec<(u32, u32, f32)> {
+    if epoch == 5 {
+        return Vec::new();
+    }
+    let r = |i: u32| 1.0 + ((i * 5 + epoch) % 9) as f32 * 0.5;
+    let fresh = match epoch {
+        1 | 3 | 4 => vec![
+            (m + 3, 2, r(1)),
+            (m + 1, n + 1, r(2)),
+            (7, n, r(3)),
+            (m, 4, r(4)),
+            (m + 1, n + 3, r(5)),
+            (m, n, r(6)),
+            (3, n + 3, r(7)),
+            (m + 3, 9, r(8)),
+            (m, 11, r(9)),
+            (12, n, r(10)),
+        ],
+        _ => Vec::new(),
+    };
+    let mut events = Vec::new();
+    for i in 0..48 {
+        events.push(((i * 7 + epoch * 3) % m, (i * 11 + epoch) % n, r(i)));
+        if i % 5 == 2 {
+            events.extend(fresh.get(i as usize / 5).copied());
+        }
+    }
+    events
+}
+
+#[test]
+fn live_loop_records_are_pinned() {
+    // Bootstrap snapshot, deltas 1–2, the re-basing snapshot at 3 and
+    // deltas 4–5. No kernel reaches the bootstrap bytes or the empty
+    // epoch's row-less delta: one value each.
+    const RECORDS: [(&str, Pin); 6] = [
+        (
+            "ckpt_epoch_00000.mfck",
+            Pin {
+                scalar: 0x7ce6_eb21_fb6e_f79d,
+                fused: 0x7ce6_eb21_fb6e_f79d,
+            },
+        ),
+        (
+            "ckpt_epoch_00003.mfck",
+            Pin {
+                scalar: 0x6bde_3669_d874_3368,
+                fused: 0xbef5_ecfb_7797_8634,
+            },
+        ),
+        (
+            "delta_epoch_00001.mfckd",
+            Pin {
+                scalar: 0xdb87_4779_be98_1ff5,
+                fused: 0xd74f_16c8_0343_f6f6,
+            },
+        ),
+        (
+            "delta_epoch_00002.mfckd",
+            Pin {
+                scalar: 0x2a35_c66d_86a6_f83c,
+                fused: 0xe042_a305_0fb3_368d,
+            },
+        ),
+        (
+            "delta_epoch_00004.mfckd",
+            Pin {
+                scalar: 0xd0bf_df28_53c7_888d,
+                fused: 0xf042_645e_4ea0_ed53,
+            },
+        ),
+        (
+            "delta_epoch_00005.mfckd",
+            Pin {
+                scalar: 0xf2a4_a18e_cf90_444e,
+                fused: 0xf2a4_a18e_cf90_444e,
+            },
+        ),
+    ];
+    const FACTORS: Pin = Pin {
+        scalar: 0x5543_b206_7c75_3638,
+        fused: 0xc5f6_eec4_f1be_f6dc,
+    };
+    let dir = std::env::temp_dir().join(format!("golden_bits_live_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = LiveConfig {
+        snapshot_every: 3,
+        ..LiveConfig::default()
+    };
+    let meta = CheckpointMeta { seed: 11, epoch: 0 };
+    let mut t = LiveTrainer::bootstrap(
+        std::sync::Arc::new(RealFs),
+        dir.clone(),
+        live_base(),
+        meta,
+        cfg,
+    )
+    .unwrap();
+    for epoch in 1..=5 {
+        let (m, n) = (t.model().nrows(), t.model().ncols());
+        for (u, v, r) in live_events(epoch, m, n) {
+            t.ingest(u, v, r);
+        }
+        let rep = t.step();
+        assert!(rep.acked, "epoch {epoch}: {:?}", rep.ckpt_error);
+    }
+    let model = t.model();
+    assert_eq!(
+        (model.nrows(), model.ncols()),
+        (LIVE_USERS + 12, LIVE_ITEMS + 12)
+    );
+    assert!(model
+        .p_raw()
+        .iter()
+        .chain(model.q_raw())
+        .all(|x| x.is_finite()));
+
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let want_names: Vec<&str> = RECORDS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, want_names);
+    let got: Vec<u64> = names
+        .iter()
+        .map(|name| hsgd_star::sparse::hash::xxh64(&std::fs::read(dir.join(name)).unwrap()))
+        .chain([hash_model(model)])
+        .collect();
+    let want: Vec<u64> = RECORDS
+        .iter()
+        .map(|(_, pin)| pin.expected())
+        .chain([FACTORS.expected()])
+        .collect();
+    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(
+        got, want,
+        "got {got:#018x?} (records by name, then factors)"
+    );
 }
