@@ -20,6 +20,13 @@
 //!   `snapshot_every` epochs the trainer re-bases with a full v1
 //!   snapshot so recovery chains stay short.
 //!
+//! **Cost of an epoch.** O(batch + new ids + touched rows) before the
+//! record write and the store build: fold-in groups the batch by new id
+//! in one stable counting pass per side (each id's ratings keep batch
+//! order), the touched rows are sorted, deduplicated id vectors the
+//! delta writer borrows, and the serving store is encoded straight from
+//! the trainer's borrowed factors.
+//!
 //! **Durability contract.** An epoch is *acked* once its record is
 //! published (fsync + rename). If a write fails (ENOSPC, crash), the
 //! epoch is simply not acked: its touched rows stay in the trainer's
@@ -228,9 +235,13 @@ pub struct LiveTrainer {
     acked_epoch: u64,
     /// Epoch of the last durable full snapshot.
     snapshot_epoch: u64,
-    /// User rows touched since `acked_epoch`, kept sorted on write.
-    touched_p: std::collections::BTreeSet<u32>,
-    touched_q: std::collections::BTreeSet<u32>,
+    /// User (`touched_p`) and item (`touched_q`) rows touched since
+    /// `acked_epoch`: ascending and unique at the end of every `step`,
+    /// across unacked epochs too, so they are the delta's row lists as
+    /// they stand. Each step appends its ids and re-sorts once,
+    /// O(touched · log touched).
+    touched_p: Vec<u32>,
+    touched_q: Vec<u32>,
     pending: Vec<(u32, u32, f32)>,
     live: Arc<LiveStore>,
 }
@@ -256,11 +267,7 @@ impl LiveTrainer {
         fs.publish(&dir, &name, &mut |w| {
             checkpoint::write_checkpoint(&model, meta, w)
         })?;
-        let live = LiveStore::new(FactorStore::with_precision(
-            model.clone(),
-            meta.epoch,
-            cfg.precision,
-        ));
+        let live = LiveStore::new(FactorStore::from_model(&model, meta.epoch, cfg.precision));
         Ok(LiveTrainer {
             fs,
             dir,
@@ -289,8 +296,8 @@ impl LiveTrainer {
     ) -> LiveTrainer {
         assert!(cfg.snapshot_every >= 1, "snapshot_every must be ≥ 1");
         let ck = recovery.checkpoint;
-        let live = LiveStore::new(FactorStore::with_precision(
-            ck.model.clone(),
+        let live = LiveStore::new(FactorStore::from_model(
+            &ck.model,
             ck.meta.epoch,
             cfg.precision,
         ));
@@ -344,8 +351,8 @@ impl LiveTrainer {
     }
 
     /// A deterministic placeholder factor row for an id that arrived
-    /// with no usable ratings (e.g. a new user whose only ratings name
-    /// new items): small pseudo-random entries derived from
+    /// with no usable ratings (a gap in the new ids, or a new item rated
+    /// only by new users): small pseudo-random entries derived from
     /// `(seed, side, id)`, the live-loop analogue of `Model::init`.
     fn seeded_row(&self, side: u8, id: u32) -> Vec<f32> {
         let k = self.model.k();
@@ -371,6 +378,14 @@ impl LiveTrainer {
     /// (against the now-complete item set) — a deterministic policy, so
     /// replaying the same ingest stream reproduces the same factors.
     /// Returns `(new_users, new_items)`.
+    ///
+    /// O(batch + new ids): one stable counting pass per side groups the
+    /// batch by new id — an item takes its ratings from known users
+    /// (`v ≥ n0 && u < m0`), a user all of its ratings (`u ≥ m0`) — and
+    /// each id's solve reads its own group, in batch order. No loop over
+    /// new ids walks the batch. An id with no usable rating (a gap in
+    /// the ids, or an item rated only by new users) gets
+    /// [`LiveTrainer::seeded_row`].
     fn fold_in_unseen(&mut self, batch: &[(u32, u32, f32)]) -> (u32, u32) {
         let (m0, n0) = (self.model.nrows(), self.model.ncols());
         let max_item = batch.iter().map(|&(_, v, _)| v).max().unwrap_or(0);
@@ -379,51 +394,52 @@ impl LiveTrainer {
         // Items: solve each new row against frozen existing-user
         // factors, then append all rows at once.
         if max_item >= n0 {
-            let fold = FoldIn::with_config(&self.model, self.cfg.foldin);
-            let mut rows: Vec<Vec<f32>> = Vec::new();
-            for v in n0..=max_item {
-                let ratings: Vec<(u32, f32)> = batch
+            let by_item = ById::group(
+                n0,
+                max_item,
+                batch
                     .iter()
-                    .filter(|&&(u, bv, _)| bv == v && u < m0)
-                    .map(|&(u, _, r)| (u, r))
-                    .collect();
-                rows.push(if ratings.is_empty() {
+                    .filter(|&&(u, v, _)| v >= n0 && u < m0)
+                    .map(|&(u, v, r)| (v, u, r)),
+            );
+            let fold = FoldIn::with_config(&self.model, self.cfg.foldin);
+            let mut rows = Vec::new();
+            for (i, v) in (n0..=max_item).enumerate() {
+                let ratings = by_item.ratings(i);
+                rows.extend(if ratings.is_empty() {
                     self.seeded_row(b'Q', v)
                 } else {
-                    fold.new_item(&ratings)
+                    fold.new_item(ratings)
                 });
             }
-            let (m, n, k, p, mut q) =
+            let (m, _, k, p, mut q) =
                 std::mem::replace(&mut self.model, Model::constant(1, 1, 1, 0.0)).into_parts();
-            for row in &rows {
-                q.extend_from_slice(row);
-            }
-            self.model = Model::from_parts(m, n + rows.len() as u32, k, p, q);
+            q.extend_from_slice(&rows);
+            self.model = Model::from_parts(m, max_item + 1, k, p, q);
             self.touched_q.extend(n0..=max_item);
         }
 
         // Users: every item an id rates now exists.
         if max_user >= m0 {
+            let by_user = ById::group(
+                m0,
+                max_user,
+                batch.iter().filter(|&&(u, _, _)| u >= m0).copied(),
+            );
             let fold = FoldIn::with_config(&self.model, self.cfg.foldin);
-            let mut rows: Vec<Vec<f32>> = Vec::new();
-            for u in m0..=max_user {
-                let ratings: Vec<(u32, f32)> = batch
-                    .iter()
-                    .filter(|&&(bu, _, _)| bu == u)
-                    .map(|&(_, v, r)| (v, r))
-                    .collect();
-                rows.push(if ratings.is_empty() {
+            let mut rows = Vec::new();
+            for (i, u) in (m0..=max_user).enumerate() {
+                let ratings = by_user.ratings(i);
+                rows.extend(if ratings.is_empty() {
                     self.seeded_row(b'P', u)
                 } else {
-                    fold.new_user(&ratings)
+                    fold.new_user(ratings)
                 });
             }
-            let (m, n, k, mut p, q) =
+            let (_, n, k, mut p, q) =
                 std::mem::replace(&mut self.model, Model::constant(1, 1, 1, 0.0)).into_parts();
-            for row in &rows {
-                p.extend_from_slice(row);
-            }
-            self.model = Model::from_parts(m + rows.len() as u32, n, k, p, q);
+            p.extend_from_slice(&rows);
+            self.model = Model::from_parts(max_user + 1, n, k, p, q);
             self.touched_p.extend(m0..=max_user);
         }
         (self.model.nrows() - m0, self.model.ncols() - n0)
@@ -443,9 +459,11 @@ impl LiveTrainer {
                 kernel::sgd_step(pu, qv, r, self.cfg.gamma, self.cfg.lambda, self.cfg.lambda);
             }
         }
-        for &(u, v, _) in &batch {
-            self.touched_p.insert(u);
-            self.touched_q.insert(v);
+        self.touched_p.extend(batch.iter().map(|&(u, _, _)| u));
+        self.touched_q.extend(batch.iter().map(|&(_, v, _)| v));
+        for rows in [&mut self.touched_p, &mut self.touched_q] {
+            rows.sort_unstable();
+            rows.dedup();
         }
         self.epoch += 1;
         self.live.mark_trained(self.epoch);
@@ -468,8 +486,7 @@ impl LiveTrainer {
             let seed = self.seed;
             let epoch = self.epoch;
             let base_epoch = self.acked_epoch;
-            let p_rows: Vec<u32> = self.touched_p.iter().copied().collect();
-            let q_rows: Vec<u32> = self.touched_q.iter().copied().collect();
+            let (p_rows, q_rows) = (&self.touched_p, &self.touched_q);
             let bytes_out = &mut bytes;
             self.fs.publish(&self.dir, &name, &mut |w| {
                 let mut w = CountingWriter { inner: w, count: 0 };
@@ -484,8 +501,8 @@ impl LiveTrainer {
                             epoch,
                             base_epoch,
                         },
-                        &p_rows,
-                        &q_rows,
+                        p_rows,
+                        q_rows,
                         &mut w,
                     ),
                 };
@@ -508,8 +525,8 @@ impl LiveTrainer {
             Err(e) => (false, Some(e)),
         };
 
-        self.live.publish(FactorStore::with_precision(
-            self.model.clone(),
+        self.live.publish(FactorStore::from_model(
+            &self.model,
             self.epoch,
             self.cfg.precision,
         ));
@@ -553,6 +570,44 @@ impl Write for CountingWriter<'_> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+}
+
+/// A batch's ratings grouped by new id, for the ids `base..=last`: id
+/// `base + i` owns `pairs[starts[i]..starts[i + 1]]`, its
+/// `(other id, rating)` pairs in batch order.
+struct ById {
+    starts: Vec<usize>,
+    pairs: Vec<(u32, f32)>,
+}
+
+impl ById {
+    /// Groups `(id, other id, rating)` entries, every id in
+    /// `base..=last`, with one stable counting sort.
+    fn group(base: u32, last: u32, entries: impl Iterator<Item = (u32, u32, f32)> + Clone) -> ById {
+        let ids = (last - base) as usize + 1;
+        let mut starts = vec![0usize; ids + 1];
+        for (id, _, _) in entries.clone() {
+            starts[(id - base) as usize + 1] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut starts {
+            sum += *s;
+            *s = sum;
+        }
+        let mut next = starts[..ids].to_vec();
+        let mut pairs = vec![(0, 0.0); starts[ids]];
+        for (id, other, r) in entries {
+            let slot = &mut next[(id - base) as usize];
+            pairs[*slot] = (other, r);
+            *slot += 1;
+        }
+        ById { starts, pairs }
+    }
+
+    /// The ratings of id `base + i`.
+    fn ratings(&self, i: usize) -> &[(u32, f32)] {
+        &self.pairs[self.starts[i]..self.starts[i + 1]]
     }
 }
 
@@ -694,6 +749,237 @@ mod tests {
         let rec2 = delta::recover(&dir).unwrap();
         assert_eq!(rec2.epoch(), 4);
         assert_eq!(rec2.checkpoint.model, *t2.model());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A trainer over `model` that has written nothing: `resume` from an
+    /// in-memory recovery touches no file.
+    fn detached(model: Model) -> LiveTrainer {
+        let recovery = Recovery {
+            checkpoint: crate::checkpoint::Checkpoint {
+                model,
+                meta: CheckpointMeta { seed: 7, epoch: 0 },
+            },
+            base_epoch: 0,
+            deltas_applied: 0,
+            notes: Vec::new(),
+        };
+        LiveTrainer::resume(
+            Arc::new(RealFs),
+            PathBuf::new(),
+            recovery,
+            LiveConfig::default(),
+        )
+    }
+
+    /// The fold-in the grouped one replaced, kept as its oracle: every
+    /// new id filters the whole batch for its ratings.
+    fn fold_in_filtered(t: &mut LiveTrainer, batch: &[(u32, u32, f32)]) -> (u32, u32) {
+        let (m0, n0) = (t.model.nrows(), t.model.ncols());
+        let max_item = batch.iter().map(|&(_, v, _)| v).max().unwrap_or(0);
+        let max_user = batch.iter().map(|&(u, _, _)| u).max().unwrap_or(0);
+        if max_item >= n0 {
+            let fold = FoldIn::with_config(&t.model, t.cfg.foldin);
+            let mut q = t.model.q_raw().to_vec();
+            for v in n0..=max_item {
+                let ratings: Vec<(u32, f32)> = batch
+                    .iter()
+                    .filter(|&&(u, bv, _)| bv == v && u < m0)
+                    .map(|&(u, _, r)| (u, r))
+                    .collect();
+                q.extend(if ratings.is_empty() {
+                    t.seeded_row(b'Q', v)
+                } else {
+                    fold.new_item(&ratings)
+                });
+            }
+            let p = t.model.p_raw().to_vec();
+            t.model = Model::from_parts(m0, max_item + 1, t.model.k(), p, q);
+        }
+        if max_user >= m0 {
+            let fold = FoldIn::with_config(&t.model, t.cfg.foldin);
+            let mut p = t.model.p_raw().to_vec();
+            for u in m0..=max_user {
+                let ratings: Vec<(u32, f32)> = batch
+                    .iter()
+                    .filter(|&&(bu, _, _)| bu == u)
+                    .map(|&(_, v, r)| (v, r))
+                    .collect();
+                p.extend(if ratings.is_empty() {
+                    t.seeded_row(b'P', u)
+                } else {
+                    fold.new_user(&ratings)
+                });
+            }
+            let q = t.model.q_raw().to_vec();
+            t.model = Model::from_parts(max_user + 1, t.model.ncols(), t.model.k(), p, q);
+        }
+        (t.model.nrows() - m0, t.model.ncols() - n0)
+    }
+
+    #[test]
+    fn grouped_fold_in_matches_the_per_id_filter_bitwise() {
+        // Base 10 users × 12 items. Each case lists the grown rows that
+        // must come out seeded (no usable rating).
+        type Case = (&'static str, Vec<(u32, u32, f32)>, Vec<(u8, u32)>);
+        let cases: Vec<Case> = vec![
+            (
+                "one new user repeated, out of order",
+                vec![
+                    (12, 3, 4.0),
+                    (2, 5, 1.0),
+                    (10, 1, 2.5),
+                    (12, 7, 3.0),
+                    (4, 13, 5.0),
+                    (12, 13, 2.0),
+                    (11, 12, 1.5),
+                    (6, 12, 3.5),
+                    (12, 0, 4.5),
+                ],
+                vec![],
+            ),
+            (
+                "a new user rating only new items",
+                vec![(10, 12, 4.0), (3, 12, 1.0), (10, 13, 2.0), (5, 13, 3.0)],
+                vec![],
+            ),
+            (
+                "a new item rated only by new users",
+                vec![(10, 12, 4.0), (11, 0, 3.0), (11, 12, 2.0)],
+                vec![(b'Q', 12)],
+            ),
+            (
+                "gaps in both id ranges",
+                vec![(12, 2, 4.0), (1, 14, 2.0)],
+                vec![(b'P', 10), (b'P', 11), (b'Q', 12), (b'Q', 13)],
+            ),
+            (
+                "no new ids",
+                vec![(0, 0, 1.0), (9, 11, 5.0), (3, 3, 2.0)],
+                vec![],
+            ),
+            ("an empty batch", vec![], vec![]),
+        ];
+        let bits = |m: &Model| {
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (m.nrows(), m.ncols(), bits(m.p_raw()), bits(m.q_raw()))
+        };
+        for (name, batch, seeded) in &cases {
+            let base = Model::init(10, 12, 4, 7);
+            let (mut grouped, mut filtered) = (detached(base.clone()), detached(base));
+            let got = grouped.fold_in_unseen(batch);
+            assert_eq!(got, fold_in_filtered(&mut filtered, batch), "{name}");
+            assert_eq!(bits(&grouped.model), bits(&filtered.model), "{name}");
+            for &(side, id) in seeded {
+                let row = match side {
+                    b'P' => grouped.model.p_row(id),
+                    _ => grouped.model.q_row(id),
+                };
+                assert_eq!(row, grouped.seeded_row(side, id), "{name}: {side} {id}");
+            }
+        }
+    }
+
+    /// [`RealFs`] whose `fail_at`-th publish (counting from 1) fails.
+    struct FailOnce {
+        publishes: std::sync::atomic::AtomicUsize,
+        fail_at: usize,
+    }
+
+    impl Vfs for FailOnce {
+        fn list(&self, dir: &std::path::Path) -> io::Result<Vec<String>> {
+            RealFs.list(dir)
+        }
+
+        fn open(&self, path: &std::path::Path) -> io::Result<Box<dyn io::Read + Send>> {
+            RealFs.open(path)
+        }
+
+        fn publish(
+            &self,
+            dir: &std::path::Path,
+            name: &str,
+            write: &mut dyn FnMut(&mut dyn Write) -> io::Result<()>,
+        ) -> io::Result<()> {
+            if self.publishes.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_at {
+                return Err(io::Error::other("injected publish failure"));
+            }
+            RealFs.publish(dir, name, write)
+        }
+    }
+
+    #[test]
+    fn unacked_rows_roll_into_the_next_delta_sorted() {
+        let dir = tmp_dir("rollforward");
+        // Publish 1 is the bootstrap snapshot, 2 epoch 1's delta, and 3
+        // epoch 2's, which fails.
+        let fs = Arc::new(FailOnce {
+            publishes: Default::default(),
+            fail_at: 3,
+        });
+        let mut t = LiveTrainer::bootstrap(
+            fs,
+            dir.clone(),
+            Model::init(10, 12, 4, 7),
+            CheckpointMeta { seed: 7, epoch: 0 },
+            LiveConfig::default(),
+        )
+        .unwrap();
+        let batches = [
+            vec![(1, 2, 3.0), (4, 5, 2.0)],
+            // Grows users 10..=12 (10 and 11 are gaps) and items
+            // 12..=13 (12 is a gap); ids arrive out of order.
+            vec![(9, 3, 4.0), (12, 1, 2.0), (2, 13, 5.0), (1, 2, 1.0)],
+            vec![(0, 11, 3.0), (13, 4, 2.5), (9, 3, 1.0)],
+        ];
+        let (mut want_p, mut want_q) = (Vec::new(), Vec::new());
+        for (ix, batch) in batches.iter().enumerate() {
+            let (m0, n0) = (t.model().nrows(), t.model().ncols());
+            for &(u, v, r) in batch {
+                t.ingest(u, v, r);
+            }
+            let rep = t.step();
+            assert_eq!(
+                rep.acked,
+                ix != 1,
+                "epoch {}: {:?}",
+                rep.epoch,
+                rep.ckpt_error
+            );
+            if ix >= 1 {
+                want_p.extend(
+                    batch
+                        .iter()
+                        .map(|&(u, _, _)| u)
+                        .chain(m0..t.model().nrows()),
+                );
+                want_q.extend(
+                    batch
+                        .iter()
+                        .map(|&(_, v, _)| v)
+                        .chain(n0..t.model().ncols()),
+                );
+            }
+        }
+        assert!(t.touched_p.is_empty() && t.touched_q.is_empty());
+        for want in [&mut want_p, &mut want_q] {
+            want.sort_unstable();
+            want.dedup();
+        }
+        assert!(!dir.join(delta::delta_file_name(2)).exists());
+        let file = std::fs::File::open(dir.join(delta::delta_file_name(3))).unwrap();
+        let d = delta::read_delta(file).unwrap();
+        assert_eq!((d.meta.epoch, d.meta.base_epoch), (3, 1));
+        let rows = |runs: &[delta::Run]| -> Vec<u32> {
+            runs.iter()
+                .flat_map(|run| run.start..run.start + (run.data.len() / d.k) as u32)
+                .collect()
+        };
+        assert_eq!(rows(&d.p_runs), want_p);
+        assert_eq!(rows(&d.q_runs), want_q);
+        let rec = delta::recover(&dir).unwrap();
+        assert_eq!(rec.epoch(), 3);
+        assert_eq!(rec.checkpoint.model, *t.model());
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -475,6 +475,34 @@ impl FactorStore {
     /// dequantized factors (see [`Precision`]).
     pub fn with_precision(model: Model, epoch: u64, precision: Precision) -> FactorStore {
         let (m, n, k, p, q) = model.into_parts();
+        FactorStore::build(m, n, k, p, &q, epoch, precision)
+    }
+
+    /// [`FactorStore::with_precision`] from a borrowed model: copies `P`
+    /// and encodes the tiles straight from `Q`, with no model clone in
+    /// between — how the live loop publishes while it keeps training.
+    pub(crate) fn from_model(model: &Model, epoch: u64, precision: Precision) -> FactorStore {
+        FactorStore::build(
+            model.nrows(),
+            model.ncols(),
+            model.k(),
+            model.p_raw().to_vec(),
+            model.q_raw(),
+            epoch,
+            precision,
+        )
+    }
+
+    /// The one tile builder: shards `q` (`n × k` row-major) into tiles.
+    fn build(
+        m: u32,
+        n: u32,
+        k: usize,
+        p: Vec<f32>,
+        q: &[f32],
+        epoch: u64,
+        precision: Precision,
+    ) -> FactorStore {
         let mut tiles = Vec::with_capacity((n as usize).div_ceil(TILE_ITEMS));
         for tile_ix in 0..(n as usize).div_ceil(TILE_ITEMS) {
             let base = tile_ix * TILE_ITEMS;
