@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use mf_des::SimTime;
 use mf_sgd::{HyperParams, Model, SharedModel};
+use mf_sparse::hash::splitmix64;
 use mf_sparse::GridPartition;
 
 use crate::config::CpuSpec;
@@ -30,11 +31,8 @@ pub const TIME_JITTER: f64 = 0.05;
 /// task's identity and pass number (splitmix64 finalizer).
 fn jitter_factor(task: &Task, salt: u64, amp: f64) -> f64 {
     let b = task.blocks[0];
-    let mut x = (b.row as u64) << 40 ^ (b.col as u64) << 20 ^ task.pass as u64 ^ salt << 1;
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
+    let x = (b.row as u64) << 40 ^ (b.col as u64) << 20 ^ task.pass as u64 ^ salt << 1;
+    let x = splitmix64(x.wrapping_add(0x9e37_79b9_7f4a_7c15));
     let unit = (x >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
     1.0 + amp * (2.0 * unit - 1.0)
 }

@@ -7,55 +7,32 @@
 //! runs, NaN/∞ garbage, inverted size/time correlation, magnitudes near
 //! overflow — without ever handing the solver a non-finite or
 //! order-incorrect cost model. Each property runs over a few hundred
-//! seeded random streams; failures print the seed for replay.
+//! generated streams; a failure prints its seed and a shrunk stream.
 
 use mf_cost::alpha::{balance_alpha, split_workload};
 use mf_cost::models::{CostModel, LinearCost};
 use mf_cost::observe::ThroughputObserver;
-
-/// Deterministic splitmix64 stream — mf-cost deliberately has no rand
-/// dependency, so the tests carry their own generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform integer in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-}
+use mf_fuzz::{check, Gen};
 
 /// One adversarial sample: mixes plausible measurements with every kind
 /// of garbage a broken clock or dying device can emit.
-fn adversarial_sample(rng: &mut Rng) -> (f64, f64) {
-    match rng.below(12) {
+fn adversarial_sample(g: &mut Gen) -> (f64, f64) {
+    match g.int(0u32..12) {
         // Plausible linear-ish measurement with noise.
         0..=4 => {
-            let size = 100.0 + rng.unit() * 1e6;
-            let secs = 1e-7 * size * (0.5 + rng.unit()) + rng.unit() * 1e-3;
+            let size = g.f64(100.0..100.0 + 1e6);
+            let secs = 1e-7 * size * g.f64(0.5..1.5) + g.f64(0.0..1e-3);
             (size, secs)
         }
         // Inverted correlation: big task, suspiciously fast.
-        5 => (1e6 + rng.unit() * 1e6, 1e-6 + rng.unit() * 1e-5),
+        5 => (g.f64(1e6..2e6), g.f64(1e-6..1.1e-5)),
         // Zero-duration task (timer granularity).
-        6 => (1.0 + rng.unit() * 1e4, 0.0),
+        6 => (g.f64(1.0..1.0 + 1e4), 0.0),
         // Zero or negative size.
-        7 => (-rng.unit() * 100.0, rng.unit()),
+        7 => (-g.f64(0.0..100.0), g.f64(0.0..1.0)),
         // Non-finite garbage.
-        8 => (f64::NAN, rng.unit()),
-        9 => (rng.unit() * 100.0, f64::INFINITY),
+        8 => (f64::NAN, g.f64(0.0..1.0)),
+        9 => (g.f64(0.0..100.0), f64::INFINITY),
         // Near-overflow magnitudes.
         10 => (f64::MAX / 4.0, f64::MAX / 4.0),
         // Denormal-tiny but positive.
@@ -63,12 +40,15 @@ fn adversarial_sample(rng: &mut Rng) -> (f64, f64) {
     }
 }
 
-/// Builds an observer fed `n` adversarial samples from `seed`.
-fn adversarial_observer(seed: u64, n: usize) -> ThroughputObserver {
-    let mut rng = Rng(seed);
+/// A stream of 64 adversarial samples.
+fn stream(g: &mut Gen) -> Vec<(f64, f64)> {
+    g.vec(64..65, adversarial_sample)
+}
+
+/// An observer fed `samples`.
+fn observer(samples: &[(f64, f64)]) -> ThroughputObserver {
     let mut o = ThroughputObserver::new();
-    for _ in 0..n {
-        let (size, secs) = adversarial_sample(&mut rng);
+    for &(size, secs) in samples {
         o.record(size, secs);
     }
     o
@@ -79,70 +59,64 @@ const PROBES: [f64; 7] = [0.0, 1.0, 1e2, 1e4, 1e6, 1e9, 1e12];
 
 #[test]
 fn mean_rate_is_finite_positive_or_none() {
-    for seed in 0..300u64 {
-        let o = adversarial_observer(seed, 64);
-        if let Some(r) = o.mean_rate() {
-            assert!(
-                r.is_finite() && r > 0.0,
-                "seed {seed}: mean_rate reported {r}"
-            );
+    check(300, 1, stream, |samples| {
+        if let Some(r) = observer(&samples).mean_rate() {
+            assert!(r.is_finite() && r > 0.0, "mean_rate reported {r}");
         }
-    }
+    });
 }
 
 #[test]
 fn fitted_model_is_finite_and_order_correct() {
     let mut fitted = 0usize;
-    for seed in 0..300u64 {
-        let o = adversarial_observer(seed, 64);
-        let Some(m) = o.fit_linear() else { continue };
+    check(300, 2, stream, |samples| {
+        let Some(m) = observer(&samples).fit_linear() else {
+            return;
+        };
         fitted += 1;
         assert!(
             m.a.is_finite() && m.b.is_finite(),
-            "seed {seed}: non-finite coefficients {m:?}"
+            "non-finite coefficients {m:?}"
         );
-        assert!(m.a >= 0.0, "seed {seed}: negative slope {m:?}");
+        assert!(m.a >= 0.0, "negative slope {m:?}");
         let mut prev = -1.0f64;
         for &s in &PROBES {
             let t = m.time_secs(s);
-            assert!(
-                t.is_finite() && t >= 0.0,
-                "seed {seed}: time_secs({s}) = {t}"
-            );
+            assert!(t.is_finite() && t >= 0.0, "time_secs({s}) = {t}");
             assert!(
                 t >= prev,
-                "seed {seed}: time_secs not monotone at size {s}: {t} < {prev}"
+                "time_secs not monotone at size {s}: {t} < {prev}"
             );
             prev = t;
         }
-    }
+    });
     assert!(fitted > 0, "generator never produced a fittable stream");
 }
 
 #[test]
 fn alpha_resolve_stays_in_unit_interval_under_adversarial_fits() {
-    // Pair two independently poisoned observers as the GPU and CPU
-    // models and re-solve Eq. 8 the way Meter::finish does at run end.
+    // Pair two independently poisoned observers as the GPU and CPU models
+    // and re-solve Eq. 8 the way Meter::finish does at run end.
     let mut solved = 0usize;
-    for seed in 0..300u64 {
-        let gpu = adversarial_observer(seed.wrapping_mul(2).wrapping_add(1), 64);
-        let cpu = adversarial_observer(seed.wrapping_mul(2).wrapping_add(2), 64);
-        let (Some(gm), Some(cm)) = (gpu.fit_linear(), cpu.fit_linear()) else {
-            continue;
+    let input = |g: &mut Gen| (stream(g), stream(g));
+    check(300, 3, input, |(gpu, cpu)| {
+        let (Some(gm), Some(cm)) = (observer(&gpu).fit_linear(), observer(&cpu).fit_linear())
+        else {
+            return;
         };
         solved += 1;
         for &(ng, nc) in &[(1usize, 1usize), (1, 8), (2, 4)] {
             let (alpha, makespan) = split_workload(1e7, &gm, &cm, ng, nc);
             assert!(
                 alpha.is_finite() && (0.0..=1.0).contains(&alpha),
-                "seed {seed} ng={ng} nc={nc}: alpha = {alpha}"
+                "ng={ng} nc={nc}: alpha = {alpha}"
             );
             assert!(
                 makespan.is_finite() && makespan >= 0.0,
-                "seed {seed} ng={ng} nc={nc}: makespan = {makespan}"
+                "ng={ng} nc={nc}: makespan = {makespan}"
             );
         }
-    }
+    });
     assert!(solved > 0, "generator never produced a solvable pair");
 }
 
@@ -150,9 +124,10 @@ fn alpha_resolve_stays_in_unit_interval_under_adversarial_fits() {
 fn alpha_is_order_correct_in_device_speed() {
     // A strictly faster GPU model must never receive *less* work: α is
     // monotone in the speed ratio for fixed CPU cost.
-    for seed in 0..100u64 {
-        let o = adversarial_observer(seed, 64);
-        let Some(cpu) = o.fit_linear() else { continue };
+    check(100, 4, stream, |samples| {
+        let Some(cpu) = observer(&samples).fit_linear() else {
+            return;
+        };
         let mut prev_alpha = -1.0f64;
         for speedup in [0.25, 1.0, 4.0, 16.0] {
             let gpu = LinearCost::new(cpu.a / speedup, cpu.b / speedup);
@@ -164,11 +139,11 @@ fn alpha_is_order_correct_in_device_speed() {
             );
             assert!(
                 a >= prev_alpha - 1e-9,
-                "seed {seed}: alpha fell from {prev_alpha} to {a} as GPU sped up {speedup}x"
+                "alpha fell from {prev_alpha} to {a} as GPU sped up {speedup}x"
             );
             prev_alpha = a;
         }
-    }
+    });
 }
 
 #[test]

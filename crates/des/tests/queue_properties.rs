@@ -2,11 +2,12 @@
 //! sorted by (time, insertion sequence).
 
 use mf_des::{EventQueue, SimTime};
-use proptest::prelude::*;
+use mf_fuzz::{check, Gen};
 
-proptest! {
-    #[test]
-    fn pops_sorted_by_time_then_seq(times in prop::collection::vec(0.0f64..1e6, 0..300)) {
+#[test]
+fn pops_sorted_by_time_then_seq() {
+    let input = |g: &mut Gen| g.vec(0..300, |g| g.f64(0.0..1e6));
+    check(256, 1, input, |times| {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_secs(t), i);
@@ -15,19 +16,22 @@ proptest! {
         let mut count = 0;
         while let Some(ev) = q.pop() {
             if let Some((pt, ps)) = prev {
-                prop_assert!(ev.time >= pt, "time went backwards");
+                assert!(ev.time >= pt, "time went backwards");
                 if ev.time == pt {
-                    prop_assert!(ev.seq > ps, "FIFO tie-break violated");
+                    assert!(ev.seq > ps, "FIFO tie-break violated");
                 }
             }
             prev = Some((ev.time, ev.seq));
             count += 1;
         }
-        prop_assert_eq!(count, times.len());
-    }
+        assert_eq!(count, times.len());
+    });
+}
 
-    #[test]
-    fn len_tracks_push_pop(ops in prop::collection::vec((0.0f64..100.0, prop::bool::ANY), 0..200)) {
+#[test]
+fn len_tracks_push_pop() {
+    let input = |g: &mut Gen| g.vec(0..200, |g| (g.f64(0.0..100.0), g.bool()));
+    check(256, 2, input, |ops| {
         let mut q = EventQueue::new();
         let mut expected = 0usize;
         for (t, is_push) in ops {
@@ -37,15 +41,18 @@ proptest! {
             } else if q.pop().is_some() {
                 expected -= 1;
             }
-            prop_assert_eq!(q.len(), expected);
-            prop_assert_eq!(q.is_empty(), expected == 0);
+            assert_eq!(q.len(), expected);
+            assert_eq!(q.is_empty(), expected == 0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn engine_matches_offline_sort(times in prop::collection::vec(0.0f64..1e3, 1..200)) {
-        // Running the engine over pre-scheduled events must visit payloads in
-        // the order of a stable sort by time.
+#[test]
+fn engine_matches_offline_sort() {
+    let input = |g: &mut Gen| g.vec(1..200, |g| g.f64(0.0..1e3));
+    check(256, 3, input, |times| {
+        // Running the engine over pre-scheduled events must visit
+        // payloads in the order of a stable sort by time.
         let mut engine: mf_des::Engine<usize> = mf_des::Engine::new();
         for (i, &t) in times.iter().enumerate() {
             engine.schedule(SimTime::from_secs(t), i);
@@ -55,6 +62,6 @@ proptest! {
 
         let mut expected: Vec<usize> = (0..times.len()).collect();
         expected.sort_by(|&a, &b| times[a].partial_cmp(&times[b]).unwrap().then(a.cmp(&b)));
-        prop_assert_eq!(visited, expected);
-    }
+        assert_eq!(visited, expected);
+    });
 }

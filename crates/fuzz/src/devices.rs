@@ -15,9 +15,10 @@ use hsgd_core::executor::{Device, DeviceCompletion, DeviceHealth, HealthCell};
 use hsgd_core::scheduler::Task;
 use mf_des::SimTime;
 use mf_sgd::{HyperParams, Model};
+use mf_sparse::hash::splitmix64;
 use mf_sparse::GridPartition;
 
-use crate::rng::{mix, pareto_factor};
+use crate::rng::pareto_factor;
 use crate::script::Latency;
 
 /// A fault-injecting wrapper around one production device.
@@ -54,10 +55,12 @@ impl AdversarialDevice {
         };
         if let Some(l) = self.latency {
             let b = task.blocks[0];
-            let h = mix(((b.row as u64) << 40)
-                ^ ((b.col as u64) << 20)
-                ^ (task.pass as u64)
-                ^ self.salt.rotate_left(17));
+            let h = splitmix64(
+                ((b.row as u64) << 40)
+                    ^ ((b.col as u64) << 20)
+                    ^ (task.pass as u64)
+                    ^ self.salt.rotate_left(17),
+            );
             stretch *= pareto_factor(h, l.alpha, l.cap);
         }
         stretch

@@ -20,6 +20,7 @@ use mf_data::{generator, GeneratorConfig};
 use mf_sgd::{HyperParams, Model};
 use mf_sparse::{BlockOrder, GridPartition, SparseMatrix};
 
+use crate::check::{drop_one, panic_message};
 use crate::devices::AdversarialDevice;
 use crate::monitor::MonitoredScheduler;
 use crate::script::{DevId, SchedKind, Script};
@@ -256,11 +257,7 @@ fn drive<S: BlockScheduler + Send>(
             }
         }
         Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let msg = panic_message(&*panic);
             let mut violations = vec![format!("execution world panicked: {msg}")];
             violations.extend(monitor.finish(true));
             Err(FuzzFailure { world, violations })
@@ -283,26 +280,14 @@ pub fn fuzz_seed(seed: u64) -> Result<(RunStats, RunStats), FuzzFailure> {
 
 /// Greedy event shrinking: drop injected events one at a time, re-run
 /// through `still_fails`, keep any candidate that still fails, and loop
-/// to a fixpoint. The result is a locally minimal event script — every
-/// remaining event is necessary for the failure — which is what lands in
-/// the regression corpus.
+/// to a fixpoint ([`drop_one`]). The result is a locally minimal event
+/// script — every remaining event is necessary for the failure — which
+/// is what lands in the regression corpus.
 pub fn shrink(script: &Script, mut still_fails: impl FnMut(&Script) -> bool) -> Script {
-    let mut cur = script.clone();
-    loop {
-        let mut improved = false;
-        let mut i = 0;
-        while i < cur.events.len() {
-            let mut cand = cur.clone();
-            cand.events.remove(i);
-            if still_fails(&cand) {
-                cur = cand;
-                improved = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !improved {
-            return cur;
-        }
-    }
+    let mut cand = script.clone();
+    cand.events = drop_one(script.events.clone(), |events| {
+        cand.events = events.to_vec();
+        still_fails(&cand)
+    });
+    cand
 }

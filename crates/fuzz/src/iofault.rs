@@ -50,6 +50,7 @@ use mf_sparse::arena::BlockArena;
 use mf_sparse::vfs::{Vfs, TMP_SUFFIX};
 use mf_sparse::{BlockOrder, GridPartition, GridSpec, Rating, SparseMatrix};
 
+use crate::check::drop_one;
 use crate::rng::SplitMix;
 use crate::script::Fields;
 
@@ -1205,27 +1206,16 @@ pub fn probe_offsets(script: &IoScript) -> Vec<u64> {
     offsets
 }
 
-/// Greedy event shrinking for IO scripts — same fixpoint loop as
-/// [`crate::harness::shrink`], over storage-fault events.
+/// Greedy event shrinking for IO scripts — [`drop_one`] over
+/// storage-fault events, as [`crate::harness::shrink`] does over
+/// scheduler faults.
 pub fn shrink_io(script: &IoScript, mut still_fails: impl FnMut(&IoScript) -> bool) -> IoScript {
-    let mut cur = script.clone();
-    loop {
-        let mut improved = false;
-        let mut i = 0;
-        while i < cur.events.len() {
-            let mut cand = cur.clone();
-            cand.events.remove(i);
-            if still_fails(&cand) {
-                cur = cand;
-                improved = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !improved {
-            return cur;
-        }
-    }
+    let mut cand = script.clone();
+    cand.events = drop_one(script.events.clone(), |events| {
+        cand.events = events.to_vec();
+        still_fails(&cand)
+    });
+    cand
 }
 
 /// Domain-separates IO-script generation from scheduler-script

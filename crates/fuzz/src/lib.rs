@@ -39,9 +39,15 @@
 //!   through the faulted filesystem, and corruption must surface as
 //!   typed errors before any byte reaches a kernel.
 //!
+//! Property tests across the workspace run on [`check`](check()): a
+//! seeded generator closure over a [`Gen`] that records its draws, so a
+//! failing input shrinks by editing the record. Its drop pass,
+//! [`drop_one`], is also the step of both script shrinkers.
+//!
 //! `mf-bench`'s `fuzz_smoke` binary replays the committed corpus (both
 //! script kinds) and a batch of fresh seeds in CI.
 
+pub mod check;
 pub mod devices;
 pub mod harness;
 pub mod iofault;
@@ -49,6 +55,7 @@ pub mod monitor;
 pub mod rng;
 pub mod script;
 
+pub use check::{check, drop_one, Gen};
 pub use harness::{fuzz_seed, run_script, run_script_all, shrink, FuzzFailure, RunStats, World};
 pub use iofault::{
     fuzz_io_seed, probe_offsets, run_io_script, run_io_script_with, shrink_io, FaultFs, IoEvent,

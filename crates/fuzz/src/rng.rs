@@ -2,6 +2,8 @@
 //! vendored `rand` so a corpus script's behaviour is pinned by this
 //! crate alone.
 
+use mf_sparse::hash::splitmix64;
+
 /// Deterministic splitmix64 generator.
 #[derive(Debug, Clone)]
 pub struct SplitMix(u64);
@@ -15,7 +17,7 @@ impl SplitMix {
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix(self.0)
+        splitmix64(self.0)
     }
 
     /// Uniform in `[0, 1)` (53-bit mantissa).
@@ -35,22 +37,13 @@ impl SplitMix {
     }
 }
 
-/// The splitmix64 finalizer as a stateless hash — used to derive
-/// per-(task, device) latency factors that are stable across replays and
-/// independent of draw order.
-pub fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A heavy-tailed (bounded Pareto) multiplicative latency factor in
 /// `[1, cap]`, derived from a hash `h`: `(1 − u)^{−1/α}` for uniform `u`.
 /// Small `α` (≈1) gives frequent large stragglers; large `α` concentrates
 /// near 1. This is the adversarial stand-in for the benign ±5% jitter the
 /// production devices model.
 pub fn pareto_factor(h: u64, alpha: f64, cap: f64) -> f64 {
-    let u = (mix(h) >> 11) as f64 / (1u64 << 53) as f64;
+    let u = (splitmix64(h) >> 11) as f64 / (1u64 << 53) as f64;
     (1.0 - u).powf(-1.0 / alpha.max(0.1)).min(cap.max(1.0))
 }
 

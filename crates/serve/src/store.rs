@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 
-use gpu_sim::simt::{f16_bits, f16_from_bits};
+use mf_sgd::sweep::{f16_bits, f16_from_bits};
 use mf_sgd::{kernel, Model};
 
 /// Item rows per tile. 512 rows at k = 32 is a 64 KiB factor block —
@@ -53,7 +53,7 @@ pub enum Precision {
     /// on the source model.
     #[default]
     F32,
-    /// IEEE binary16 rows (bit-stored as `u16`, [`gpu_sim::simt::f16_round`]
+    /// IEEE binary16 rows (bit-stored as `u16`, [`mf_sgd::sweep::f16_round`]
     /// semantics): 2 bytes/element, ≤ 2⁻¹¹ relative error per element.
     F16,
     /// Per-row affine u8 codes (`scale = (max − min)/255`, offset

@@ -8,11 +8,11 @@
 //! Scores are compared via `to_bits`, so NaN payloads and signed zeros
 //! must survive exactly too.
 
+use mf_fuzz::{check, Gen};
 use mf_par::ThreadPool;
 use mf_serve::{BatchPlan, FactorStore, Query, QueryUser, TopK};
 use mf_sgd::sweep::PANEL_W;
 use mf_sgd::Model;
-use proptest::prelude::*;
 
 /// `(item, score-bits)` view: bitwise equality, NaN-proof.
 fn bits(t: &TopK) -> Vec<(u32, u32)> {
@@ -27,64 +27,64 @@ fn oracle(model: &Model, q: &Query) -> Vec<(u32, u32)> {
     bits(&TopK { items })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// The headline property: random store, random batch with forced
+/// duplicates, arbitrary excludes — batched answers equal the serial
+/// oracle bit for bit, on 1/2/5-thread pools alike.
+#[test]
+fn sweep_batch_is_bit_identical_to_oracle() {
+    let input = |g: &mut Gen| {
+        let (m, n, k) = (g.int(1u32..12), g.int(1u32..1400), g.int(1usize..36));
+        let seed = g.int(0u64..u64::MAX);
+        let queries = g.vec(1..40, |g| Query {
+            user: QueryUser::Id(g.int(0..m)),
+            count: g.int(0usize..40),
+            exclude: g.vec(0..30, |g| g.int(0..n + 3)),
+        });
+        ((m, n, k), seed, queries, g.int(1usize..5))
+    };
+    check(
+        24,
+        1,
+        input,
+        |((m, n, k), seed, mut queries, dup_stride)| {
+            let model = Model::init(m, n, k, seed);
+            let store = FactorStore::new(model.clone(), 1);
+            // Force duplicate users into the batch (Zipf traffic's common
+            // case): every dup_stride-th query repeats query 0 verbatim.
+            let first = queries[0].clone();
+            for i in (0..queries.len()).step_by(dup_stride) {
+                queries[i] = first.clone();
+            }
+            let expect: Vec<Vec<(u32, u32)>> = queries.iter().map(|q| oracle(&model, q)).collect();
+            for threads in [1usize, 2, 5] {
+                let pool = ThreadPool::new(threads);
+                let got: Vec<Vec<(u32, u32)>> = store
+                    .sweep_batch_in(&queries, &pool)
+                    .iter()
+                    .map(bits)
+                    .collect();
+                assert_eq!(&got, &expect, "threads={threads}");
+            }
+        },
+    );
+}
 
-    /// The headline property: random store, random batch with forced
-    /// duplicates, arbitrary excludes — batched answers equal the
-    /// serial oracle bit for bit, on 1/2/5-thread pools alike.
-    #[test]
-    fn sweep_batch_is_bit_identical_to_oracle(
-        m in 1u32..12,
-        n in 1u32..1400,
-        k in 1usize..36,
-        seed in 0u64..u64::MAX,
-        queries_raw in prop::collection::vec(
-            (0u32..u32::MAX, 0usize..40, prop::collection::vec(0u32..u32::MAX, 0..30)),
-            1..40
-        ),
-        dup_stride in 1usize..5,
-    ) {
-        let model = Model::init(m, n, k, seed);
-        let store = FactorStore::new(model.clone(), 1);
-        let mut queries: Vec<Query> = queries_raw
-            .iter()
-            .map(|(u_raw, count, excl)| Query {
-                user: QueryUser::Id(u_raw % m),
-                count: *count,
-                exclude: excl.iter().map(|e| e % (n + 3)).collect(),
-            })
-            .collect();
-        // Force duplicate users into the batch (Zipf traffic's common
-        // case): every dup_stride-th query repeats query 0 verbatim.
-        let first = queries[0].clone();
-        for i in (0..queries.len()).step_by(dup_stride) {
-            queries[i] = first.clone();
-        }
-        let expect: Vec<Vec<(u32, u32)>> = queries.iter().map(|q| oracle(&model, q)).collect();
-        for threads in [1usize, 2, 5] {
-            let pool = ThreadPool::new(threads);
-            let got: Vec<Vec<(u32, u32)>> = store
-                .sweep_batch_in(&queries, &pool)
-                .iter()
-                .map(bits)
-                .collect();
-            prop_assert_eq!(&got, &expect, "threads={}", threads);
-        }
-    }
-
-    /// Mono-dimension stores big enough to span several tiles, with a
-    /// band of inflated norms so tile pruning actually fires, plus NaN
-    /// and signed-zero rows — the paths where batched pruning and the
-    /// beat filter could plausibly diverge from the oracle.
-    #[test]
-    fn sweep_batch_matches_oracle_across_tiles_and_nans(
-        seed in 0u64..u64::MAX,
-        count in 1usize..30,
-        nan_item in 0u32..1100,
-        zero_item in 0u32..1100,
-        boost in 2u32..20,
-    ) {
+/// Mono-dimension stores big enough to span several tiles, with a band
+/// of inflated norms so tile pruning actually fires, plus NaN and
+/// signed-zero rows — the paths where batched pruning and the beat
+/// filter could plausibly diverge from the oracle.
+#[test]
+fn sweep_batch_matches_oracle_across_tiles_and_nans() {
+    let input = |g: &mut Gen| {
+        (
+            g.int(0u64..u64::MAX),
+            g.int(1usize..30),
+            g.int(0u32..1100),
+            g.int(0u32..1100),
+            g.int(2u32..20),
+        )
+    };
+    check(24, 2, input, |(seed, count, nan_item, zero_item, boost)| {
         let n = 1100u32; // 3 tiles (512 + 512 + 76)
         let k = 16usize;
         let mut model = Model::init(6, n, k, seed);
@@ -104,7 +104,11 @@ proptest! {
             .map(|i| Query {
                 user: QueryUser::Id(i % 6),
                 count,
-                exclude: if i % 2 == 0 { vec![nan_item] } else { Vec::new() },
+                exclude: if i % 2 == 0 {
+                    vec![nan_item]
+                } else {
+                    Vec::new()
+                },
             })
             .collect();
         let expect: Vec<Vec<(u32, u32)>> = queries.iter().map(|q| oracle(&model, q)).collect();
@@ -115,19 +119,24 @@ proptest! {
                 .iter()
                 .map(bits)
                 .collect();
-            prop_assert_eq!(&got, &expect, "threads={}", threads);
+            assert_eq!(&got, &expect, "threads={threads}");
         }
-    }
+    });
+}
 
-    /// Fold-in style factor queries (including bit-duplicates, which
-    /// the plan dedups) answer exactly like the stored row they carry.
-    #[test]
-    fn factor_queries_sweep_like_id_queries(
-        n in 1u32..900,
-        k in 1usize..20,
-        seed in 0u64..u64::MAX,
-        count in 0usize..25,
-    ) {
+/// Fold-in style factor queries (including bit-duplicates, which the
+/// plan dedups) answer exactly like the stored row they carry.
+#[test]
+fn factor_queries_sweep_like_id_queries() {
+    let input = |g: &mut Gen| {
+        (
+            g.int(1u32..900),
+            g.int(1usize..20),
+            g.int(0u64..u64::MAX),
+            g.int(0usize..25),
+        )
+    };
+    check(24, 3, input, |(n, k, seed, count)| {
         let model = Model::init(4, n, k, seed);
         let store = FactorStore::new(model.clone(), 1);
         let queries: Vec<Query> = (0..8)
@@ -146,10 +155,14 @@ proptest! {
             .collect();
         let got = store.sweep_batch_in(&queries, &ThreadPool::new(2));
         for i in 0..4 {
-            prop_assert_eq!(bits(&got[i + 4]), bits(&got[i]), "factor vs id for user {}", i);
-            prop_assert_eq!(bits(&got[i]), oracle(&model, &queries[i]));
+            assert_eq!(
+                bits(&got[i + 4]),
+                bits(&got[i]),
+                "factor vs id for user {i}"
+            );
+            assert_eq!(bits(&got[i]), oracle(&model, &queries[i]));
         }
-    }
+    });
 }
 
 /// The plan dedups semantically identical queries, and scattered

@@ -5,9 +5,9 @@
 //! its payload, and flips inside a stored checksum disagree with the
 //! recomputed digest.
 
+use mf_fuzz::{check, Gen};
 use mf_serve::checkpoint::{self, CheckpointMeta};
 use mf_sgd::Model;
-use proptest::prelude::*;
 
 /// Builds a model whose factor buffers carry arbitrary *bit patterns*
 /// (reinterpreted u32s), so the round-trip property covers NaNs,
@@ -26,68 +26,75 @@ fn bits_of(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-proptest! {
-    #[test]
-    fn round_trip_is_bit_identical(
-        m in 1u32..40,
-        n in 1u32..40,
-        k in 1usize..20,
-        seed in 0u64..u64::MAX,
-        epoch in 0u64..u64::MAX,
-        bits in prop::collection::vec(0u32..u32::MAX, 1..64),
-    ) {
+#[test]
+fn round_trip_is_bit_identical() {
+    let input = |g: &mut Gen| {
+        let shape = (g.int(1u32..40), g.int(1u32..40), g.int(1usize..20));
+        let meta = CheckpointMeta {
+            seed: g.int(0u64..u64::MAX),
+            epoch: g.int(0u64..u64::MAX),
+        };
+        (shape, meta, g.vec(1..64, |g| g.int(0u32..u32::MAX)))
+    };
+    check(256, 1, input, |((m, n, k), meta, bits)| {
         let model = model_from_bits(m, n, k, &bits);
-        let meta = CheckpointMeta { seed, epoch };
         let mut buf = Vec::new();
         checkpoint::write_checkpoint(&model, meta, &mut buf).unwrap();
         let back = checkpoint::read_checkpoint(&buf[..]).unwrap();
-        prop_assert_eq!(back.meta, meta);
-        prop_assert_eq!(
+        assert_eq!(back.meta, meta);
+        assert_eq!(
             (back.model.nrows(), back.model.ncols(), back.model.k()),
             (m, n, k)
         );
-        prop_assert_eq!(bits_of(back.model.p_raw()), bits_of(model.p_raw()));
-        prop_assert_eq!(bits_of(back.model.q_raw()), bits_of(model.q_raw()));
-    }
+        assert_eq!(bits_of(back.model.p_raw()), bits_of(model.p_raw()));
+        assert_eq!(bits_of(back.model.q_raw()), bits_of(model.q_raw()));
+    });
+}
 
-    #[test]
-    fn any_single_byte_corruption_is_detected(
-        m in 1u32..12,
-        n in 1u32..12,
-        k in 1usize..10,
-        flip_pos_raw in 0u64..u64::MAX,
-        flip_bit in 0u8..8,
-        bits in prop::collection::vec(0u32..u32::MAX, 1..16),
-    ) {
-        let model = model_from_bits(m, n, k, &bits);
-        let meta = CheckpointMeta { seed: 1, epoch: 2 };
-        let mut buf = Vec::new();
-        checkpoint::write_checkpoint(&model, meta, &mut buf).unwrap();
-        let at = (flip_pos_raw % buf.len() as u64) as usize;
-        buf[at] ^= 1 << flip_bit;
-        // A flipped byte may surface as any error variant (bad magic,
-        // bad version, bad geometry, checksum mismatch, or truncation-
-        // style I/O if a length field grew) — but never as a clean load.
-        prop_assert!(
-            checkpoint::read_checkpoint(&buf[..]).is_err(),
-            "flip at byte {at} bit {flip_bit} loaded cleanly"
-        );
-    }
+#[test]
+fn any_single_byte_corruption_is_detected() {
+    let input = |g: &mut Gen| {
+        let shape = (g.int(1u32..12), g.int(1u32..12), g.int(1usize..10));
+        let flip = (g.int(0u64..u64::MAX), g.int(0u8..8));
+        (shape, flip, g.vec(1..16, |g| g.int(0u32..u32::MAX)))
+    };
+    check(
+        256,
+        2,
+        input,
+        |((m, n, k), (flip_pos_raw, flip_bit), bits)| {
+            let model = model_from_bits(m, n, k, &bits);
+            let meta = CheckpointMeta { seed: 1, epoch: 2 };
+            let mut buf = Vec::new();
+            checkpoint::write_checkpoint(&model, meta, &mut buf).unwrap();
+            let at = (flip_pos_raw % buf.len() as u64) as usize;
+            buf[at] ^= 1 << flip_bit;
+            // A flipped byte may surface as any error variant (bad magic,
+            // bad version, bad geometry, checksum mismatch, or truncation-
+            // style I/O if a length field grew) — but never as a clean
+            // load.
+            assert!(
+                checkpoint::read_checkpoint(&buf[..]).is_err(),
+                "flip at byte {at} bit {flip_bit} loaded cleanly"
+            );
+        },
+    );
+}
 
-    #[test]
-    fn truncation_at_any_point_is_detected(
-        m in 1u32..10,
-        n in 1u32..10,
-        k in 1usize..8,
-        cut_raw in 0u64..u64::MAX,
-    ) {
+#[test]
+fn truncation_at_any_point_is_detected() {
+    let input = |g: &mut Gen| {
+        let shape = (g.int(1u32..10), g.int(1u32..10), g.int(1usize..8));
+        (shape, g.int(0u64..u64::MAX))
+    };
+    check(256, 3, input, |((m, n, k), cut_raw)| {
         let model = Model::init(m, n, k, 5);
         let mut buf = Vec::new();
         checkpoint::write_checkpoint(&model, CheckpointMeta { seed: 0, epoch: 0 }, &mut buf)
             .unwrap();
         let cut = (cut_raw % buf.len() as u64) as usize;
-        prop_assert!(checkpoint::read_checkpoint(&buf[..cut]).is_err());
-    }
+        assert!(checkpoint::read_checkpoint(&buf[..cut]).is_err());
+    });
 }
 
 /// A 60-byte v2 delta: valid header checksum, `m = u32::MAX` so the

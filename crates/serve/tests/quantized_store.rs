@@ -16,10 +16,10 @@
 //!   element; int8: `scale/2 = (max−min)/510` absolute per element,
 //!   Σ|p| weighted).
 
-use gpu_sim::simt::f16_round;
+use mf_fuzz::{check, Gen};
 use mf_serve::{FactorStore, Precision, Query, TopK};
+use mf_sgd::sweep::f16_round;
 use mf_sgd::Model;
-use proptest::prelude::*;
 
 /// The store's exact-answer oracle: the source model with every item
 /// row replaced by the row the store actually serves (dequantized).
@@ -44,20 +44,15 @@ fn recall_at(a: &TopK, b: &TopK) -> f64 {
     hit as f64 / want.len() as f64
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Never-miss prune, serial scan: at every precision, the answer is
-    /// bit-identical to `Model::recommend` over the dequantized rows.
-    /// Norm skews (a band of inflated rows) make the tile and per-item
-    /// prunes actually fire, so a bound that under-covered the
-    /// quantized scores would drop items here.
-    #[test]
-    fn scan_is_exact_over_dequantized_rows(
-        seed in 0u64..1 << 16,
-        skew in 0usize..3,
-        count in 1usize..40,
-    ) {
+/// Never-miss prune, serial scan: at every precision, the answer is
+/// bit-identical to `Model::recommend` over the dequantized rows. Norm
+/// skews (a band of inflated rows) make the tile and per-item prunes
+/// actually fire, so a bound that under-covered the quantized scores
+/// would drop items here.
+#[test]
+fn scan_is_exact_over_dequantized_rows() {
+    let input = |g: &mut Gen| (g.int(0u64..1 << 16), g.int(0usize..3), g.int(1usize..40));
+    check(24, 1, input, |(seed, skew, count)| {
         let n = 700u32;
         let mut model = Model::init(6, n, 16, seed);
         if skew > 0 {
@@ -74,43 +69,52 @@ proptest! {
             for user in [0u32, 5] {
                 let q = Query::top_k(user, count);
                 let got = store.serve_one(&q);
-                let want = TopK { items: oracle.recommend(user, &[], count) };
-                prop_assert_eq!(
-                    topk_bits(&got), topk_bits(&want),
-                    "precision={} user={}", precision.name(), user
+                let want = TopK {
+                    items: oracle.recommend(user, &[], count),
+                };
+                let at = precision.name();
+                assert_eq!(
+                    topk_bits(&got),
+                    topk_bits(&want),
+                    "precision={at} user={user}"
                 );
             }
         }
-    }
+    });
+}
 
-    /// Never-miss prune, batched sweep: `sweep_batch` must agree with
-    /// the serial scan bit for bit at every precision (the decode-once
-    /// tile path serves the same rows the scan decodes per item).
-    #[test]
-    fn sweep_batch_is_exact_at_every_precision(
-        seed in 0u64..1 << 16,
-        count in 1usize..25,
-    ) {
+/// Never-miss prune, batched sweep: `sweep_batch` must agree with the
+/// serial scan bit for bit at every precision (the decode-once tile path
+/// serves the same rows the scan decodes per item).
+#[test]
+fn sweep_batch_is_exact_at_every_precision() {
+    let input = |g: &mut Gen| (g.int(0u64..1 << 16), g.int(1usize..25));
+    check(24, 2, input, |(seed, count)| {
         let model = Model::init(12, 900, 8, seed);
         for precision in [Precision::F32, Precision::F16, Precision::Int8] {
             let store = FactorStore::with_precision(model.clone(), 1, precision);
             let queries: Vec<Query> = (0..12).map(|u| Query::top_k(u, count)).collect();
-            let serial: Vec<Vec<(u32, u32)>> =
-                queries.iter().map(|q| topk_bits(&store.serve_one(q))).collect();
+            let serial: Vec<Vec<(u32, u32)>> = queries
+                .iter()
+                .map(|q| topk_bits(&store.serve_one(q)))
+                .collect();
             let swept: Vec<Vec<(u32, u32)>> =
                 store.sweep_batch(&queries).iter().map(topk_bits).collect();
-            prop_assert_eq!(swept, serial, "precision={}", precision.name());
+            assert_eq!(swept, serial, "precision={}", precision.name());
         }
-    }
+    });
+}
 
-    /// Per-score error stays inside the analytic budget. For f16 each
-    /// element carries ≤ 2⁻¹¹ relative error, so
-    /// `|Δscore| ≤ 2⁻¹¹ · Σ|pᵢ·qᵢ|`; for int8 each element of row `q`
-    /// carries ≤ `scale/2` absolute error with the affine
-    /// `scale = (max−min)/255`, so `|Δscore| ≤ (scale/2) · Σ|pᵢ|`.
-    /// A small f32 accumulation slack is added on top of both.
-    #[test]
-    fn score_error_within_analytic_budget(seed in 0u64..1 << 16) {
+/// Per-score error stays inside the analytic budget. For f16 each
+/// element carries ≤ 2⁻¹¹ relative error, so `|Δscore| ≤ 2⁻¹¹ · Σ|pᵢ·qᵢ|`;
+/// for int8 each element of row `q` carries ≤ `scale/2` absolute error
+/// with the affine `scale = (max−min)/255`, so
+/// `|Δscore| ≤ (scale/2) · Σ|pᵢ|`. A small f32 accumulation slack is
+/// added on top of both.
+#[test]
+fn score_error_within_analytic_budget() {
+    let input = |g: &mut Gen| g.int(0u64..1 << 16);
+    check(24, 3, input, |seed| {
         let k = 32usize;
         let model = Model::init(4, 600, k, seed);
         for precision in [Precision::F16, Precision::Int8] {
@@ -121,8 +125,11 @@ proptest! {
                 for v in (0..600u32).step_by(97) {
                     let q = model.q_row(v);
                     let exact: f32 = p.iter().zip(q).map(|(a, b)| a * b).sum();
-                    let served: f32 =
-                        p.iter().zip(store.item_row_f32(v)).map(|(a, b)| a * b).sum();
+                    let served: f32 = p
+                        .iter()
+                        .zip(store.item_row_f32(v))
+                        .map(|(a, b)| a * b)
+                        .sum();
                     let budget = match precision {
                         Precision::F16 => {
                             let dot_l1: f32 = p.iter().zip(q).map(|(a, b)| (a * b).abs()).sum();
@@ -134,15 +141,15 @@ proptest! {
                             ((hi - lo) / 255.0 / 2.0) * p_l1
                         }
                     } + 1e-5;
-                    prop_assert!(
+                    let at = precision.name();
+                    assert!(
                         (served - exact).abs() <= budget,
-                        "precision={} u={} v={}: |{} - {}| > {}",
-                        precision.name(), u, v, served, exact, budget
+                        "precision={at} u={u} v={v}: |{served} - {exact}| > {budget}"
                     );
                 }
             }
         }
-    }
+    });
 }
 
 /// Recall floors at k=10 over many users of a trained-like model,
@@ -205,8 +212,8 @@ fn quantized_stores_shrink_resident_bytes() {
 }
 
 /// The f16 store's rows are exactly `f16_round` of the trained rows —
-/// the `gpu_sim::simt` semantics the tentpole pins (bit-stored u16
-/// round-trips through the shared codec).
+/// the same binary16 semantics the simulated GPU's half-precision mode
+/// trains with (bit-stored u16 round-trips through the shared codec).
 #[test]
 fn f16_rows_match_f16_round_semantics() {
     let model = Model::init(2, 300, 16, 99);

@@ -8,77 +8,69 @@
 //!   tight RMSE band of the factors full training produced (the
 //!   acceptance bar for admitting users without a retrain).
 
+use mf_fuzz::{check, Gen};
 use mf_par::ThreadPool;
 use mf_serve::{FactorStore, FoldIn, Query, QueryUser, TopK};
 use mf_sgd::Model;
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn sweep_batch_matches_serial_oracle_for_any_thread_count(
-        m in 1u32..10,
-        n in 1u32..1200,
-        k in 1usize..20,
-        seed in 0u64..u64::MAX,
-        queries_raw in prop::collection::vec(
-            (0u32..u32::MAX, 0usize..40, prop::collection::vec(0u32..u32::MAX, 0..30)),
-            1..20
-        ),
-    ) {
+#[test]
+fn sweep_batch_matches_serial_oracle_for_any_thread_count() {
+    let input = |g: &mut Gen| {
+        let (m, n, k) = (g.int(1u32..10), g.int(1u32..1200), g.int(1usize..20));
+        let seed = g.int(0u64..u64::MAX);
+        let queries = g.vec(1..20, |g| Query {
+            user: QueryUser::Id(g.int(0..m)),
+            count: g.int(0usize..40),
+            // Exclusions may be unsorted, duplicated, out of range.
+            exclude: g.vec(0..30, |g| g.int(0..n + 3)),
+        });
+        ((m, n, k), seed, queries)
+    };
+    check(24, 1, input, |((m, n, k), seed, queries)| {
         let model = Model::init(m, n, k, seed);
         let store = FactorStore::new(model.clone(), 1);
-        let queries: Vec<Query> = queries_raw
-            .iter()
-            .map(|(u_raw, count, excl)| Query {
-                user: QueryUser::Id(u_raw % m),
-                count: *count,
-                // Exclusions may be unsorted, duplicated, out of range.
-                exclude: excl.iter().map(|e| e % (n + 3)).collect(),
-            })
-            .collect();
         // Serial oracle: the documented Model::recommend contract.
         let oracle: Vec<TopK> = queries
             .iter()
             .map(|q| {
-                let u = match q.user {
-                    QueryUser::Id(u) => u,
-                    QueryUser::Factor(_) => unreachable!(),
+                let QueryUser::Id(u) = q.user else {
+                    unreachable!()
                 };
-                TopK { items: model.recommend(u, &q.exclude, q.count) }
+                TopK {
+                    items: model.recommend(u, &q.exclude, q.count),
+                }
             })
             .collect();
         for threads in [1usize, 2, 3, 7] {
             let pool = ThreadPool::new(threads);
             let got = store.sweep_batch_in(&queries, &pool);
-            prop_assert_eq!(&got, &oracle, "threads={}", threads);
+            assert_eq!(&got, &oracle, "threads={threads}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn cached_store_answers_identically(
-        n in 1u32..400,
-        k in 1usize..12,
-        seed in 0u64..u64::MAX,
-    ) {
+#[test]
+fn cached_store_answers_identically() {
+    let input = |g: &mut Gen| (g.int(1u32..400), g.int(1usize..12), g.int(0u64..u64::MAX));
+    check(24, 2, input, |(n, k, seed)| {
         let model = Model::init(6, n, k, seed);
         let plain = FactorStore::new(model.clone(), 9);
         // Capacity must hold the whole working set: 12 distinct keys
-        // against a smaller LRU would thrash (each pass evicts what the
-        // next lookup wants) and legitimately never hit.
+        // against a smaller LRU would thrash (each pass evicts what
+        // the next lookup wants) and legitimately never hit.
         let cached = FactorStore::new(model, 9).with_cache(16);
         let queries: Vec<Query> = (0..12)
             .map(|i| Query::top_k(i % 6, 1 + (i as usize % 5)))
             .collect();
         let a = plain.sweep_batch_in(&queries, &ThreadPool::new(1));
-        // Twice through the cached store: cold pass fills, warm pass hits.
+        // Twice through the cached store: cold pass fills, warm pass
+        // hits.
         let b1 = cached.sweep_batch_in(&queries, &ThreadPool::new(2));
         let b2 = cached.sweep_batch_in(&queries, &ThreadPool::new(2));
-        prop_assert_eq!(&a, &b1);
-        prop_assert_eq!(&a, &b2);
-        prop_assert!(cached.cache_stats().hits > 0, "warm pass should hit");
-    }
+        assert_eq!(&a, &b1);
+        assert_eq!(&a, &b2);
+        assert!(cached.cache_stats().hits > 0, "warm pass should hit");
+    });
 }
 
 /// Fold-in quality: train a model on a generated dataset, then pretend a

@@ -3,8 +3,8 @@
 //! the rounding error — the invariants that keep half-precision training
 //! numerically sane.
 
-use gpu_sim::simt::{f16_bits, f16_from_bits, f16_round};
-use proptest::prelude::*;
+use mf_fuzz::{check, Gen};
+use mf_sgd::sweep::{f16_bits, f16_from_bits, f16_round};
 
 /// Every one of the 65 536 binary16 bit patterns must survive a
 /// decode → encode round trip (NaNs canonicalize to `0x7e00` with the
@@ -39,54 +39,67 @@ fn decode_is_f16_round_fixed_point() {
     }
 }
 
-proptest! {
-    #[test]
-    fn idempotent(x in -70000.0f32..70000.0) {
+#[test]
+fn idempotent() {
+    let input = |g: &mut Gen| g.f32(-70000.0..70000.0);
+    check(256, 1, input, |x| {
         let once = f16_round(x);
         let twice = f16_round(once);
-        prop_assert!(once == twice || (once.is_nan() && twice.is_nan()));
-    }
+        assert!(once == twice || (once.is_nan() && twice.is_nan()));
+    });
+}
 
-    #[test]
-    fn monotone(a in -70000.0f32..70000.0, b in -70000.0f32..70000.0) {
+#[test]
+fn monotone() {
+    let input = |g: &mut Gen| (g.f32(-70000.0..70000.0), g.f32(-70000.0..70000.0));
+    check(256, 2, input, |(a, b)| {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(f16_round(lo) <= f16_round(hi));
-    }
+        assert!(f16_round(lo) <= f16_round(hi));
+    });
+}
 
-    #[test]
-    fn odd_symmetry(x in -70000.0f32..70000.0) {
-        prop_assert_eq!(f16_round(-x), -f16_round(x));
-    }
+#[test]
+fn odd_symmetry() {
+    let input = |g: &mut Gen| g.f32(-70000.0..70000.0);
+    check(256, 3, input, |x| {
+        assert_eq!(f16_round(-x), -f16_round(x));
+    });
+}
 
-    #[test]
-    fn relative_error_bounded_in_normal_range(x in 6.2e-5f32..65000.0) {
+#[test]
+fn relative_error_bounded_in_normal_range() {
+    let input = |g: &mut Gen| g.f32(6.2e-5..65000.0);
+    check(256, 4, input, |x| {
         // binary16 has 11 significand bits: relative rounding error is at
         // most 2^-11 for normal values.
         let r = f16_round(x);
         let rel = ((r - x) / x).abs();
-        prop_assert!(rel <= 1.0 / 2048.0 + 1e-9, "x={x}, r={r}, rel={rel}");
-    }
+        assert!(rel <= 1.0 / 2048.0 + 1e-9, "x={x}, r={r}, rel={rel}");
+    });
+}
 
-    #[test]
-    fn encode_matches_round(x in -70000.0f32..70000.0) {
+#[test]
+fn encode_matches_round() {
+    let input = |g: &mut Gen| g.f32(-70000.0..70000.0);
+    check(256, 5, input, |x| {
         // Bit-storing a factor (encode then decode) must equal rounding
         // it in place — bitwise.
-        prop_assert_eq!(
-            f16_from_bits(f16_bits(x)).to_bits(),
-            f16_round(x).to_bits()
-        );
-    }
+        assert_eq!(f16_from_bits(f16_bits(x)).to_bits(), f16_round(x).to_bits());
+    });
+}
 
-    #[test]
-    fn result_is_exactly_representable(x in -60000.0f32..60000.0) {
-        // Every output must have at most 10 fraction bits (normal) or be a
-        // multiple of 2^-24 (subnormal) — checked via idempotence plus a
-        // scaled-integer test for the subnormal range.
+#[test]
+fn result_is_exactly_representable() {
+    let input = |g: &mut Gen| g.f32(-60000.0..60000.0);
+    check(256, 6, input, |x| {
+        // Every output must have at most 10 fraction bits (normal) or be
+        // a multiple of 2^-24 (subnormal) — checked via idempotence plus
+        // a scaled-integer test for the subnormal range.
         let r = f16_round(x);
         if r != 0.0 && r.abs() < 2f32.powi(-14) {
             let q = r / (2f32).powi(-24);
-            prop_assert_eq!(q.fract(), 0.0, "subnormal {} not on grid", r);
+            assert_eq!(q.fract(), 0.0, "subnormal {r} not on grid");
         }
-        prop_assert_eq!(f16_round(r), r);
-    }
+        assert_eq!(f16_round(r), r);
+    });
 }

@@ -17,10 +17,10 @@
 //!   and the fixed-`Q`/`P` fold-in steps must move `p`/`q` bitwise
 //!   identically to the full step at every level.
 
+use mf_fuzz::{check, Gen};
 use mf_sgd::kernel::{self, MONO_DIMS};
 use mf_sgd::simd::{self, SimdLevel};
 use mf_sgd::sweep::{self, PANEL_W};
-use proptest::prelude::*;
 
 /// Update tolerance: the fused pass differs from the scalar oracle's
 /// two-rounding expression by O(1) ulps of the operand magnitudes;
@@ -30,80 +30,70 @@ fn tol(mag: f32) -> f32 {
     1e-6 * (1.0 + mag.abs())
 }
 
-/// Strategy: `(k, p, q, off)` for every monomorphized dimension, with
-/// unit-scale entries and a deliberate *misalignment*: the vectors are
-/// generated `off ∈ 0..8` floats longer and sliced at `off`, so the
-/// SIMD loads hit every 4-byte phase of a cache line (the kernels use
-/// unaligned loads only — this pins that).
-fn arb_rows() -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, usize)> {
-    (0..MONO_DIMS.len(), 0usize..8).prop_flat_map(|(pick, off)| {
-        let k = MONO_DIMS[pick];
-        let entry = -1.0f32..1.0;
-        (
-            Just(k),
-            prop::collection::vec(entry.clone(), k + off..k + off + 1),
-            prop::collection::vec(entry, k + off..k + off + 1),
-            Just(off),
-        )
-            .prop_map(|(k, mut p, mut q, off)| {
-                let s = 1.0 / (k as f32).sqrt();
-                for x in p.iter_mut().chain(q.iter_mut()) {
-                    *x *= s;
-                }
-                (k, p, q, off)
-            })
-    })
+/// A monomorphized latent dimension.
+fn mono_k(g: &mut Gen) -> usize {
+    MONO_DIMS[g.int(0..MONO_DIMS.len())]
 }
 
-fn arb_hypers() -> impl Strategy<Value = (f32, f32, f32, f32)> {
-    (-5.0f32..5.0, 1e-4f32..0.1, 0.0f32..0.2, 0.0f32..0.2)
+/// `(k, p, q, off)` for every monomorphized dimension, with unit-scale
+/// entries and a deliberate *misalignment*: the vectors are generated
+/// `off ∈ 0..8` floats longer and sliced from `off`, so the SIMD loads
+/// hit every 4-byte phase of a cache line (the kernels use unaligned
+/// loads only — this pins that).
+fn rows(g: &mut Gen) -> (usize, Vec<f32>, Vec<f32>, usize) {
+    let (k, off) = (mono_k(g), g.int(0usize..8));
+    let s = 1.0 / (k as f32).sqrt();
+    let row = |g: &mut Gen| g.vec(k + off..k + off + 1, |g| g.f32(-1.0..1.0) * s);
+    (k, row(g), row(g), off)
 }
 
-proptest! {
-    /// The dot carries the same bits at every dispatch level — the
-    /// association order is pinned, FMA is banned from reductions.
-    #[test]
-    fn dot_is_bit_identical_at_every_level((k, p, q, off) in arb_rows()) {
-        let (p, q) = (&p[off..off + k], &q[off..off + k]);
+/// `(r, gamma, lambda_p, lambda_q)`.
+fn hypers(g: &mut Gen) -> (f32, f32, f32, f32) {
+    let (r, gamma) = (g.f32(-5.0..5.0), g.f32(1e-4..0.1));
+    (r, gamma, g.f32(0.0..0.2), g.f32(0.0..0.2))
+}
+
+/// The dot carries the same bits at every dispatch level — the
+/// association order is pinned, FMA is banned from reductions.
+#[test]
+fn dot_is_bit_identical_at_every_level() {
+    check(256, 1, rows, |(k, p, q, off)| {
+        let (p, q) = (&p[off..], &q[off..]);
         let oracle = simd::dot_at(SimdLevel::Scalar, p, q);
-        prop_assert_eq!(oracle.to_bits(), kernel::dot(p, q).to_bits());
+        assert_eq!(oracle.to_bits(), kernel::dot(p, q).to_bits());
         for &lvl in simd::available_levels() {
             let d = simd::dot_at(lvl, p, q);
-            prop_assert_eq!(
-                d.to_bits(), oracle.to_bits(),
-                "k={} level={}: {} vs {}", k, lvl.name(), d, oracle
-            );
+            let at = lvl.name();
+            assert_eq!(d.to_bits(), oracle.to_bits(), "k={k} {at}: {d} vs {oracle}");
         }
-    }
+    });
+}
 
-    /// Full step: returned error bit-identical (it is a dot), factor
-    /// movement ulp-bounded vs the scalar oracle — and bit-identical
-    /// *between* SIMD levels (the update is elementwise, so register
-    /// width cannot change the bits).
-    #[test]
-    fn sgd_step_errors_bitwise_updates_ulp_bounded(
-        (k, p0, q0, off) in arb_rows(),
-        (r, gamma, lambda_p, lambda_q) in arb_hypers(),
-    ) {
+/// Full step: returned error bit-identical (it is a dot), factor
+/// movement ulp-bounded vs the scalar oracle — and bit-identical
+/// *between* SIMD levels (the update is elementwise, so register width
+/// cannot change the bits).
+#[test]
+fn sgd_step_errors_bitwise_updates_ulp_bounded() {
+    let input = |g: &mut Gen| (rows(g), hypers(g));
+    check(256, 2, input, |((k, p0, q0, off), (r, gamma, lp, lq))| {
         let step = |lvl: SimdLevel| {
             let (mut p, mut q) = (p0.clone(), q0.clone());
-            let e = simd::sgd_step_at(
-                lvl, &mut p[off..off + k], &mut q[off..off + k],
-                r, gamma, lambda_p, lambda_q,
-            );
+            let e = simd::sgd_step_at(lvl, &mut p[off..], &mut q[off..], r, gamma, lp, lq);
             (e, p, q)
         };
         let (e0, ps, qs) = step(SimdLevel::Scalar);
         let mut simd_movements: Vec<(Vec<f32>, Vec<f32>)> = Vec::new();
         for &lvl in simd::available_levels() {
             let (e, p, q) = step(lvl);
-            prop_assert_eq!(e.to_bits(), e0.to_bits(), "error at {}", lvl.name());
+            let at = lvl.name();
+            assert_eq!(e.to_bits(), e0.to_bits(), "error at {at}");
             let t = tol(e);
             for i in 0..p.len() {
-                prop_assert!(
-                    (p[i] - ps[i]).abs() <= t && (q[i] - qs[i]).abs() <= t,
-                    "k={} level={} i={}: p {} vs {}, q {} vs {}",
-                    k, lvl.name(), i, p[i], ps[i], q[i], qs[i]
+                let (pi, psi, qi, qsi) = (p[i], ps[i], q[i], qs[i]);
+                assert!(
+                    (pi - psi).abs() <= t && (qi - qsi).abs() <= t,
+                    "k={k} {at} i={i}: p {pi} vs {psi}, q {qi} vs {qsi}"
                 );
             }
             if lvl != SimdLevel::Scalar {
@@ -111,57 +101,58 @@ proptest! {
             }
         }
         for w in simd_movements.windows(2) {
-            prop_assert_eq!(&w[0], &w[1], "SIMD levels must agree bitwise");
+            assert_eq!(&w[0], &w[1], "SIMD levels must agree bitwise");
         }
-    }
+    });
+}
 
-    /// Fold-in steps share the full step's fused expression, so the
-    /// moving side must match the full step **bitwise at every level**
-    /// (the other side held fixed), and the error is again a dot.
-    #[test]
-    fn fixed_steps_move_bitwise_like_the_full_step(
-        (k, p0, q0, off) in arb_rows(),
-        (r, gamma, lambda_p, lambda_q) in arb_hypers(),
-    ) {
+/// Fold-in steps share the full step's fused expression, so the moving
+/// side must match the full step **bitwise at every level** (the other
+/// side held fixed), and the error is again a dot.
+#[test]
+fn fixed_steps_move_bitwise_like_the_full_step() {
+    let input = |g: &mut Gen| (rows(g), hypers(g));
+    check(256, 3, input, |((_, p0, q0, off), (r, gamma, lp, lq))| {
         for &lvl in simd::available_levels() {
+            let at = lvl.name();
             let (mut pf, mut qf) = (p0.clone(), q0.clone());
-            let ef = simd::sgd_step_at(
-                lvl, &mut pf[off..off + k], &mut qf[off..off + k],
-                r, gamma, lambda_p, lambda_q,
-            );
+            let ef = simd::sgd_step_at(lvl, &mut pf[off..], &mut qf[off..], r, gamma, lp, lq);
 
             let mut p = p0.clone();
-            let eq_ = simd::sgd_step_fixed_q_at(
-                lvl, &mut p[off..off + k], &q0[off..off + k], r, gamma, lambda_p,
-            );
-            prop_assert_eq!(eq_.to_bits(), ef.to_bits(), "fixed-Q error at {}", lvl.name());
-            prop_assert_eq!(&p, &pf, "fixed-Q p-movement at {}", lvl.name());
+            let eq_ = simd::sgd_step_fixed_q_at(lvl, &mut p[off..], &q0[off..], r, gamma, lp);
+            assert_eq!(eq_.to_bits(), ef.to_bits(), "fixed-Q error at {at}");
+            assert_eq!(&p, &pf, "fixed-Q p-movement at {at}");
 
             let mut q = q0.clone();
-            let ep = simd::sgd_step_fixed_p_at(
-                lvl, &p0[off..off + k], &mut q[off..off + k], r, gamma, lambda_q,
-            );
-            prop_assert_eq!(ep.to_bits(), ef.to_bits(), "fixed-P error at {}", lvl.name());
-            prop_assert_eq!(&q, &qf, "fixed-P q-movement at {}", lvl.name());
+            let ep = simd::sgd_step_fixed_p_at(lvl, &p0[off..], &mut q[off..], r, gamma, lq);
+            assert_eq!(ep.to_bits(), ef.to_bits(), "fixed-P error at {at}");
+            assert_eq!(&q, &qf, "fixed-P q-movement at {at}");
         }
-    }
+    });
+}
 
-    /// The serving panel kernel: per query lane the arithmetic is the
-    /// pinned dot, so all `PANEL_W` outputs must match a lane-by-lane
-    /// `dot_at(Scalar)` bit for bit, at every level.
-    #[test]
-    fn dot_panel_is_bit_identical_at_every_level(
-        (k, _, _, _) in arb_rows(),
-        seed in 0u64..1 << 20,
-        nrows in 1usize..40,
-        nq in 1usize..PANEL_W + 1,
-    ) {
+/// The serving panel kernel: per query lane the arithmetic is the pinned
+/// dot, so all `PANEL_W` outputs must match a lane-by-lane
+/// `dot_at(Scalar)` bit for bit, at every level.
+#[test]
+fn dot_panel_is_bit_identical_at_every_level() {
+    let input = |g: &mut Gen| {
+        (
+            mono_k(g),
+            g.int(0u64..1 << 20),
+            g.int(1usize..40),
+            g.int(1usize..PANEL_W + 1),
+        )
+    };
+    check(256, 4, input, |(k, seed, nrows, nq)| {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let s = 1.0 / (k as f32).sqrt();
         let mut fill = |len: usize| -> Vec<f32> {
-            (0..len).map(|_| (rng.random::<f32>() - 0.5) * 2.0 * s).collect()
+            (0..len)
+                .map(|_| (rng.random::<f32>() - 0.5) * 2.0 * s)
+                .collect()
         };
         let queries: Vec<Vec<f32>> = (0..nq).map(|_| fill(k)).collect();
         let refs: Vec<&[f32]> = queries.iter().map(|v| v.as_slice()).collect();
@@ -174,10 +165,10 @@ proptest! {
         // The panel kernel is the dot kernel, lane by lane.
         for (i, row) in rows.chunks_exact(k).enumerate() {
             for (lane, q) in queries.iter().enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     oracle[i * PANEL_W + lane].to_bits(),
                     simd::dot_at(SimdLevel::Scalar, q, row).to_bits(),
-                    "panel vs dot at row {} lane {}", i, lane
+                    "panel vs dot at row {i} lane {lane}"
                 );
             }
         }
@@ -185,21 +176,26 @@ proptest! {
             let mut out = vec![0f32; nrows * PANEL_W];
             sweep::dot_panel_at(lvl, &panel, k, &rows, &mut out);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&out), bits(&oracle), "level {}", lvl.name());
+            assert_eq!(bits(&out), bits(&oracle), "level {}", lvl.name());
         }
-    }
+    });
+}
 
-    /// The SoA block loop at level L is exactly "apply `sgd_step_at(L)`
-    /// per rating in block order" — bitwise, at every level. This pins
-    /// the fn-pointer plumbing and the prefetch rewrite to the step
-    /// semantics (not just to a tolerance).
-    #[test]
-    fn block_loop_is_bitwise_per_rating_application(
-        (k, _, _, _) in arb_rows(),
-        seed in 0u64..1 << 20,
-        nnz in 0usize..100,
-        gamma in 1e-4f32..0.1,
-    ) {
+/// The SoA block loop at level L is exactly "apply `sgd_step_at(L)` per
+/// rating in block order" — bitwise, at every level. This pins the
+/// fn-pointer plumbing and the prefetch rewrite to the step semantics
+/// (not just to a tolerance).
+#[test]
+fn block_loop_is_bitwise_per_rating_application() {
+    let input = |g: &mut Gen| {
+        (
+            mono_k(g),
+            g.int(0u64..1 << 20),
+            g.int(0usize..100),
+            g.f32(1e-4..0.1),
+        )
+    };
+    check(256, 5, input, |(k, seed, nnz, gamma)| {
         use mf_sparse::{Rating, SoaRatings};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -207,41 +203,49 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51);
         let s = 1.0 / (k as f32).sqrt();
         let mut fill = |len: usize| -> Vec<f32> {
-            (0..len).map(|_| (rng.random::<f32>() - 0.5) * 2.0 * s).collect()
+            (0..len)
+                .map(|_| (rng.random::<f32>() - 0.5) * 2.0 * s)
+                .collect()
         };
         let p0 = fill(users as usize * k);
         let q0 = fill(items as usize * k);
         let block: Vec<Rating> = (0..nnz)
-            .map(|_| Rating::new(
-                rng.random::<u32>() % users,
-                rng.random::<u32>() % items,
-                1.0 + 4.0 * rng.random::<f32>(),
-            ))
+            .map(|_| {
+                Rating::new(
+                    rng.random::<u32>() % users,
+                    rng.random::<u32>() % items,
+                    1.0 + 4.0 * rng.random::<f32>(),
+                )
+            })
             .collect();
         let soa = SoaRatings::from_entries(&block);
         for &lvl in simd::available_levels() {
             let (mut pa, mut qa) = (p0.clone(), q0.clone());
-            let got = kernel::sgd_block_soa_at(
-                lvl, &mut pa, &mut qa, k, soa.as_slices(), gamma, 0.03, 0.05,
-            );
+            let slices = soa.as_slices();
+            let got = kernel::sgd_block_soa_at(lvl, &mut pa, &mut qa, k, slices, gamma, 0.03, 0.05);
             let (mut pb, mut qb) = (p0.clone(), q0.clone());
             let mut expect = 0f64;
             for rating in &block {
                 let (u, v) = (rating.u as usize, rating.v as usize);
-                // u and v index disjoint buffers, so the two &muts are fine.
+                // u and v index disjoint buffers, so the two &muts are
+                // fine.
                 let e = simd::sgd_step_at(
                     lvl,
                     &mut pb[u * k..(u + 1) * k],
                     &mut qb[v * k..(v + 1) * k],
-                    rating.r, gamma, 0.03, 0.05,
+                    rating.r,
+                    gamma,
+                    0.03,
+                    0.05,
                 );
                 expect += (e as f64) * (e as f64);
             }
-            prop_assert_eq!(got.to_bits(), expect.to_bits(), "level {}", lvl.name());
-            prop_assert_eq!(&pa, &pb, "p at level {}", lvl.name());
-            prop_assert_eq!(&qa, &qb, "q at level {}", lvl.name());
+            let at = lvl.name();
+            assert_eq!(got.to_bits(), expect.to_bits(), "level {at}");
+            assert_eq!(&pa, &pb, "p at level {at}");
+            assert_eq!(&qa, &qb, "q at level {at}");
         }
-    }
+    });
 }
 
 /// `MF_SIMD=scalar` must make the plain entry points take the oracle

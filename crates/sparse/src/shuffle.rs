@@ -18,6 +18,7 @@ use mf_par::{
     DEFAULT_CHUNK,
 };
 
+use crate::hash::splitmix64;
 use crate::matrix::{Rating, SparseMatrix};
 
 /// Shuffles the entry order in place (single-stream Fisher-Yates with a
@@ -33,14 +34,10 @@ pub fn shuffle_entries(m: &mut SparseMatrix, seed: u64) {
 /// and therefore the result — is reproducible on any machine.
 const PAR_SHUFFLE_BUCKET: usize = 1 << 16;
 
-/// SplitMix64 finalizer: the per-index hash stream of the parallel
-/// shuffle.
+/// The per-index hash stream of the parallel shuffle.
 #[inline]
 fn mix(seed: u64, i: u64) -> u64 {
-    let mut x = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// [`par_shuffle_entries_in`] on the process-wide pool.

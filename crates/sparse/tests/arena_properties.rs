@@ -11,10 +11,10 @@
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
+use mf_fuzz::{check, Gen};
 use mf_sparse::arena::{budget_from_env, parse_bytes, ArenaError, BlockArena, SpillHandle};
 use mf_sparse::vfs::RealFs;
 use mf_sparse::{BlockOrder, GridPartition, GridSpec, Rating, SparseMatrix};
-use proptest::prelude::*;
 
 /// One arena file shared by every case: (path, per-block wire bytes).
 fn shared_arena() -> &'static (PathBuf, Vec<usize>) {
@@ -148,72 +148,53 @@ impl Oracle {
     }
 }
 
-/// Asserts every observable of `handle` against the oracle. Returns an
-/// error string instead of panicking so `prop_assert!` reports the op
-/// index of the first divergence.
-fn check(handle: &SpillHandle, oracle: &Oracle) -> Result<(), String> {
+/// Asserts every observable of `handle` against the oracle; `at` names
+/// the op just applied.
+fn compare(handle: &SpillHandle, oracle: &Oracle, at: &str) {
     let cache = handle.cache();
     for flat in 0..oracle.resident.len() {
-        if handle.is_resident(flat) != oracle.resident[flat].is_some() {
-            return Err(format!(
-                "block {flat}: residency diverged (cache={}, oracle={})",
-                handle.is_resident(flat),
-                oracle.resident[flat].is_some()
-            ));
-        }
-        if cache.pin_count(flat) != oracle.pins(flat) {
-            return Err(format!(
-                "block {flat}: pin count diverged (cache={}, oracle={})",
-                cache.pin_count(flat),
-                oracle.pins(flat)
-            ));
-        }
+        let (got, want) = (handle.is_resident(flat), oracle.resident[flat].is_some());
+        assert_eq!(got, want, "{at}: block {flat} residency diverged");
+        let (got, want) = (cache.pin_count(flat), oracle.pins(flat));
+        assert_eq!(got, want, "{at}: block {flat} pin count diverged");
     }
-    if cache.resident_bytes() != oracle.used {
-        return Err(format!(
-            "resident bytes diverged (cache={}, oracle={})",
-            cache.resident_bytes(),
-            oracle.used
-        ));
-    }
-    if cache.pinned_bytes() != oracle.pinned_bytes() {
-        return Err(format!(
-            "pinned bytes diverged (cache={}, oracle={})",
-            cache.pinned_bytes(),
-            oracle.pinned_bytes()
-        ));
-    }
+    let used = oracle.used;
+    assert_eq!(
+        cache.resident_bytes(),
+        used,
+        "{at}: resident bytes diverged"
+    );
+    let pinned = oracle.pinned_bytes();
+    assert_eq!(cache.pinned_bytes(), pinned, "{at}: pinned bytes diverged");
     let c = handle.counters();
-    if (c.hits, c.misses, c.evictions) != (oracle.hits, oracle.misses, oracle.evictions) {
-        return Err(format!(
-            "counters diverged (cache h/m/e={}/{}/{}, oracle={}/{}/{})",
-            c.hits, c.misses, c.evictions, oracle.hits, oracle.misses, oracle.evictions
-        ));
-    }
+    let want = (oracle.hits, oracle.misses, oracle.evictions);
+    assert_eq!(
+        (c.hits, c.misses, c.evictions),
+        want,
+        "{at}: h/m/e diverged"
+    );
     // Over-budget residency is legal only when every unpinned byte is gone.
-    if oracle.used > oracle.budget {
-        let any_unpinned = oracle.resident.iter().any(|e| matches!(e, Some((_, 0))));
-        if any_unpinned {
-            return Err(format!(
-                "cache over budget ({} > {}) with unpinned residents",
-                oracle.used, oracle.budget
-            ));
-        }
-    }
-    Ok(())
+    let any_unpinned = oracle.resident.iter().any(|e| matches!(e, Some((_, 0))));
+    assert!(
+        used <= oracle.budget || !any_unpinned,
+        "{at}: over budget ({used} > {}) with unpinned residents",
+        oracle.budget
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random pin/unpin/warm/evict sequences: the cache's resident set,
-    /// pin counts, byte accounting, and hit/miss/eviction counters all
-    /// track the scan oracle exactly — so eviction *order* does too.
-    #[test]
-    fn cache_tracks_lru_oracle(
-        budget_pct in 3usize..140,
-        ops in prop::collection::vec((0u8..4, 0usize..4096), 1..300),
-    ) {
+/// Random pin/unpin/warm/evict sequences: the cache's resident set, pin
+/// counts, byte accounting, and hit/miss/eviction counters all track the
+/// scan oracle exactly — so eviction *order* does too.
+#[test]
+fn cache_tracks_lru_oracle() {
+    let input = |g: &mut Gen| {
+        let budget_pct = g.int(3usize..140);
+        (
+            budget_pct,
+            g.vec(1..300, |g| (g.int(0u8..4), g.int(0usize..4096))),
+        )
+    };
+    check(48, 1, input, |(budget_pct, ops)| {
         let (_, bytes) = shared_arena();
         let total: usize = bytes.iter().sum();
         let budget = total * budget_pct / 100;
@@ -227,8 +208,9 @@ proptest! {
                     oracle.acquire(flat);
                 }
                 1 => {
-                    // Unpin only when a pin is held — a bare release is an
-                    // executor bug the cache panics on (tested separately).
+                    // Unpin only when a pin is held — a bare release
+                    // is an executor bug the cache panics on (tested
+                    // separately).
                     if oracle.pins(flat) > 0 {
                         handle.unpin(flat);
                         oracle.release(flat);
@@ -240,30 +222,38 @@ proptest! {
                     oracle.release(flat);
                 }
                 _ => {
-                    // Explicit evict of an unpinned block; pinned targets
-                    // are skipped here (panic path tested separately).
+                    // Explicit evict of an unpinned block; pinned
+                    // targets are skipped here (panic path tested
+                    // separately).
                     if oracle.pins(flat) == 0 {
                         let got = handle.cache().evict(flat);
                         let want = oracle.evict(flat);
-                        prop_assert_eq!(got, want, "op {}: evict return diverged", i);
+                        assert_eq!(got, want, "op {i}: evict return diverged");
                     }
                 }
             }
-            if let Err(msg) = check(&handle, &oracle) {
-                prop_assert!(false, "after op {} ({}, block {}): {}", i, op, flat, msg);
-            }
+            compare(
+                &handle,
+                &oracle,
+                &format!("after op {i} ({op}, block {flat})"),
+            );
         }
-    }
+    });
+}
 
-    /// Pin safety: evicting a pinned block panics, and the panicking
-    /// evict mutates nothing — the block stays resident, pinned, and
-    /// fully accounted.
-    #[test]
-    fn evicting_pinned_block_panics_and_mutates_nothing(
-        budget_pct in 3usize..140,
-        warm_ops in prop::collection::vec(0usize..4096, 0..40),
-        target in 0usize..4096,
-    ) {
+/// Pin safety: evicting a pinned block panics, and the panicking evict
+/// mutates nothing — the block stays resident, pinned, and fully
+/// accounted.
+#[test]
+fn evicting_pinned_block_panics_and_mutates_nothing() {
+    let input = |g: &mut Gen| {
+        (
+            g.int(3usize..140),
+            g.vec(0..40, |g| g.int(0usize..4096)),
+            g.int(0usize..4096),
+        )
+    };
+    check(48, 2, input, |(budget_pct, warm_ops, target)| {
         let (_, bytes) = shared_arena();
         let total: usize = bytes.iter().sum();
         let handle = open_handle(total * budget_pct / 100);
@@ -273,21 +263,23 @@ proptest! {
         let flat = target % bytes.len();
         handle.pin(flat).unwrap();
         let before = handle.counters();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle.cache().evict(flat)
-        }));
-        std::panic::set_hook(hook);
-        prop_assert!(verdict.is_err(), "evicting pinned block {} did not panic", flat);
-        prop_assert!(handle.is_resident(flat), "pinned block evicted by panicking call");
-        prop_assert_eq!(handle.cache().pin_count(flat), 1);
+        let verdict =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.cache().evict(flat)));
+        assert!(
+            verdict.is_err(),
+            "evicting pinned block {flat} did not panic"
+        );
+        assert!(
+            handle.is_resident(flat),
+            "pinned block evicted by panicking call"
+        );
+        assert_eq!(handle.cache().pin_count(flat), 1);
         let after = handle.counters();
-        prop_assert_eq!(after.evictions, before.evictions);
-        prop_assert_eq!(after.resident_bytes, before.resident_bytes);
-        prop_assert_eq!(after.pinned_bytes, before.pinned_bytes);
+        assert_eq!(after.evictions, before.evictions);
+        assert_eq!(after.resident_bytes, before.resident_bytes);
+        assert_eq!(after.pinned_bytes, before.pinned_bytes);
         handle.unpin(flat);
-    }
+    });
 }
 
 #[test]

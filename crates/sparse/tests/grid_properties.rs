@@ -2,95 +2,85 @@
 //! block, inside that block's row/column ranges, for arbitrary matrices and
 //! arbitrary (possibly nonuniform, possibly empty-band) cut vectors.
 
+use mf_fuzz::{check, Gen};
 use mf_sparse::{GridPartition, GridSpec, Rating, SparseMatrix};
-use proptest::prelude::*;
 
-/// Strategy: a matrix with shape up to 64x64 and up to 400 entries.
-fn arb_matrix() -> impl Strategy<Value = SparseMatrix> {
-    (1u32..64, 1u32..64).prop_flat_map(|(m, n)| {
-        prop::collection::vec((0..m, 0..n, -10.0f32..10.0), 0..400).prop_map(move |trips| {
-            SparseMatrix::new(
-                m,
-                n,
-                trips
-                    .into_iter()
-                    .map(|(u, v, r)| Rating::new(u, v, r))
-                    .collect(),
-            )
-            .expect("in-bounds by construction")
-        })
-    })
+/// A matrix with shape up to 64x64 and up to 400 entries.
+fn matrix(g: &mut Gen) -> SparseMatrix {
+    let (m, n) = (g.int(1u32..64), g.int(1u32..64));
+    let trips = g.vec(0..400, |g| {
+        Rating::new(g.int(0..m), g.int(0..n), g.f32(-10.0..10.0))
+    });
+    SparseMatrix::new(m, n, trips).expect("in-bounds by construction")
 }
 
-/// Strategy: non-decreasing cuts from 0 to `dim` with 1..=8 bands.
-fn arb_cuts(dim: u32) -> impl Strategy<Value = Vec<u32>> {
-    prop::collection::vec(0..=dim, 0..7).prop_map(move |mut mids| {
-        mids.sort_unstable();
-        let mut cuts = Vec::with_capacity(mids.len() + 2);
-        cuts.push(0);
-        cuts.extend(mids);
-        cuts.push(dim);
-        cuts
-    })
+/// Non-decreasing cuts from 0 to `dim` with 1..=7 bands.
+fn cuts(g: &mut Gen, dim: u32) -> Vec<u32> {
+    let mut mids = g.vec(0..7, |g| g.int(0..dim + 1));
+    mids.sort_unstable();
+    let mut cuts = Vec::with_capacity(mids.len() + 2);
+    cuts.push(0);
+    cuts.extend(mids);
+    cuts.push(dim);
+    cuts
 }
 
-proptest! {
-    #[test]
-    fn partition_is_exact_cover(m in arb_matrix()) {
-        let spec_strategy = (arb_cuts(m.nrows()), arb_cuts(m.ncols()));
-        // Use a fixed derived spec per matrix to avoid nested runners: take
-        // three representative grids.
+#[test]
+fn partition_is_exact_cover() {
+    check(256, 1, matrix, |m| {
+        // Three representative grids per matrix.
         let specs = vec![
             GridSpec::uniform(m.nrows(), m.ncols(), 1, 1),
             GridSpec::uniform(m.nrows(), m.ncols(), 4, 3),
             GridSpec::uniform(m.nrows(), m.ncols(), 7, 7),
         ];
-        drop(spec_strategy);
         for spec in specs {
             let part = GridPartition::build(&m, spec);
-            prop_assert_eq!(part.total_nnz(), m.nnz());
+            assert_eq!(part.total_nnz(), m.nnz());
             let mut count = 0usize;
             for id in part.spec().blocks() {
                 let rr = part.spec().row_range(id.row);
                 let cr = part.spec().col_range(id.col);
                 for e in part.block(id).iter() {
-                    prop_assert!(rr.contains(&e.u));
-                    prop_assert!(cr.contains(&e.v));
+                    assert!(rr.contains(&e.u));
+                    assert!(cr.contains(&e.v));
                     count += 1;
                 }
             }
-            prop_assert_eq!(count, m.nnz());
+            assert_eq!(count, m.nnz());
         }
-    }
+    });
+}
 
-    #[test]
-    fn nonuniform_cuts_partition_exactly(
-        (m, row_cuts, col_cuts) in arb_matrix().prop_flat_map(|m| {
-            let rc = arb_cuts(m.nrows());
-            let cc = arb_cuts(m.ncols());
-            (Just(m), rc, cc)
-        })
-    ) {
+#[test]
+fn nonuniform_cuts_partition_exactly() {
+    let input = |g: &mut Gen| {
+        let m = matrix(g);
+        let row_cuts = cuts(g, m.nrows());
+        let col_cuts = cuts(g, m.ncols());
+        (m, row_cuts, col_cuts)
+    };
+    check(256, 2, input, |(m, row_cuts, col_cuts)| {
         let spec = GridSpec::from_cuts(row_cuts, col_cuts).expect("valid by construction");
         let part = GridPartition::build(&m, spec);
-        prop_assert_eq!(part.total_nnz(), m.nnz());
-        // Sum of block lens equals nnz, and each entry's block agrees with
-        // block_of lookup.
+        assert_eq!(part.total_nnz(), m.nnz());
+        // Sum of block lens equals nnz, and each entry's block agrees
+        // with block_of lookup.
         let mut total = 0usize;
         for id in part.spec().blocks() {
             for e in part.block(id).iter() {
-                prop_assert_eq!(part.spec().block_of(e.u, e.v), id);
+                assert_eq!(part.spec().block_of(e.u, e.v), id);
             }
             total += part.block_len(id);
         }
-        prop_assert_eq!(total, m.nnz());
-    }
+        assert_eq!(total, m.nnz());
+    });
+}
 
-    #[test]
-    fn band_lookup_matches_linear_scan(
-        dim in 1u32..100,
-        seed_cuts in prop::collection::vec(0u32..100, 0..6),
-    ) {
+#[test]
+fn band_lookup_matches_linear_scan() {
+    let input = |g: &mut Gen| (g.int(1u32..100), g.vec(0..6, |g| g.int(0u32..100)));
+    check(256, 3, input, |(dim, seed_cuts)| {
         let mut mids: Vec<u32> = seed_cuts.into_iter().map(|c| c % (dim + 1)).collect();
         mids.sort_unstable();
         let mut cuts = vec![0u32];
@@ -100,7 +90,10 @@ proptest! {
         for x in 0..dim {
             let band = spec.row_block_of(x);
             let range = spec.row_range(band);
-            prop_assert!(range.contains(&x), "x={} band={} range={:?} cuts={:?}", x, band, range, cuts);
+            assert!(
+                range.contains(&x),
+                "x={x} band={band} range={range:?} cuts={cuts:?}"
+            );
         }
-    }
+    });
 }

@@ -7,25 +7,17 @@
 //!    shuffle — produces **bit-identical** output for any thread
 //!    count.
 
+use mf_fuzz::{check, Gen};
 use mf_par::ThreadPool;
 use mf_sparse::{shuffle, BlockOrder, GridPartition, GridSpec, Rating, SparseMatrix};
-use proptest::prelude::*;
 
-/// Strategy: a matrix with shape up to 48x48 and up to 300 entries.
-fn arb_matrix() -> impl Strategy<Value = SparseMatrix> {
-    (1u32..48, 1u32..48).prop_flat_map(|(m, n)| {
-        prop::collection::vec((0..m, 0..n, -10.0f32..10.0), 0..300).prop_map(move |trips| {
-            SparseMatrix::new(
-                m,
-                n,
-                trips
-                    .into_iter()
-                    .map(|(u, v, r)| Rating::new(u, v, r))
-                    .collect(),
-            )
-            .expect("in-bounds by construction")
-        })
-    })
+/// A matrix with shape up to 48x48 and up to 300 entries.
+fn matrix(g: &mut Gen) -> SparseMatrix {
+    let (m, n) = (g.int(1u32..48), g.int(1u32..48));
+    let trips = g.vec(0..300, |g| {
+        Rating::new(g.int(0..m), g.int(0..n), g.f32(-10.0..10.0))
+    });
+    SparseMatrix::new(m, n, trips).expect("in-bounds by construction")
 }
 
 /// The executable definition of the partition: indices stably sorted by
@@ -48,9 +40,9 @@ fn reference_blocks(m: &SparseMatrix, spec: &GridSpec, order: BlockOrder) -> Vec
     out
 }
 
-proptest! {
-    #[test]
-    fn soa_partition_matches_aos_reference(m in arb_matrix()) {
+#[test]
+fn soa_partition_matches_aos_reference() {
+    check(256, 1, matrix, |m| {
         for order in [BlockOrder::Stream, BlockOrder::UserMajor] {
             let specs = [
                 GridSpec::uniform(m.nrows(), m.ncols(), 1, 1),
@@ -60,21 +52,21 @@ proptest! {
             for spec in specs {
                 let expect = reference_blocks(&m, &spec, order);
                 let part = GridPartition::build_with_order(&m, spec, order);
-                prop_assert_eq!(part.total_nnz(), m.nnz());
+                assert_eq!(part.total_nnz(), m.nnz());
                 for id in part.spec().blocks() {
                     let got: Vec<Rating> = part.block(id).iter().collect();
                     let flat = part.spec().flat_index(id);
-                    prop_assert_eq!(
-                        &got, &expect[flat],
-                        "order {:?}, block {}", order, id
-                    );
+                    assert_eq!(&got, &expect[flat], "order {order:?}, block {id}");
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn parallel_passes_are_thread_count_invariant(m in arb_matrix(), seed in 0u64..500) {
+#[test]
+fn parallel_passes_are_thread_count_invariant() {
+    let input = |g: &mut Gen| (matrix(g), g.int(0u64..500));
+    check(256, 2, input, |(m, seed)| {
         let pools: Vec<ThreadPool> = [1usize, 2, 3].into_iter().map(ThreadPool::new).collect();
         let spec = GridSpec::uniform(m.nrows(), m.ncols(), 4, 3);
 
@@ -94,18 +86,28 @@ proptest! {
             for id in spec.blocks() {
                 let a: Vec<Rating> = grid_ref.block(id).iter().collect();
                 let b: Vec<Rating> = grid.block(id).iter().collect();
-                prop_assert_eq!(a, b, "grid block {} differs at {} threads", id, pool.threads());
+                assert_eq!(
+                    a,
+                    b,
+                    "grid block {id} differs at {} threads",
+                    pool.threads()
+                );
             }
             let mut shuf = m.clone();
             shuffle::par_shuffle_entries_in(&mut shuf, seed, pool);
-            prop_assert_eq!(&shuf, &shuf_ref, "shuffle differs at {} threads", pool.threads());
+            assert_eq!(
+                &shuf,
+                &shuf_ref,
+                "shuffle differs at {} threads",
+                pool.threads()
+            );
         }
-    }
+    });
 }
 
 /// Multi-chunk regime: enough entries that the counting scatter splits
 /// into several chunks and the shuffle uses several buckets, across
-/// thread counts — the small proptest matrices above stay single-chunk.
+/// thread counts — the small generated matrices above stay single-chunk.
 #[test]
 fn large_input_parallel_passes_are_thread_count_invariant() {
     let n = 150_000usize;

@@ -5,17 +5,20 @@
 //! tie-break — and its bookkeeping (counts, in-flight, band occupancy)
 //! stays consistent.
 
+use mf_fuzz::{check, Gen};
 use mf_sparse::{BlockId, FreeBlockPool};
-use proptest::prelude::*;
 
-proptest! {
-    #[test]
-    fn pool_pick_equals_exhaustive_scan(
-        rows in 1u32..12,
-        cols in 1u32..12,
-        cap_raw in 0u32..6,
-        ops in prop::collection::vec((0u8..4, 0usize..64), 1..300),
-    ) {
+#[test]
+fn pool_pick_equals_exhaustive_scan() {
+    let input = |g: &mut Gen| {
+        (
+            g.int(1u32..12),
+            g.int(1u32..12),
+            g.int(0u32..6),
+            g.vec(1..300, |g| (g.int(0u8..4), g.int(0usize..64))),
+        )
+    };
+    check(256, 1, input, |(rows, cols, cap_raw, ops)| {
         // cap_raw 0 encodes "no cap".
         let cap = (cap_raw > 0).then_some(cap_raw);
         let mut pool = FreeBlockPool::new(rows, cols, cap);
@@ -25,45 +28,44 @@ proptest! {
                 // Release an arbitrary held block.
                 let id = held.remove(pick % held.len());
                 pool.release(id);
-                prop_assert!(!pool.row_busy(id.row));
-                prop_assert!(!pool.col_busy(id.col));
+                assert!(!pool.row_busy(id.row));
+                assert!(!pool.col_busy(id.col));
             } else {
                 let expect = pool.scan_reference_pick();
                 let got = pool.acquire();
-                prop_assert_eq!(got, expect, "pool diverged from scan oracle");
+                assert_eq!(got, expect, "pool diverged from scan oracle");
                 if let Some((id, pass)) = got {
-                    prop_assert_eq!(pool.count(id), pass + 1);
-                    prop_assert!(pool.row_busy(id.row) && pool.col_busy(id.col));
+                    assert_eq!(pool.count(id), pass + 1);
+                    assert!(pool.row_busy(id.row) && pool.col_busy(id.col));
                     held.push(id);
                 }
             }
-            prop_assert_eq!(pool.in_flight() as usize, held.len());
+            assert_eq!(pool.in_flight() as usize, held.len());
         }
         // Held blocks are pairwise conflict-free at all times (checked
         // once at the end: occupancy never allowed a conflicting grant).
         for (i, a) in held.iter().enumerate() {
             for b in &held[i + 1..] {
-                prop_assert!(!a.conflicts_with(*b), "{a} conflicts {b}");
+                assert!(!a.conflicts_with(*b), "{a} conflicts {b}");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn capped_pool_never_exceeds_cap_and_drains_level(
-        rows in 1u32..8,
-        cols in 1u32..8,
-        cap in 1u32..5,
-    ) {
+#[test]
+fn capped_pool_never_exceeds_cap_and_drains_level() {
+    let input = |g: &mut Gen| (g.int(1u32..8), g.int(1u32..8), g.int(1u32..5));
+    check(256, 2, input, |(rows, cols, cap)| {
         let mut pool = FreeBlockPool::new(rows, cols, Some(cap));
         // Sequential drain: acquire/release until exhaustion.
         let mut grants = 0u64;
         while let Some((id, _)) = pool.acquire() {
-            prop_assert!(pool.count(id) <= cap);
+            assert!(pool.count(id) <= cap);
             pool.release(id);
             grants += 1;
         }
-        prop_assert_eq!(grants, (rows * cols * cap) as u64);
+        assert_eq!(grants, (rows * cols * cap) as u64);
         // Least-count policy over a fully free grid keeps counts level.
-        prop_assert!(pool.counts().iter().all(|&c| c == cap));
-    }
+        assert!(pool.counts().iter().all(|&c| c == cap));
+    });
 }

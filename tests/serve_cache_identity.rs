@@ -23,20 +23,13 @@
 //! real cache ever evicts a different key than the model, the books
 //! split and the test fails.
 
+use hsgd_star::fuzz::rng::SplitMix;
 use hsgd_star::par::ThreadPool;
 use hsgd_star::serve::{FactorStore, Query, QueryUser, TopK};
 use hsgd_star::sgd::Model;
 
 const USERS: u32 = 120;
 const BATCHES: usize = 12;
-
-/// splitmix64: a seeded stream without a dev-dependency.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// User `u`'s query. The exclude list is a function of the user, but
 /// `scrambled` presents it reversed with a duplicate — the same query
@@ -67,7 +60,7 @@ fn books(store: &FactorStore) -> (u64, u64) {
 fn batched_cache_matches_serial_replay() {
     let model = Model::init(USERS, 600, 8, 3);
     let plain = FactorStore::new(model.clone(), 1);
-    let mut rng = 0xcac4e_u64;
+    let mut rng = SplitMix::new(0xcac4e);
     for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(threads);
         for capacity in 2..=8usize {
@@ -85,12 +78,12 @@ fn batched_cache_matches_serial_replay() {
                 } else {
                     (
                         capacity as u32 + 3,
-                        1 + splitmix(&mut rng) as usize % (capacity + 2),
+                        1 + rng.next_u64() as usize % (capacity + 2),
                     )
                 };
                 let mut users: Vec<u32> = Vec::new();
                 while users.len() < len {
-                    let u = splitmix(&mut rng) as u32 % universe;
+                    let u = rng.next_u64() as u32 % universe;
                     if !users.contains(&u) {
                         users.push(u);
                     }
