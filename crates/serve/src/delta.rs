@@ -32,7 +32,9 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
+use mf_par::ThreadPool;
 use mf_sgd::Model;
 
 use crate::checkpoint::{
@@ -60,13 +62,15 @@ pub struct DeltaMeta {
     pub base_epoch: u64,
 }
 
-/// One contiguous run of touched rows in a factor matrix.
-#[derive(Debug, Clone, PartialEq)]
+/// One contiguous run of touched rows in a factor matrix. Its payload
+/// is the run's slice of its section's buffer ([`Delta::p_data`] or
+/// [`Delta::q_data`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
     /// First row of the run.
     pub start: u32,
-    /// Row payloads, `len · k` floats row-major.
-    pub data: Vec<f32>,
+    /// Rows in the run (≥ 1).
+    pub len: u32,
 }
 
 /// A parsed delta record.
@@ -82,8 +86,12 @@ pub struct Delta {
     pub meta: DeltaMeta,
     /// Touched runs of `P`, ascending and non-overlapping.
     pub p_runs: Vec<Run>,
+    /// Row payloads of `p_runs`, run after run, `k` floats per row.
+    pub p_data: Vec<f32>,
     /// Touched runs of `Q`, ascending and non-overlapping.
     pub q_runs: Vec<Run>,
+    /// Row payloads of `q_runs`, run after run, `k` floats per row.
+    pub q_data: Vec<f32>,
 }
 
 /// The file name a delta is written under.
@@ -170,13 +178,14 @@ pub fn write_delta<W: Write>(
 
 /// Reads one run section, validating the run table (ascending,
 /// non-overlapping, in `0..max_rows`) before any payload is read, and
-/// the section checksum after.
+/// the section checksum after. Every run's payload lands in the one
+/// returned buffer, in run order.
 fn read_runs_section<R: Read>(
     r: &mut FrameReader<R>,
     k: usize,
     max_rows: u32,
     section: &'static str,
-) -> Result<Vec<Run>, CheckpointError> {
+) -> Result<(Vec<Run>, Vec<f32>), CheckpointError> {
     let count = r.take_vec::<u32>(1, section)?[0];
     // Each run covers ≥ 1 distinct row, so the table can't be longer
     // than the matrix.
@@ -185,24 +194,27 @@ fn read_runs_section<R: Read>(
     }
     let table = r.take_vec::<u32>((count as usize).saturating_mul(2), section)?;
     let mut next_free = 0u64;
-    for run in table.chunks_exact(2) {
-        let (start, end) = (run[0] as u64, run[0] as u64 + run[1] as u64);
-        if run[1] == 0 || start < next_free || end > max_rows as u64 {
-            return Err(CheckpointError::BadRuns { section });
-        }
-        next_free = end;
-    }
+    let mut rows = 0usize;
     let runs = table
         .chunks_exact(2)
         .map(|run| {
+            let (start, end) = (run[0] as u64, run[0] as u64 + run[1] as u64);
+            if run[1] == 0 || start < next_free || end > max_rows as u64 {
+                return Err(CheckpointError::BadRuns { section });
+            }
+            next_free = end;
+            rows += run[1] as usize;
             Ok(Run {
                 start: run[0],
-                data: r.take_vec(run[1] as usize * k, section)?,
+                len: run[1],
             })
         })
         .collect::<Result<Vec<Run>, CheckpointError>>()?;
+    // The runs are disjoint rows of `0..max_rows`, so `rows · k` is at
+    // most the section size `checked_section_lens` already bounded.
+    let data = r.take_vec(rows * k, section)?;
     r.seal(section)?;
-    Ok(runs)
+    Ok((runs, data))
 }
 
 /// Reads a delta record from any source, verifying all three checksums
@@ -227,26 +239,24 @@ pub fn read_delta<R: Read>(r: R) -> Result<Delta, CheckpointError> {
         return Err(CheckpointError::BadGeometry { m, n, k });
     }
     let k = k as usize;
-    let p_runs = read_runs_section(&mut r, k, m, "P-runs")?;
-    let q_runs = read_runs_section(&mut r, k, n, "Q-runs")?;
+    let (p_runs, p_data) = read_runs_section(&mut r, k, m, "P-runs")?;
+    let (q_runs, q_data) = read_runs_section(&mut r, k, n, "Q-runs")?;
     Ok(Delta {
         m,
         n,
         k,
         meta,
         p_runs,
+        p_data,
         q_runs,
+        q_data,
     })
 }
 
 impl Delta {
     /// Number of rows this delta rewrites (P + Q).
     pub fn touched_rows(&self) -> u64 {
-        let rows = |runs: &[Run]| {
-            runs.iter()
-                .map(|r| (r.data.len() / self.k) as u64)
-                .sum::<u64>()
-        };
+        let rows = |runs: &[Run]| runs.iter().map(|r| u64::from(r.len)).sum::<u64>();
         rows(&self.p_runs) + rows(&self.q_runs)
     }
 
@@ -262,13 +272,20 @@ impl Delta {
     /// a shrinking matrix, [`CheckpointError::BadRuns`] when a grown
     /// row isn't covered.
     pub fn can_apply(&self, base: &Checkpoint) -> Result<(), CheckpointError> {
-        if self.meta.base_epoch != base.meta.epoch || self.meta.seed != base.meta.seed {
+        let model = &base.model;
+        self.fits(base.meta, model.k(), model.nrows(), model.ncols())
+    }
+
+    /// [`Delta::can_apply`] against a base known only by its provenance
+    /// and its `m × n × k` geometry.
+    fn fits(&self, base: CheckpointMeta, k: usize, m: u32, n: u32) -> Result<(), CheckpointError> {
+        if self.meta.base_epoch != base.epoch || self.meta.seed != base.seed {
             return Err(CheckpointError::BaseMismatch {
                 delta_base: self.meta.base_epoch,
-                have_epoch: base.meta.epoch,
+                have_epoch: base.epoch,
             });
         }
-        if self.k != base.model.k() || self.m < base.model.nrows() || self.n < base.model.ncols() {
+        if self.k != k || self.m < m || self.n < n {
             return Err(CheckpointError::BadGeometry {
                 m: self.m,
                 n: self.n,
@@ -278,7 +295,7 @@ impl Delta {
         let covered = |runs: &[Run], grown_from: u32, rows: u32, section: &'static str| {
             let mut covered_to = grown_from;
             for run in runs {
-                let end = run.start + (run.data.len() / self.k) as u32;
+                let end = run.start + run.len;
                 if run.start <= covered_to {
                     covered_to = covered_to.max(end);
                 }
@@ -289,8 +306,8 @@ impl Delta {
                 Ok(())
             }
         };
-        covered(&self.p_runs, base.model.nrows(), self.m, "P-runs")?;
-        covered(&self.q_runs, base.model.ncols(), self.n, "Q-runs")
+        covered(&self.p_runs, m, self.m, "P-runs")?;
+        covered(&self.q_runs, n, self.n, "Q-runs")
     }
 
     /// Applies the delta to a base state, producing the checkpoint at
@@ -304,15 +321,17 @@ impl Delta {
     pub fn apply(&self, base: Checkpoint) -> Result<Checkpoint, CheckpointError> {
         self.can_apply(&base)?;
         let (_, _, k0, mut p, mut q) = base.model.into_parts();
-        let patch = |buf: &mut Vec<f32>, rows: u32, runs: &[Run]| {
+        let patch = |buf: &mut Vec<f32>, rows: u32, runs: &[Run], data: &[f32]| {
             buf.resize(rows as usize * k0, 0.0);
+            let mut from = 0;
             for run in runs {
-                let start = run.start as usize * k0;
-                buf[start..start + run.data.len()].copy_from_slice(&run.data);
+                let (start, len) = (run.start as usize * k0, run.len as usize * k0);
+                buf[start..start + len].copy_from_slice(&data[from..from + len]);
+                from += len;
             }
         };
-        patch(&mut p, self.m, &self.p_runs);
-        patch(&mut q, self.n, &self.q_runs);
+        patch(&mut p, self.m, &self.p_runs, &self.p_data);
+        patch(&mut q, self.n, &self.q_runs, &self.q_data);
         Ok(Checkpoint {
             model: Model::from_parts(self.m, self.n, k0, p, q),
             meta: CheckpointMeta {
@@ -402,6 +421,32 @@ fn classify(e: &CheckpointError) -> String {
     }
 }
 
+/// What one listed file holds, read and verified once by the scan.
+enum Scanned {
+    /// A `*.tmp` left by an interrupted publish; never opened.
+    Orphan,
+    /// A `*.mfck` full snapshot.
+    Snapshot(Result<Checkpoint, CheckpointError>),
+    /// A `*.mfckd` delta.
+    Delta(Result<Delta, CheckpointError>),
+    /// Anything else; never opened.
+    Unrecognized,
+}
+
+/// Reads and verifies `dir/name` according to its suffix.
+fn scan(fs: &dyn Vfs, dir: &Path, name: &str) -> Scanned {
+    let open = || fs.open(&dir.join(name)).map_err(CheckpointError::Io);
+    if name.ends_with(TMP_SUFFIX) {
+        Scanned::Orphan
+    } else if name.ends_with(".mfck") {
+        Scanned::Snapshot(open().and_then(checkpoint::read_checkpoint))
+    } else if name.ends_with(".mfckd") {
+        Scanned::Delta(open().and_then(read_delta))
+    } else {
+        Scanned::Unrecognized
+    }
+}
+
 /// Scans `dir` through `fs` and reconstructs the newest state reachable
 /// from intact records: the best valid full snapshot plus every delta
 /// that chains from it (`delta.base_epoch` = current epoch, repeatedly).
@@ -418,52 +463,50 @@ fn classify(e: &CheckpointError) -> String {
 ///
 /// Orphaned `*.tmp` files (a writer died mid-publish) are noted and
 /// ignored; they are never loaded.
+///
+/// Each file is read and verified once, on
+/// [`ThreadPool::global`](mf_par::ThreadPool::global), one task per
+/// listed name. The results are consumed in [`Vfs::list`] order, so the
+/// duplicate-delta choice, the chain and the report do not depend on
+/// the pool size or on which file finished first.
 pub fn recover_in(fs: &dyn Vfs, dir: &Path) -> Result<Recovery, RecoverError> {
     let names = fs.list(dir).map_err(RecoverError::Io)?;
+    let slots: Vec<Mutex<Option<Scanned>>> = names.iter().map(|_| Mutex::new(None)).collect();
+    ThreadPool::global().run_indexed(names.len(), |i| {
+        *slots[i].lock().expect("poisoned") = Some(scan(fs, dir, &names[i]));
+    });
     let mut notes = Vec::new();
     let mut snapshots: Vec<(String, Option<Checkpoint>)> = Vec::new();
     // base_epoch → (name, delta). One outgoing delta per acked epoch:
     // a writer acks sequentially, so a collision means foreign files —
     // keep the first (list order) and note the other.
     let mut deltas: BTreeMap<u64, (String, Delta)> = BTreeMap::new();
-    for name in names {
+    for (name, slot) in names.into_iter().zip(slots) {
         let note = |detail: String| FileNote {
             name: name.clone(),
             detail,
         };
-        if name.ends_with(TMP_SUFFIX) {
-            notes.push(note(
+        match slot
+            .into_inner()
+            .expect("poisoned")
+            .expect("every name scanned")
+        {
+            Scanned::Orphan => notes.push(note(
                 "orphaned temp from an interrupted write — ignored".to_string(),
-            ));
-        } else if name.ends_with(".mfck") {
-            match fs
-                .open(&dir.join(&name))
-                .map_err(CheckpointError::Io)
-                .and_then(checkpoint::read_checkpoint)
-            {
-                Ok(ck) => snapshots.push((name, Some(ck))),
-                Err(e) => notes.push(note(classify(&e))),
-            }
-        } else if name.ends_with(".mfckd") {
-            match fs
-                .open(&dir.join(&name))
-                .map_err(CheckpointError::Io)
-                .and_then(read_delta)
-            {
-                Ok(d) => {
-                    if let Some((prev, _)) = deltas.get(&d.meta.base_epoch) {
-                        notes.push(note(format!(
-                            "duplicate delta for base epoch {} (already have {prev}) — ignored",
-                            d.meta.base_epoch
-                        )));
-                    } else {
-                        deltas.insert(d.meta.base_epoch, (name, d));
-                    }
+            )),
+            Scanned::Snapshot(Ok(ck)) => snapshots.push((name, Some(ck))),
+            Scanned::Delta(Ok(d)) => {
+                if let Some((prev, _)) = deltas.get(&d.meta.base_epoch) {
+                    notes.push(note(format!(
+                        "duplicate delta for base epoch {} (already have {prev}) — ignored",
+                        d.meta.base_epoch
+                    )));
+                } else {
+                    deltas.insert(d.meta.base_epoch, (name, d));
                 }
-                Err(e) => notes.push(note(classify(&e))),
             }
-        } else {
-            notes.push(note("unrecognized file — ignored".to_string()));
+            Scanned::Snapshot(Err(e)) | Scanned::Delta(Err(e)) => notes.push(note(classify(&e))),
+            Scanned::Unrecognized => notes.push(note("unrecognized file — ignored".to_string())),
         }
     }
 
@@ -498,6 +541,19 @@ pub fn recover_in(fs: &dyn Vfs, dir: &Path) -> Result<Recovery, RecoverError> {
 
     let mut current = snapshots[best].1.take().expect("selected once");
     let base_epoch = current.meta.epoch;
+    // Grow the factor buffers once, to the geometry at the end of the
+    // chain, so no `apply` reallocates them. The walk stops where the
+    // apply loop below will: only deltas that fit count, so every
+    // reserved row is one a verified run delivers.
+    let (seed, k) = (current.meta.seed, current.model.k());
+    let (mut m, mut n, mut epoch) = (current.model.nrows(), current.model.ncols(), base_epoch);
+    while let Some((_, d)) = deltas.get(&epoch) {
+        if d.fits(CheckpointMeta { seed, epoch }, k, m, n).is_err() {
+            break;
+        }
+        (m, n, epoch) = (d.m, d.n, d.meta.epoch);
+    }
+    current.model = reserve_rows(current.model, m, n);
     notes.push(FileNote {
         name: snapshots[best].0.clone(),
         detail: format!("base snapshot at epoch {base_epoch} — chain start"),
@@ -555,6 +611,14 @@ pub fn recover_in(fs: &dyn Vfs, dir: &Path) -> Result<Recovery, RecoverError> {
     })
 }
 
+/// `model` with capacity for `m × n` factors, its values untouched.
+fn reserve_rows(model: Model, m: u32, n: u32) -> Model {
+    let (m0, n0, k, mut p, mut q) = model.into_parts();
+    p.reserve((m as usize * k).saturating_sub(p.len()));
+    q.reserve((n as usize * k).saturating_sub(q.len()));
+    Model::from_parts(m0, n0, k, p, q)
+}
+
 /// [`recover_in`] over the real filesystem — the production entry
 /// point: `recover(dir)` after a crash yields the newest
 /// checksum-verified state and a per-file report.
@@ -597,10 +661,17 @@ mod tests {
         let d = read_delta(&buf[..]).unwrap();
         assert_eq!(d.meta, meta(5, 4));
         assert_eq!((d.m, d.n, d.k), (6, 8, 4));
-        assert_eq!(d.p_runs.len(), 2); // [1,2] and [4]
-        assert_eq!(d.p_runs[0].start, 1);
-        assert_eq!(d.p_runs[0].data, [model.p_row(1), model.p_row(2)].concat());
-        assert_eq!(d.q_runs[1].data, model.q_row(7));
+        let run = |start, len| Run { start, len };
+        assert_eq!(d.p_runs, [run(1, 2), run(4, 1)]);
+        assert_eq!(d.q_runs, [run(0, 1), run(7, 1)]);
+        let rows = |row: fn(&Model, u32) -> &[f32], ids: &[u32]| {
+            ids.iter()
+                .flat_map(|&r| row(&model, r))
+                .copied()
+                .collect::<Vec<f32>>()
+        };
+        assert_eq!(d.p_data, rows(Model::p_row, &[1, 2, 4]));
+        assert_eq!(d.q_data, rows(Model::q_row, &[0, 7]));
         assert_eq!(d.touched_rows(), 5);
     }
 

@@ -25,7 +25,9 @@
 //! in one stable counting pass per side (each id's ratings keep batch
 //! order), the touched rows are sorted, deduplicated id vectors the
 //! delta writer borrows, and the serving store is encoded straight from
-//! the trainer's borrowed factors.
+//! the trainer's borrowed factors. The record write is bound by its
+//! fsync, so the store is built on a scoped thread while the record is
+//! written and synced; the swap waits for both.
 //!
 //! **Durability contract.** An epoch is *acked* once its record is
 //! published (fsync + rename). If a write fails (ENOSPC, crash), the
@@ -446,10 +448,11 @@ impl LiveTrainer {
     }
 
     /// Runs one epoch: fold in unseen ids, SGD over the pending
-    /// ratings, persist (delta or re-basing snapshot), publish the new
-    /// serving version. Never fails the *training* side: a checkpoint
-    /// write error leaves the epoch unacked (see the module docs) and
-    /// is reported in the returned [`EpochReport`].
+    /// ratings, persist (delta or re-basing snapshot) while the next
+    /// serving store is built, then publish that store. Never fails the
+    /// *training* side: a checkpoint write error leaves the epoch
+    /// unacked (see the module docs) and is reported in the returned
+    /// [`EpochReport`].
     pub fn step(&mut self) -> EpochReport {
         let batch = std::mem::take(&mut self.pending);
         let (folded_users, folded_items) = self.fold_in_unseen(&batch);
@@ -480,36 +483,17 @@ impl LiveTrainer {
         } else {
             (RecordKind::Delta, delta::delta_file_name(self.epoch))
         };
-        let mut bytes = 0u64;
-        let write_res = {
-            let model = &self.model;
-            let seed = self.seed;
-            let epoch = self.epoch;
-            let base_epoch = self.acked_epoch;
-            let (p_rows, q_rows) = (&self.touched_p, &self.touched_q);
-            let bytes_out = &mut bytes;
-            self.fs.publish(&self.dir, &name, &mut |w| {
-                let mut w = CountingWriter { inner: w, count: 0 };
-                let res = match kind {
-                    RecordKind::Snapshot => {
-                        checkpoint::write_checkpoint(model, CheckpointMeta { seed, epoch }, &mut w)
-                    }
-                    RecordKind::Delta => delta::write_delta(
-                        model,
-                        DeltaMeta {
-                            seed,
-                            epoch,
-                            base_epoch,
-                        },
-                        p_rows,
-                        q_rows,
-                        &mut w,
-                    ),
-                };
-                *bytes_out = w.count;
-                res
-            })
-        };
+        // The serving store is built while the record is written and
+        // synced; both only read the model, and the swap waits for both.
+        let ((write_res, bytes), store) = std::thread::scope(|s| {
+            let build =
+                s.spawn(|| FactorStore::from_model(&self.model, self.epoch, self.cfg.precision));
+            let written = self.write_record(kind, &name);
+            let store = build
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (written, store)
+        });
         let (acked, ckpt_error) = match write_res {
             Ok(()) => {
                 self.acked_epoch = self.epoch;
@@ -525,11 +509,7 @@ impl LiveTrainer {
             Err(e) => (false, Some(e)),
         };
 
-        self.live.publish(FactorStore::from_model(
-            &self.model,
-            self.epoch,
-            self.cfg.precision,
-        ));
+        self.live.publish(store);
         EpochReport {
             epoch: self.epoch,
             ingested: batch.len(),
@@ -541,6 +521,36 @@ impl LiveTrainer {
             acked,
             ckpt_error,
         }
+    }
+
+    /// Publishes this epoch's record under `name`: a full snapshot, or a
+    /// delta of the rows touched since the last acked epoch. Returns the
+    /// publish result and the bytes the record serialized to.
+    fn write_record(&self, kind: RecordKind, name: &str) -> (io::Result<()>, u64) {
+        let (model, seed, epoch) = (&self.model, self.seed, self.epoch);
+        let mut bytes = 0u64;
+        let res = self.fs.publish(&self.dir, name, &mut |w| {
+            let mut w = CountingWriter { inner: w, count: 0 };
+            let res = match kind {
+                RecordKind::Snapshot => {
+                    checkpoint::write_checkpoint(model, CheckpointMeta { seed, epoch }, &mut w)
+                }
+                RecordKind::Delta => delta::write_delta(
+                    model,
+                    DeltaMeta {
+                        seed,
+                        epoch,
+                        base_epoch: self.acked_epoch,
+                    },
+                    &self.touched_p,
+                    &self.touched_q,
+                    &mut w,
+                ),
+            };
+            bytes = w.count;
+            res
+        });
+        (res, bytes)
     }
 }
 
@@ -972,7 +982,7 @@ mod tests {
         assert_eq!((d.meta.epoch, d.meta.base_epoch), (3, 1));
         let rows = |runs: &[delta::Run]| -> Vec<u32> {
             runs.iter()
-                .flat_map(|run| run.start..run.start + (run.data.len() / d.k) as u32)
+                .flat_map(|run| run.start..run.start + run.len)
                 .collect()
         };
         assert_eq!(rows(&d.p_runs), want_p);
