@@ -592,16 +592,24 @@ pub fn recover_in(fs: &dyn Vfs, dir: &Path) -> Result<Recovery, RecoverError> {
         current = d.apply(current).expect("pre-validated by can_apply");
         applied += 1;
     }
-    // Remaining deltas chain from epochs we never reached (their base
-    // record was lost or they belong to a dead branch).
+    // Remaining deltas either end at or before the chain's base (the
+    // base snapshot already holds their state) or chain from epochs we
+    // never reached (their base record was lost or they belong to a
+    // dead branch).
     for (base, (name, d)) in deltas {
-        notes.push(FileNote {
-            name,
-            detail: format!(
+        let detail = if d.meta.epoch <= base_epoch {
+            format!(
+                "delta to epoch {} (base {base}) — superseded by the base snapshot at epoch \
+                 {base_epoch}, not loaded",
+                d.meta.epoch
+            )
+        } else {
+            format!(
                 "delta to epoch {} unreachable (no valid record at its base epoch {base}) — skipped",
                 d.meta.epoch
-            ),
-        });
+            )
+        };
+        notes.push(FileNote { name, detail });
     }
     Ok(Recovery {
         checkpoint: current,

@@ -165,11 +165,11 @@ fn salvage_report_is_pinned() {
         ),
         (
             "delta_epoch_00001.mfckd",
-            "delta to epoch 1 unreachable (no valid record at its base epoch 0) — skipped",
+            "delta to epoch 1 (base 0) — superseded by the base snapshot at epoch 2, not loaded",
         ),
         (
             "delta_epoch_00002.mfckd",
-            "delta to epoch 2 unreachable (no valid record at its base epoch 1) — skipped",
+            "delta to epoch 2 (base 1) — superseded by the base snapshot at epoch 2, not loaded",
         ),
         (
             "delta_epoch_00007.mfckd",
