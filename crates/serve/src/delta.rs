@@ -23,8 +23,10 @@
 //!
 //! [`recover`] is the other half: scan a directory of snapshots and
 //! deltas (plus whatever debris a crash left), classify every file —
-//! applied, torn tail, corrupt, orphaned temp — chain the longest valid
-//! `base + deltas` prefix, and report exactly what was salvaged.
+//! applied, superseded, unreachable, torn tail, corrupt, orphaned temp —
+//! chain the longest valid `base + deltas` prefix, and report exactly
+//! what was salvaged. Each file is read and verified once, and the
+//! files are scanned in parallel.
 //! Torn files (truncated mid-record: the expected residue of a kill)
 //! are distinguished from corrupt ones (checksum mismatch on bytes that
 //! exist); both simply end the chain early, never load.

@@ -624,7 +624,7 @@ impl ById {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{Query, QueryUser};
+    use crate::store::{Precision, Query, QueryUser};
     use mf_sparse::RealFs;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -918,6 +918,27 @@ mod tests {
         }
     }
 
+    /// Everything a reader can observe of a store, as bits.
+    fn store_bits(s: &FactorStore) -> (u64, Precision, Vec<u32>, Vec<u32>, Vec<u32>) {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let users = (0..s.nusers()).flat_map(|u| bits(s.user_factor(u)));
+        let items = (0..s.nitems()).flat_map(|v| bits(&s.item_row_f32(v)));
+        let norms = s
+            .tiles
+            .iter()
+            .flat_map(|t| bits(&t.norms).into_iter().chain([t.max_norm.to_bits()]));
+        (
+            s.epoch(),
+            s.precision(),
+            users.collect(),
+            items.collect(),
+            norms.collect(),
+        )
+    }
+
+    /// Every step, acked or not, swaps in the store of the model it
+    /// trained (serving may lead durability); an unacked step's rows
+    /// roll into the next delta.
     #[test]
     fn unacked_rows_roll_into_the_next_delta_sorted() {
         let dir = tmp_dir("rollforward");
@@ -955,6 +976,12 @@ mod tests {
                 "epoch {}: {:?}",
                 rep.epoch,
                 rep.ckpt_error
+            );
+            assert_eq!(
+                store_bits(&t.live().current()),
+                store_bits(&FactorStore::new(t.model().clone(), rep.epoch)),
+                "epoch {}",
+                rep.epoch
             );
             if ix >= 1 {
                 want_p.extend(
