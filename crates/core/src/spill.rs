@@ -247,9 +247,7 @@ pub fn prefetch_wrapper(io: IoSpec) -> (Box<DeviceWrapper>, Arc<IoTimeline>) {
 /// actually needs the block. Dropping the `Prefetcher` closes the
 /// window and joins the thread.
 pub struct Prefetcher {
-    // Mutex-wrapped so `&Prefetcher` can be shared across worker threads
-    // regardless of `SyncSender`'s Sync-ness on the active toolchain.
-    tx: Option<Mutex<SyncSender<Vec<usize>>>>,
+    tx: Option<SyncSender<Vec<usize>>>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -278,7 +276,7 @@ impl Prefetcher {
             })
             .expect("spawn spill prefetch thread");
         Prefetcher {
-            tx: Some(Mutex::new(tx)),
+            tx: Some(tx),
             join: Some(join),
         }
     }
@@ -287,7 +285,7 @@ impl Prefetcher {
     /// when the window is full.
     pub fn feed(&self, flats: Vec<usize>) {
         if let Some(tx) = &self.tx {
-            match lock(tx).try_send(flats) {
+            match tx.try_send(flats) {
                 Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {}
             }
         }
@@ -528,9 +526,8 @@ mod tests {
         .unwrap();
         assert!(out.report.final_test_rmse < 0.5);
         let spill = out.report.spill.expect("spilled run must report counters");
-        assert!(spill.misses > 0, "cold start must miss");
+        assert!(spill.bytes_read > 0, "the arena was never read");
         assert!(spill.evictions > 0, "half budget must evict");
-        assert!(spill.bytes_read > 0);
         assert!(out.report.virtual_secs > 0.0);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -577,7 +574,7 @@ mod tests {
             "spill-backed exclusive training must be bit-identical to in-RAM"
         );
         let counters = spilled.report.spill.unwrap();
-        assert!(counters.misses > 0);
+        assert!(counters.bytes_read > 0, "the arena was never read");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -26,13 +26,19 @@
 //! Every load verifies the frame checksum before any byte reaches a
 //! kernel: a corrupted spilled block surfaces as
 //! [`ArenaError::ChecksumMismatch`], never as wrong factors.
+//!
+//! The cache lock guards bookkeeping only. A miss reads its block with
+//! the lock dropped, so the prefetch thread's reads never stall a
+//! worker's pin of a resident block or its release, and each block is
+//! read by one acquirer at a time (single-flight; see
+//! [`BlockCache::acquire`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::frame::{FrameError, FrameReader, FrameWriter, Header, HEADER_LEN};
@@ -395,6 +401,9 @@ struct Entry {
 
 struct CacheInner {
     resident: HashMap<usize, Entry>,
+    /// Blocks whose load is running outside the lock; each is read by
+    /// exactly one acquirer while the others wait on `BlockCache::loaded`.
+    loading: HashSet<usize>,
     /// Exact bytes of all resident blocks, pinned included.
     used: usize,
     /// Logical clock: bumped on every touch, orders LRU eviction.
@@ -408,6 +417,7 @@ struct CacheInner {
 struct StatCells {
     hits: AtomicU64,
     misses: AtomicU64,
+    prefetched: AtomicU64,
     evictions: AtomicU64,
     bytes_read: AtomicU64,
     load_nanos: AtomicU64,
@@ -417,10 +427,15 @@ struct StatCells {
 /// observability surface, carried into `RunReport` by the trainers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpillCounters {
-    /// Block accesses served from the cache.
+    /// Demand pins served from the cache.
     pub hits: u64,
-    /// Block accesses that had to load from the arena.
+    /// Demand pins that read the block from the arena or waited for a
+    /// read already in flight.
     pub misses: u64,
+    /// Blocks the prefetch thread read from the arena ahead of demand
+    /// (warms of a resident block are not counted). Never a hit or a
+    /// miss: only pins are.
+    pub prefetched: u64,
     /// Blocks evicted by the LRU trim.
     pub evictions: u64,
     /// Payload bytes read from the arena.
@@ -436,7 +451,7 @@ pub struct SpillCounters {
 }
 
 impl SpillCounters {
-    /// Fraction of accesses served without touching the arena.
+    /// Fraction of demand pins served without waiting on the arena.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -466,7 +481,24 @@ impl SpillCounters {
 pub struct BlockCache {
     budget: usize,
     inner: Mutex<CacheInner>,
+    /// Signalled whenever an in-flight load ends, admitted or failed.
+    loaded: Condvar,
     stats: StatCells,
+}
+
+/// Drop guard of one in-flight load: clears the block's mark and wakes
+/// its waiters however the load ends, so a failed or panicking read
+/// never strands a waiter.
+struct InFlight<'a> {
+    cache: &'a BlockCache,
+    flat: usize,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.cache.state().loading.remove(&self.flat);
+        self.cache.loaded.notify_all();
+    }
 }
 
 impl fmt::Debug for BlockCache {
@@ -477,6 +509,7 @@ impl fmt::Debug for BlockCache {
             .field("resident_bytes", &c.resident_bytes)
             .field("hits", &c.hits)
             .field("misses", &c.misses)
+            .field("prefetched", &c.prefetched)
             .field("evictions", &c.evictions)
             .finish()
     }
@@ -489,9 +522,11 @@ impl BlockCache {
             budget: budget_bytes,
             inner: Mutex::new(CacheInner {
                 resident: HashMap::new(),
+                loading: HashSet::new(),
                 used: 0,
                 tick: 0,
             }),
+            loaded: Condvar::new(),
             stats: StatCells::default(),
         }
     }
@@ -499,15 +534,19 @@ impl BlockCache {
     /// The cache state. Poison is absorbed, as in `mf-par`: the panics
     /// under this lock (an unpin without a pin, an evict of a pinned
     /// block) fire before any mutation and are already unwinding through
-    /// their caller, so the flag carries no extra information.
+    /// their caller, so the flag carries no extra information. A
+    /// panicking `load` runs with the lock dropped and never poisons it.
     fn state(&self) -> MutexGuard<'_, CacheInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Acquires block `flat` **pinned**: a hit refreshes its LRU
-    /// position, a miss runs `load` (under the cache lock — loads are
-    /// serialized, which is exactly the one-IO-lane discipline the
-    /// prefetch thread assumes) and admits the result. The pin must be
+    /// Acquires block `flat` **pinned**. A hit refreshes its LRU
+    /// position. A miss marks the block in flight, runs `load` (the read
+    /// and checksum) *outside* the cache lock, then admits the result, so
+    /// hits, releases and misses on other blocks never queue behind a
+    /// read. Loads are single-flight: a second acquirer of a block in
+    /// flight waits for that one read instead of starting its own, and
+    /// retries the load itself if that read failed. The pin must be
     /// returned with [`BlockCache::release`]; while held, the block
     /// cannot be evicted.
     pub fn acquire(
@@ -515,16 +554,56 @@ impl BlockCache {
         flat: usize,
         load: impl FnOnce() -> Result<BlockBuf, ArenaError>,
     ) -> Result<Arc<BlockBuf>, ArenaError> {
+        self.fetch(flat, load, true)
+    }
+
+    /// Pins block `flat`, loading it on a miss. A `demand` fetch (a
+    /// worker's pin) counts as a hit, or as a miss when it had to read or
+    /// wait for a read in flight; a prefetch warm counts in `prefetched`
+    /// when it reads and nowhere otherwise.
+    fn fetch(
+        &self,
+        flat: usize,
+        load: impl FnOnce() -> Result<BlockBuf, ArenaError>,
+        demand: bool,
+    ) -> Result<Arc<BlockBuf>, ArenaError> {
         let mut inner = self.state();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(e) = inner.resident.get_mut(&flat) {
-            e.last_use = tick;
-            e.pins += 1;
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&e.buf));
+        let mut waited = false;
+        loop {
+            let st = &mut *inner;
+            if let Some(e) = st.resident.get_mut(&flat) {
+                st.tick += 1;
+                e.last_use = st.tick;
+                e.pins += 1;
+                if demand {
+                    let cell = if waited {
+                        &self.stats.misses
+                    } else {
+                        &self.stats.hits
+                    };
+                    cell.fetch_add(1, Ordering::Relaxed);
+                }
+                return Ok(Arc::clone(&e.buf));
+            }
+            if st.loading.insert(flat) {
+                break;
+            }
+            waited = true;
+            inner = self
+                .loaded
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        drop(inner);
+        let cell = if demand {
+            &self.stats.misses
+        } else {
+            &self.stats.prefetched
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
+        // Clears the in-flight mark and wakes waiters on every exit,
+        // including an `Err` from `load` and an unwind out of it.
+        let _in_flight = InFlight { cache: self, flat };
         let t0 = Instant::now();
         let buf = Arc::new(load()?);
         self.stats
@@ -534,6 +613,9 @@ impl BlockCache {
         self.stats
             .bytes_read
             .fetch_add(bytes as u64, Ordering::Relaxed);
+        let mut inner = self.state();
+        inner.tick += 1;
+        let tick = inner.tick;
         inner.used += bytes;
         inner.resident.insert(
             flat,
@@ -545,6 +627,8 @@ impl BlockCache {
             },
         );
         self.trim(&mut inner);
+        // Unlock before the guard relocks to clear the in-flight mark.
+        drop(inner);
         Ok(buf)
     }
 
@@ -568,13 +652,14 @@ impl BlockCache {
     }
 
     /// Loads block `flat` into the cache without leaving it pinned —
-    /// the prefetch thread's warm path. Counts as a normal hit or miss.
+    /// the prefetch thread's warm path. Counted in `prefetched` when it
+    /// reads the block, not as a hit or miss.
     pub fn warm(
         &self,
         flat: usize,
         load: impl FnOnce() -> Result<BlockBuf, ArenaError>,
     ) -> Result<(), ArenaError> {
-        self.acquire(flat, load)?;
+        self.fetch(flat, load, false)?;
         self.release(flat);
         Ok(())
     }
@@ -663,6 +748,7 @@ impl BlockCache {
         SpillCounters {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
+            prefetched: self.stats.prefetched.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             bytes_read: self.stats.bytes_read.load(Ordering::Relaxed),
             load_secs: self.stats.load_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
@@ -952,23 +1038,28 @@ mod tests {
         let dir = tmp_dir("cache");
         let part = demo_partition(17);
         BlockArena::write(&RealFs, &dir, "a.mfcka", &part).unwrap();
-        let h = SpillHandle::open(
-            Arc::new(RealFs),
-            &dir.join("a.mfcka"),
-            2 * 1024, // ~a block or two
-        )
-        .unwrap();
+        let path = dir.join("a.mfcka");
         let nblocks = part.spec().block_count();
+        // Room for the largest block alone: each warm evicts the last.
+        let wire = |id| part.block_len(id) * Rating::WIRE_BYTES;
+        let budget = part.spec().blocks().map(wire).max().unwrap();
+        let h = SpillHandle::open(Arc::new(RealFs), &path, budget).unwrap();
         for flat in 0..nblocks {
+            h.warm(flat).unwrap();
             h.pin(flat).unwrap();
             h.unpin(flat);
             assert!(
-                h.cache().resident_bytes() <= 2 * 1024,
+                h.cache().resident_bytes() <= budget,
                 "unpinned cache over budget"
             );
         }
+        // Warms are counted apart from pins: every block was read ahead
+        // of its pin, so every pin hit.
         let c = h.counters();
-        assert_eq!(c.misses + c.hits, nblocks as u64);
+        assert_eq!(c.prefetched, nblocks as u64);
+        assert_eq!((c.hits, c.misses), (nblocks as u64, 0));
+        let total = part.total_nnz() * Rating::WIRE_BYTES;
+        assert_eq!(c.bytes_read, total as u64);
         assert!(c.evictions > 0, "tight budget must evict");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -982,6 +1073,169 @@ mod tests {
         let h = SpillHandle::open(Arc::new(RealFs), &dir.join("a.mfcka"), usize::MAX).unwrap();
         h.pin(0).unwrap();
         h.cache().evict(0);
+    }
+
+    /// A four-rating block, standing in for a load from an arena.
+    fn tiny_block() -> BlockBuf {
+        BlockBuf {
+            rows: vec![0, 1, 2, 3],
+            cols: vec![3, 2, 1, 0],
+            vals: vec![1.0, 2.0, 3.0, 4.0],
+        }
+    }
+
+    fn torn() -> ArenaError {
+        ArenaError::Torn {
+            section: "block frame",
+        }
+    }
+
+    /// Generous bound for a step that takes microseconds: a failure
+    /// here means a thread is stuck, not slow.
+    const STUCK: std::time::Duration = std::time::Duration::from_secs(10);
+
+    #[test]
+    fn concurrent_cold_acquires_share_one_read() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        let cache = BlockCache::new(usize::MAX);
+        let loads = AtomicUsize::new(0);
+        let start = Barrier::new(THREADS);
+        let bufs: Vec<Arc<BlockBuf>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache
+                            .acquire(5, || {
+                                loads.fetch_add(1, Ordering::Relaxed);
+                                // Widens the window for the others to
+                                // arrive mid-read. The assertions hold
+                                // in every interleaving: a late thread
+                                // hits the admitted block instead.
+                                std::thread::sleep(std::time::Duration::from_millis(50));
+                                Ok(tiny_block())
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(
+            loads.load(Ordering::Relaxed),
+            1,
+            "the block was read more than once"
+        );
+        assert!(bufs.iter().all(|b| Arc::ptr_eq(b, &bufs[0])));
+        assert_eq!(cache.pin_count(5), THREADS as u32);
+        let c = cache.counters();
+        assert_eq!(c.hits + c.misses, THREADS as u64);
+        assert_eq!(c.bytes_read, tiny_block().wire_bytes() as u64);
+        for _ in 0..THREADS {
+            cache.release(5);
+        }
+        assert_eq!(cache.pin_count(5), 0);
+    }
+
+    #[test]
+    fn a_read_in_flight_does_not_block_other_blocks() {
+        use std::sync::mpsc::channel;
+        let cache = BlockCache::new(usize::MAX);
+        cache.warm(1, || Ok(tiny_block())).unwrap();
+        let (started_tx, started_rx) = channel();
+        let (gate_tx, gate_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let cache = &cache;
+        let verdict = std::thread::scope(|s| {
+            s.spawn(move || {
+                cache
+                    .acquire(0, || {
+                        started_tx.send(()).unwrap();
+                        gate_rx.recv().unwrap();
+                        Ok(tiny_block())
+                    })
+                    .unwrap();
+                cache.release(0);
+            });
+            started_rx
+                .recv_timeout(STUCK)
+                .expect("load of block 0 never started");
+            // Block 0's read is now parked inside `load`: a pin and a
+            // release of resident block 1 must go ahead regardless.
+            s.spawn(move || {
+                cache
+                    .acquire(1, || unreachable!("block 1 is resident"))
+                    .unwrap();
+                cache.release(1);
+                done_tx.send(()).unwrap();
+            });
+            let verdict = done_rx.recv_timeout(STUCK);
+            // Open the gate before judging, so a failure cannot hang the
+            // scope's join.
+            gate_tx.send(()).unwrap();
+            verdict
+        });
+        assert!(
+            verdict.is_ok(),
+            "a pin of a resident block queued behind another block's read"
+        );
+        assert!(cache.is_resident(0) && cache.is_resident(1));
+    }
+
+    #[test]
+    fn a_failed_or_panicking_read_leaves_no_in_flight_mark() {
+        use std::sync::mpsc::channel;
+        let cache = BlockCache::new(usize::MAX);
+        let no_mark = |cache: &BlockCache| cache.state().loading.is_empty();
+
+        // A typed error: reported, unmarked, and retried by the next pin.
+        let err = cache.acquire(2, || Err(torn())).unwrap_err();
+        assert!(matches!(err, ArenaError::Torn { .. }), "got {err}");
+        assert!(no_mark(&cache) && !cache.is_resident(2));
+        let err = cache.acquire(2, || Err(torn())).unwrap_err();
+        assert!(matches!(err, ArenaError::Torn { .. }), "retry got {err}");
+
+        // A panicking read unwinds through the guard.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.acquire(2, || panic!("read blew up"))
+        }));
+        assert!(unwound.is_err());
+        assert!(no_mark(&cache) && !cache.is_resident(2));
+        let err = cache.acquire(2, || Err(torn())).unwrap_err();
+        assert!(matches!(err, ArenaError::Torn { .. }), "retry got {err}");
+
+        // A waiter on a read that panics retries with its own read and
+        // gets that read's typed error; nothing hangs.
+        let (started_tx, started_rx) = channel();
+        let (gate_tx, gate_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let cache = &cache;
+        std::thread::scope(|s| {
+            let reader = s.spawn(move || {
+                cache.acquire(3, || {
+                    started_tx.send(()).unwrap();
+                    gate_rx.recv().unwrap();
+                    panic!("read blew up")
+                })
+            });
+            started_rx
+                .recv_timeout(STUCK)
+                .expect("load of block 3 never started");
+            s.spawn(move || done_tx.send(cache.acquire(3, || Err(torn()))).unwrap());
+            // Gives the waiter time to park on the read; if it arrives
+            // after the panic instead, it reads alone, with the same
+            // outcome.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            gate_tx.send(()).unwrap();
+            assert!(reader.join().is_err(), "the reader's panic was swallowed");
+            let waited = done_rx.recv_timeout(STUCK).expect("waiter stranded");
+            assert!(matches!(waited, Err(ArenaError::Torn { .. })));
+        });
+        assert!(no_mark(cache));
+        cache.acquire(3, || Ok(tiny_block())).unwrap();
+        cache.release(3);
     }
 
     #[test]

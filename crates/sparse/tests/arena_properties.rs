@@ -63,6 +63,7 @@ struct Oracle {
     tick: u64,
     hits: u64,
     misses: u64,
+    prefetched: u64,
     evictions: u64,
 }
 
@@ -76,6 +77,7 @@ impl Oracle {
             tick: 0,
             hits: 0,
             misses: 0,
+            prefetched: 0,
             evictions: 0,
         }
     }
@@ -99,15 +101,23 @@ impl Oracle {
         }
     }
 
-    fn acquire(&mut self, flat: usize) {
+    /// A pin (`demand`) counts as a hit or a miss; a warm counts only
+    /// the reads it makes, as `prefetched`.
+    fn acquire(&mut self, flat: usize, demand: bool) {
         self.tick += 1;
         if let Some((last_use, pins)) = &mut self.resident[flat] {
             *last_use = self.tick;
             *pins += 1;
-            self.hits += 1;
+            if demand {
+                self.hits += 1;
+            }
             return;
         }
-        self.misses += 1;
+        if demand {
+            self.misses += 1;
+        } else {
+            self.prefetched += 1;
+        }
         self.used += self.bytes[flat];
         self.resident[flat] = Some((self.tick, 1));
         self.trim();
@@ -167,11 +177,16 @@ fn compare(handle: &SpillHandle, oracle: &Oracle, at: &str) {
     let pinned = oracle.pinned_bytes();
     assert_eq!(cache.pinned_bytes(), pinned, "{at}: pinned bytes diverged");
     let c = handle.counters();
-    let want = (oracle.hits, oracle.misses, oracle.evictions);
+    let want = (
+        oracle.hits,
+        oracle.misses,
+        oracle.prefetched,
+        oracle.evictions,
+    );
     assert_eq!(
-        (c.hits, c.misses, c.evictions),
+        (c.hits, c.misses, c.prefetched, c.evictions),
         want,
-        "{at}: h/m/e diverged"
+        "{at}: hits/misses/prefetched/evictions diverged"
     );
     // Over-budget residency is legal only when every unpinned byte is gone.
     let any_unpinned = oracle.resident.iter().any(|e| matches!(e, Some((_, 0))));
@@ -183,8 +198,8 @@ fn compare(handle: &SpillHandle, oracle: &Oracle, at: &str) {
 }
 
 /// Random pin/unpin/warm/evict sequences: the cache's resident set, pin
-/// counts, byte accounting, and hit/miss/eviction counters all track the
-/// scan oracle exactly — so eviction *order* does too.
+/// counts, byte accounting, and hit/miss/prefetch/eviction counters all
+/// track the scan oracle exactly — so eviction *order* does too.
 #[test]
 fn cache_tracks_lru_oracle() {
     let input = |g: &mut Gen| {
@@ -205,7 +220,7 @@ fn cache_tracks_lru_oracle() {
             match op {
                 0 => {
                     handle.pin(flat).unwrap();
-                    oracle.acquire(flat);
+                    oracle.acquire(flat, true);
                 }
                 1 => {
                     // Unpin only when a pin is held — a bare release
@@ -218,7 +233,7 @@ fn cache_tracks_lru_oracle() {
                 }
                 2 => {
                     handle.warm(flat).unwrap();
-                    oracle.acquire(flat);
+                    oracle.acquire(flat, false);
                     oracle.release(flat);
                 }
                 _ => {
