@@ -97,7 +97,6 @@ impl Device for CpuWorker {
         DeviceCompletion {
             done: now + dur,
             busy_secs: dur.as_secs(),
-            cost: None,
         }
     }
 }
@@ -255,7 +254,6 @@ impl Device for GpuWorker {
         DeviceCompletion {
             done: cost.times.done,
             busy_secs: cost.t_kernel.as_secs(),
-            cost: Some(cost),
         }
     }
 }

@@ -64,9 +64,6 @@ pub struct DeviceCompletion {
     pub done: SimTime,
     /// Seconds of busy time charged to the device (kernel time for GPUs).
     pub busy_secs: f64,
-    /// GPU-only timing breakdown, when the device has one (drives the
-    /// `HSGD_TRACE` diagnostics).
-    pub cost: Option<gpu_sim::BlockCost>,
 }
 
 /// Health of one device, as reported by its [`Device::health`] poll.

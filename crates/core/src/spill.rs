@@ -209,7 +209,6 @@ impl Device for PrefetchDevice {
             return DeviceCompletion {
                 done: now,
                 busy_secs: 0.0,
-                cost: None,
             };
         }
         let ready = if miss_bytes == 0 {

@@ -121,19 +121,9 @@ impl Sim<'_, '_> {
                     self.cpu_busy += comp.busy_secs;
                     self.cpu_points += task.points as u64;
                 }
-                WorkerClass::Gpu(g) => {
+                WorkerClass::Gpu(_) => {
                     self.gpu_busy += comp.busy_secs;
                     self.gpu_points += task.points as u64;
-                    if let Some(cost) = &comp.cost {
-                        if std::env::var("HSGD_TRACE").is_ok() {
-                            eprintln!(
-                                "GPU{} assign t={:.6} pts={} h2d={:.6} kern={:.6} d2h={:.6} h2d_done={:.6} kdone={:.6} done={:.6}",
-                                g, now.as_secs(), task.points,
-                                cost.t_h2d.as_secs(), cost.t_kernel.as_secs(), cost.t_d2h.as_secs(),
-                                cost.times.h2d_done.as_secs(), cost.times.kernel_done.as_secs(), cost.times.done.as_secs()
-                            );
-                        }
-                    }
                 }
             }
             slot.inflight.push_back(task);

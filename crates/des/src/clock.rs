@@ -1,4 +1,4 @@
-//! The virtual clock.
+//! The virtual clock the [`Engine`](crate::Engine) advances.
 
 use crate::time::SimTime;
 
@@ -8,7 +8,7 @@ use crate::time::SimTime;
 /// rewind means the event queue handed out events out of order — a bug that
 /// must never be papered over.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Clock {
+pub(crate) struct Clock {
     now: SimTime,
 }
 
@@ -39,12 +39,6 @@ impl Clock {
         );
         self.now = to;
     }
-
-    /// Advances the clock by a duration.
-    #[inline]
-    pub fn advance_by(&mut self, dt: SimTime) {
-        self.now += dt;
-    }
 }
 
 #[cfg(test)]
@@ -57,8 +51,6 @@ mod tests {
         assert_eq!(c.now(), SimTime::ZERO);
         c.advance_to(SimTime::from_secs(1.0));
         assert_eq!(c.now().as_secs(), 1.0);
-        c.advance_by(SimTime::from_secs(0.5));
-        assert_eq!(c.now().as_secs(), 1.5);
     }
 
     #[test]

@@ -4,7 +4,8 @@ use crate::clock::Clock;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
-/// A ready-to-use simulation loop: an [`EventQueue`] plus a [`Clock`].
+/// A ready-to-use simulation loop: an [`EventQueue`] plus a monotone
+/// virtual clock that panics on rewind.
 ///
 /// The engine owns the queue and clock; the handler receives a mutable
 /// re-borrow of the engine through [`EngineHandle`], so it can schedule

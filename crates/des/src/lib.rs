@@ -10,12 +10,9 @@
 //! * [`EventQueue`] — a priority queue of `(time, payload)` pairs with
 //!   stable FIFO tie-breaking, so simulations are deterministic even when
 //!   many events share a timestamp.
-//! * [`Clock`] — a monotone virtual clock.
 //! * [`Engine`] — a convenience driver that pops events in order and hands
-//!   them to a handler until the queue drains or a horizon is reached.
-//! * [`ScriptedSource`] — a replayable stream of *external* events keyed
-//!   by an arbitrary progress notion (virtual time, completed passes),
-//!   used to inject scripted faults identically into any execution world.
+//!   them to a handler until the queue drains or a horizon is reached,
+//!   advancing a monotone virtual clock that panics on rewind.
 //!
 //! The design goal is determinism: given the same inputs, a simulation
 //! produces bit-identical results on every run. That is what makes the
@@ -35,11 +32,8 @@
 mod clock;
 mod engine;
 mod queue;
-mod source;
 mod time;
 
-pub use clock::Clock;
 pub use engine::{Engine, EngineHandle};
 pub use queue::{EventQueue, ScheduledEvent};
-pub use source::{EventSource, ScriptedSource};
 pub use time::SimTime;

@@ -136,7 +136,7 @@ fn fresh_seeds(base: u64, count: u64) -> usize {
                 eprintln!("{minimal}");
                 eprintln!(
                     "repro: FUZZ_SEED_BASE={seed} FUZZ_SMOKE_SEEDS=1 \
-                     cargo run --release -p mf-bench --bin fuzz_smoke"
+                     cargo run --release -p mf-fuzz --bin fuzz_smoke"
                 );
             }
         }
@@ -164,7 +164,7 @@ fn fresh_io_seeds(base: u64, count: u64) -> usize {
                 eprintln!("{minimal}");
                 eprintln!(
                     "repro: FUZZ_SEED_BASE={seed} FUZZ_SMOKE_SEEDS=0 FUZZ_SMOKE_IO_SEEDS=1 \
-                     cargo run --release -p mf-bench --bin fuzz_smoke"
+                     cargo run --release -p mf-fuzz --bin fuzz_smoke"
                 );
             }
         }

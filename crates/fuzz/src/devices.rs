@@ -94,7 +94,6 @@ impl Device for AdversarialDevice {
         DeviceCompletion {
             done: now + SimTime::from_secs(dur),
             busy_secs: comp.busy_secs * stretch,
-            cost: comp.cost,
         }
     }
 }
@@ -121,7 +120,6 @@ mod tests {
             DeviceCompletion {
                 done: now + SimTime::from_secs(1.0),
                 busy_secs: 1.0,
-                cost: None,
             }
         }
     }

@@ -23,8 +23,7 @@
 //! time: both execution worlds release passes in a well-defined order, so
 //! a pass count is the one clock they share, and the same script replays
 //! identically under the virtual-time DES and the real-thread exclusive
-//! mode (see `mf_des::ScriptedSource` for the same convention one layer
-//! down).
+//! mode.
 
 use std::fmt;
 use std::str::FromStr;

@@ -6,10 +6,8 @@
 //! 1. **Real arithmetic.** [`simt`] executes the cuMF_SGD-style kernel's
 //!    *numerics* exactly: the block's ratings are processed by `W` parallel
 //!    lanes in a deterministic interleaved order (lanes race Hogwild-style
-//!    on factor rows inside a block, emulated in-order), with an optional
-//!    half-precision mode that rounds factor reads/writes through `f16`
-//!    the way cuMF's `__half` path does. Training quality is therefore
-//!    genuine, not modeled.
+//!    on factor rows inside a block, emulated in-order). Training quality
+//!    is therefore genuine, not modeled.
 //! 2. **Modeled time.** [`transfer`], [`kernel_model`] and [`stream`]
 //!    provide the *performance* surface that the paper measures on a
 //!    Quadro P4000: PCIe transfer speed ramping from ~2.5 GB/s at 64 KB to

@@ -8,32 +8,26 @@
 //! visitation order therefore interleaves across the block exactly like
 //! the hardware schedule, while staying bit-reproducible.
 //!
-//! The f32 path runs that schedule through mf-sgd's one SoA block loop
+//! The schedule runs through mf-sgd's one SoA block loop
 //! ([`SharedModel::sgd_block_exclusive`]), the same loop the CPU seats
-//! run. It first gathers the block's three streams into lane order, in a
-//! scratch buffer the kernel keeps across calls (a warm device allocates
-//! nothing per task), so the loop dispatches its step once per block and
-//! prefetches factor rows ahead while visiting ratings in exactly the
-//! lane schedule's order, bit for bit.
-//!
-//! The optional half-precision mode rounds every factor read and write
-//! through IEEE 754 binary16 ([`f16_round`]), emulating cuMF's `__half`
-//! storage. It must
-//! round around every single step, so it keeps the per-rating lane loop,
-//! which is also the oracle the gathered f32 path is tested against.
+//! run. The kernel first gathers the block's three streams into lane
+//! order, in a scratch buffer it keeps across calls (a warm device
+//! allocates nothing per task), so the loop dispatches its step once per
+//! block and prefetches factor rows ahead while visiting ratings in
+//! exactly the lane schedule's order, bit for bit. A per-rating lane
+//! loop, kept under `cfg(test)`, is the oracle that claim is tested
+//! against.
 
-use mf_sgd::sweep::f16_round;
-use mf_sgd::{kernel, Model, SharedModel};
-use mf_sparse::{BlockSlices, Rating};
+use mf_sgd::{Model, SharedModel};
+use mf_sparse::BlockSlices;
 
 use crate::spec::GpuSpec;
 
-/// The simulated kernel: execution geometry, the precision mode, and
-/// the lane-order scratch the f32 path gathers each block into.
+/// The simulated kernel: execution geometry and the lane-order scratch
+/// each block is gathered into.
 #[derive(Debug, Clone)]
 pub struct SimtKernel {
     workers: usize,
-    half_precision: bool,
     lanes: LaneOrder,
 }
 
@@ -70,7 +64,6 @@ impl SimtKernel {
     pub fn new(spec: &GpuSpec) -> SimtKernel {
         SimtKernel {
             workers: spec.parallel_workers as usize,
-            half_precision: spec.half_precision,
             lanes: LaneOrder::default(),
         }
     }
@@ -102,11 +95,9 @@ impl SimtKernel {
     /// factor rows the block scheduler has reserved for it while other
     /// workers run concurrently on disjoint rows.
     ///
-    /// In f32 the block is gathered into lane order in the kernel's
-    /// scratch (skipped when one lane or one step makes lane order the
-    /// storage order) and handed to
-    /// [`SharedModel::sgd_block_exclusive`]. Half precision runs the
-    /// per-rating lane loop, rounding through binary16 around every step.
+    /// The block is gathered into lane order in the kernel's scratch
+    /// (skipped when one lane or one step makes lane order the storage
+    /// order) and handed to [`SharedModel::sgd_block_exclusive`].
     ///
     /// # Safety
     ///
@@ -124,36 +115,25 @@ impl SimtKernel {
     ) -> f64 {
         let w = self.workers.max(1);
         let seg = block.len().div_ceil(w);
-        // SAFETY: rows reserved for us (caller contract). The half path
-        // drops each row pair before forming the next; the gathered view
-        // holds exactly `block`'s ratings, so it touches the same rows.
-        unsafe {
-            if self.half_precision {
-                return self.lane_loop(block, |e| {
-                    let (p, q) = model.pq_rows_unchecked(e.u, e.v);
-                    p.iter_mut()
-                        .chain(q.iter_mut())
-                        .for_each(|x| *x = f16_round(*x));
-                    let err = kernel::sgd_step(&mut *p, &mut *q, e.r, gamma, lambda_p, lambda_q);
-                    p.iter_mut()
-                        .chain(q.iter_mut())
-                        .for_each(|x| *x = f16_round(*x));
-                    err
-                });
-            }
-            let ordered = if w == 1 || seg <= 1 {
-                block
-            } else {
-                self.lanes.gather(block, seg)
-            };
-            model.sgd_block_exclusive(ordered, gamma, lambda_p, lambda_q)
-        }
+        let ordered = if w == 1 || seg <= 1 {
+            block
+        } else {
+            self.lanes.gather(block, seg)
+        };
+        // SAFETY: rows reserved for us (caller contract); the gathered
+        // view holds exactly `block`'s ratings, so it touches the same rows.
+        unsafe { model.sgd_block_exclusive(ordered, gamma, lambda_p, lambda_q) }
     }
 
     /// The per-rating lock-step loop: `step` runs on every rating of
     /// `block` in lane order, and the squared errors it returns are summed
-    /// in that order.
-    fn lane_loop(&self, block: BlockSlices<'_>, mut step: impl FnMut(Rating) -> f32) -> f64 {
+    /// in that order. The oracle for the gathered path.
+    #[cfg(test)]
+    fn lane_loop(
+        &self,
+        block: BlockSlices<'_>,
+        mut step: impl FnMut(mf_sparse::Rating) -> f32,
+    ) -> f64 {
         let w = self.workers.max(1);
         let seg = block.len().div_ceil(w);
         let mut sq_err = 0f64;
@@ -175,12 +155,11 @@ impl SimtKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mf_sgd::kernel;
     use mf_sparse::{Rating, SoaRatings};
 
-    fn spec_with(workers: u32, half: bool) -> GpuSpec {
-        let mut s = GpuSpec::default().with_workers(workers);
-        s.half_precision = half;
-        s
+    fn spec_with(workers: u32) -> GpuSpec {
+        GpuSpec::default().with_workers(workers)
     }
 
     #[test]
@@ -192,7 +171,7 @@ mod tests {
         let mut gpu_model = Model::init(5, 4, 8, 1);
         let mut seq_model = gpu_model.clone();
 
-        let mut kernel1 = SimtKernel::new(&spec_with(1, false));
+        let mut kernel1 = SimtKernel::new(&spec_with(1));
         let sq_gpu = kernel1.execute(&mut gpu_model, soa.as_slices(), 0.01, 0.05, 0.05);
 
         let mut sq_seq = 0.0;
@@ -213,8 +192,8 @@ mod tests {
             SoaRatings::from_entries(&(0..64).map(|i| Rating::new(i, i, 2.0)).collect::<Vec<_>>());
         let mut a = Model::init(64, 64, 4, 2);
         let mut b = a.clone();
-        SimtKernel::new(&spec_with(1, false)).execute(&mut a, block.as_slices(), 0.05, 0.0, 0.0);
-        SimtKernel::new(&spec_with(16, false)).execute(&mut b, block.as_slices(), 0.05, 0.0, 0.0);
+        SimtKernel::new(&spec_with(1)).execute(&mut a, block.as_slices(), 0.05, 0.0, 0.0);
+        SimtKernel::new(&spec_with(16)).execute(&mut b, block.as_slices(), 0.05, 0.0, 0.0);
         assert_eq!(a, b);
     }
 
@@ -229,8 +208,8 @@ mod tests {
         );
         let mut a = Model::init(1, 8, 4, 3);
         let mut b = a.clone();
-        SimtKernel::new(&spec_with(1, false)).execute(&mut a, block.as_slices(), 0.05, 0.0, 0.0);
-        SimtKernel::new(&spec_with(8, false)).execute(&mut b, block.as_slices(), 0.05, 0.0, 0.0);
+        SimtKernel::new(&spec_with(1)).execute(&mut a, block.as_slices(), 0.05, 0.0, 0.0);
+        SimtKernel::new(&spec_with(8)).execute(&mut b, block.as_slices(), 0.05, 0.0, 0.0);
         assert_ne!(a, b, "interleaving should reorder racy updates");
     }
 
@@ -251,7 +230,7 @@ mod tests {
         };
         for k in [8usize, 12, 16, 32] {
             for w in [1usize, 3, 128, 512] {
-                let mut simt = SimtKernel::new(&spec_with(w as u32, false));
+                let mut simt = SimtKernel::new(&spec_with(w as u32));
                 let mut gathered = Model::init(m, n, k, 7);
                 let mut oracle = gathered.clone();
                 // One kernel for every length: a block shorter than the
@@ -277,7 +256,7 @@ mod tests {
                         // Storage order (one lane) must differ, or the
                         // block could not tell lane order from it.
                         let mut storage = before;
-                        SimtKernel::new(&spec_with(1, false)).execute(
+                        SimtKernel::new(&spec_with(1)).execute(
                             &mut storage,
                             block.as_slices(),
                             0.02,
@@ -292,27 +271,10 @@ mod tests {
     }
 
     #[test]
-    fn half_precision_still_converges() {
-        let block = SoaRatings::from_entries(
-            &(0..50)
-                .map(|i| Rating::new(i % 10, (i * 3) % 10, 2.5))
-                .collect::<Vec<_>>(),
-        );
-        let mut model = Model::init(10, 10, 8, 4);
-        let mut k = SimtKernel::new(&spec_with(32, true));
-        let mut last = f64::INFINITY;
-        for _ in 0..30 {
-            last = k.execute(&mut model, block.as_slices(), 0.02, 0.01, 0.01);
-        }
-        let mse = last / block.len() as f64;
-        assert!(mse < 0.05, "half precision should still fit, mse={mse}");
-    }
-
-    #[test]
     fn empty_block_is_noop() {
         let mut model = Model::init(2, 2, 2, 5);
         let before = model.clone();
-        let sq = SimtKernel::new(&spec_with(128, false)).execute(
+        let sq = SimtKernel::new(&spec_with(128)).execute(
             &mut model,
             mf_sparse::BlockSlices::empty(),
             0.1,

@@ -47,8 +47,6 @@ pub struct GpuSpec {
     pub kernel_launch_latency_secs: f64,
     /// Global memory capacity in bytes (P4000: 8 GB).
     pub global_memory_bytes: u64,
-    /// Emulate cuMF's half-precision factor storage.
-    pub half_precision: bool,
 }
 
 impl GpuSpec {
@@ -71,7 +69,6 @@ impl GpuSpec {
             pcie_d2h_peak_gbps: 11.5,
             kernel_launch_latency_secs: 10e-6,
             global_memory_bytes: 8 * 1024 * 1024 * 1024,
-            half_precision: false,
         }
     }
 

@@ -48,8 +48,7 @@
 //!
 //! [`f16_round`] / [`f16_bits`] / [`f16_from_bits`] are the IEEE binary16
 //! codec: the f16 serving store keeps item rows as `u16` bits and decodes
-//! them into the sweep, and the simulated GPU's half-precision mode
-//! rounds factors through it around every step.
+//! them into the sweep.
 
 use crate::kernel::{dispatch_k, LANES};
 
