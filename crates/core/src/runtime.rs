@@ -103,7 +103,6 @@ pub enum ExecMode {
 /// modes.
 pub struct ThreadedExecutor<'p> {
     mode: ExecMode,
-    feedback: bool,
     pool: Option<&'p ThreadPool>,
     cpu_health: Vec<Arc<HealthCell>>,
 }
@@ -111,12 +110,11 @@ pub struct ThreadedExecutor<'p> {
 impl ThreadedExecutor<'static> {
     /// Creates the world in the given mode. Exclusive mode executes
     /// rounds on the process-wide `mf-par` pool; relaxed mode spawns its
-    /// own (budget-clamped) workers. Live cost-model feedback defaults to
-    /// on for relaxed mode (it has no effect in exclusive mode).
+    /// own (budget-clamped) workers and always feeds measured rates back
+    /// into the cost models.
     pub fn new(mode: ExecMode) -> ThreadedExecutor<'static> {
         ThreadedExecutor {
             mode,
-            feedback: true,
             pool: None,
             cpu_health: Vec::new(),
         }
@@ -129,18 +127,9 @@ impl<'p> ThreadedExecutor<'p> {
     pub fn with_pool(pool: &'p ThreadPool) -> ThreadedExecutor<'p> {
         ThreadedExecutor {
             mode: ExecMode::Exclusive,
-            feedback: true,
             pool: Some(pool),
             cpu_health: Vec::new(),
         }
-    }
-
-    /// Enables/disables live measured-throughput feedback into the
-    /// scheduler (relaxed mode only; exclusive mode never feeds back —
-    /// that would make scheduling timing-dependent).
-    pub fn with_feedback(mut self, on: bool) -> ThreadedExecutor<'p> {
-        self.feedback = on;
-        self
     }
 
     /// Registers health cells for the CPU worker side (exclusive mode).
@@ -173,7 +162,7 @@ impl Executor for ThreadedExecutor<'_> {
     fn execute(&mut self, ctx: ExecContext<'_>) -> ExecOutcome {
         match self.mode {
             ExecMode::Exclusive => run_exclusive(ctx, self.pool, &self.cpu_health),
-            ExecMode::Relaxed => run_relaxed(ctx, self.feedback),
+            ExecMode::Relaxed => run_relaxed(ctx),
         }
     }
 }
@@ -266,7 +255,7 @@ impl Meter {
     /// slower than its busy-time rate claims).
     ///
     /// Kept out of line: it runs once per released task, under the hub
-    /// lock, and is dead weight in every run without feedback.
+    /// lock.
     #[inline(never)]
     fn feed_back(&self, scheduler: &mut (dyn BlockScheduler + Send), part: &GridPartition) {
         if self.cpu_obs.len() >= FEEDBACK_MIN_SAMPLES && self.gpu_obs.len() >= FEEDBACK_MIN_SAMPLES
@@ -608,12 +597,11 @@ struct HubState<'a, 'b> {
     done: bool,
     /// True when the run ended with passes still unassigned.
     stalled: bool,
-    feedback: bool,
 }
 
 impl HubState<'_, '_> {
-    /// Releases a finished task and (optionally) feeds measured rates
-    /// back into the scheduler.
+    /// Releases a finished task and feeds measured rates back into the
+    /// scheduler.
     fn release(&mut self, class: WorkerClass, task: &Task, secs: f64) {
         self.scheduler.release(task);
         self.inflight -= 1;
@@ -622,9 +610,7 @@ impl HubState<'_, '_> {
         self.release_gen += 1;
         self.verdicts = 0;
         self.meter.record(class, task.points, secs);
-        if self.feedback {
-            self.meter.feed_back(&mut *self.scheduler, self.part);
-        }
+        self.meter.feed_back(&mut *self.scheduler, self.part);
     }
 }
 
@@ -841,7 +827,6 @@ fn run_relaxed_inline(
     cfg: &HeteroConfig,
     gpus: &mut [GpuWorker],
     nc: usize,
-    feedback: bool,
 ) -> (Meter, bool) {
     let hyper = &cfg.hyper;
     let mut meter = Meter::new();
@@ -853,9 +838,7 @@ fn run_relaxed_inline(
         let secs = unsafe { run_task(&shared, part, hyper, &task, seat) };
         scheduler.release(&task);
         meter.record(who, task.points, secs);
-        if feedback {
-            meter.feed_back(scheduler, part);
-        }
+        meter.feed_back(scheduler, part);
     };
     loop {
         let mut progressed = false;
@@ -883,7 +866,7 @@ fn run_relaxed_inline(
     }
 }
 
-fn run_relaxed(ctx: ExecContext<'_>, feedback: bool) -> ExecOutcome {
+fn run_relaxed(ctx: ExecContext<'_>) -> ExecOutcome {
     let ExecContext {
         scheduler,
         part,
@@ -928,8 +911,7 @@ fn run_relaxed(ctx: ExecContext<'_>, feedback: bool) -> ExecOutcome {
         // fully occupied, so spawn *nothing* — not even GPU threads. One
         // inline loop on the caller serves every class (GPUs first,
         // mirroring the DES dispatch priority).
-        let (meter, stalled) =
-            run_relaxed_inline(scheduler, part, model, cfg, &mut gpus, nc, feedback);
+        let (meter, stalled) = run_relaxed_inline(scheduler, part, model, cfg, &mut gpus, nc);
         let ratio = scheduler.dynamic_ratio();
         (meter, stalled, ratio)
     } else {
@@ -944,7 +926,6 @@ fn run_relaxed(ctx: ExecContext<'_>, feedback: bool) -> ExecOutcome {
                 active: nc + ng,
                 done: false,
                 stalled: false,
-                feedback,
             }),
             cond: Condvar::new(),
         };
@@ -1206,7 +1187,7 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_hetero_star_with_feedback_drains() {
+    fn relaxed_hetero_star_feeds_back_and_drains() {
         let (train, test) = low_rank_data(48, 48, 4);
         let cfg = test_cfg(3);
         let layout = StarLayout::build(&train, 2, 1, 0.5);
@@ -1453,7 +1434,6 @@ mod tests {
                 active: 2,
                 done: false,
                 stalled: false,
-                feedback: false,
             }),
             cond: Condvar::new(),
         };

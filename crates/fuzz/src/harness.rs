@@ -230,9 +230,8 @@ fn drive<S: BlockScheduler + Send>(
                 catch_unwind(AssertUnwindSafe(move || exec.execute(ctx)))
             }
             World::ThreadedExclusive => {
-                let mut exec = ThreadedExecutor::new(ExecMode::Exclusive)
-                    .with_feedback(false)
-                    .with_cpu_health(cpu_cells.clone());
+                let mut exec =
+                    ThreadedExecutor::new(ExecMode::Exclusive).with_cpu_health(cpu_cells.clone());
                 catch_unwind(AssertUnwindSafe(move || exec.execute(ctx)))
             }
         }

@@ -71,12 +71,6 @@ impl StreamPipeline {
         self.d2h_free
     }
 
-    /// When the *kernel* stream frees — the moment the device can accept
-    /// the next block's compute without queueing.
-    pub fn kernel_free_at(&self) -> SimTime {
-        self.kernel_free
-    }
-
     /// Resets all streams to idle (new training run).
     pub fn reset(&mut self) {
         *self = StreamPipeline::default();

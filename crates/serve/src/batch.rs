@@ -272,16 +272,9 @@ impl FactorStore {
             .collect();
         let mut scores = vec![0f32; CHUNK_ITEMS * PANEL_W];
         let mut keys = [0i32; PANEL_W];
-        // Decode scratch for reduced-precision tiles: each tile is
-        // dequantized **once per call** here, then every panel in the
-        // run consumes the f32 rows while cache-hot — the decode cost
-        // amortizes across the whole batch like the tile fetch itself.
-        // F32 tiles borrow their stored rows directly (no copy).
-        let mut decode_buf = Vec::new();
         for tile in &self.tiles {
-            let rows = tile.decode_all(k, &mut decode_buf);
             for st in &mut states {
-                sweep_tile(tile, rows, k, st, &mut scores, &mut keys);
+                sweep_tile(tile, k, st, &mut scores, &mut keys);
             }
         }
         states
@@ -361,13 +354,11 @@ struct PanelState<'a> {
     notfull: u32,
 }
 
-/// Advances every lane of one panel through one tile. `tile_rows` is
-/// the tile's dequantized f32 rows (decoded once per tile by the
-/// caller); `scores` and `keys` are caller-owned scratch (shared across
-/// panels so the chunk buffer stays the same hot 8 KiB).
+/// Advances every lane of one panel through one tile. `scores` and
+/// `keys` are caller-owned scratch (shared across panels so the chunk
+/// buffer stays the same hot 8 KiB).
 fn sweep_tile(
     tile: &Tile,
-    tile_rows: &[f32],
     k: usize,
     st: &mut PanelState,
     scores: &mut [f32],
@@ -401,7 +392,7 @@ fn sweep_tile(
     let mut c = 0;
     while c < len {
         let clen = CHUNK_ITEMS.min(len - c);
-        let rows = &tile_rows[c * k..(c + clen) * k];
+        let rows = &tile.rows[c * k..(c + clen) * k];
         let chunk_scores = &mut scores[..clen * PANEL_W];
         sweep::dot_panel(panel, k, rows, chunk_scores);
         sweep::panel_max_keys(chunk_scores, keys);

@@ -27,8 +27,8 @@
 //!   cache-hot tile, bit-identical to the per-query scan (module docs
 //!   and ARCHITECTURE.md § "Batched serving" give the argument).
 //! * [`sched`] — the admission layer in front of the sweep:
-//!   [`sched::Batcher`] cuts arriving queries into batches under a
-//!   `max_batch`/`max_delay` policy (optionally adaptive), and
+//!   [`sched::Batcher`] cuts arriving queries into batches under an
+//!   adaptive `min_batch..=max_batch` size and a `max_delay` bound, and
 //!   [`sched::run_load`] replays a timestamped query mix against a
 //!   store, reporting per-query latencies for histogramming.
 //! * [`live`] + [`delta`] — the crash-safe **online
@@ -70,4 +70,4 @@ pub use foldin::{FoldIn, FoldInConfig};
 pub use live::{LiveConfig, LiveStore, LiveTrainer};
 pub use mf_sparse::{RealFs, Vfs};
 pub use sched::{BatchPolicy, Batcher, LoadReport};
-pub use store::{FactorStore, Precision, Query, QueryUser, TopK};
+pub use store::{FactorStore, Query, QueryUser, TopK};

@@ -168,11 +168,6 @@ pub struct LiveConfig {
     /// snapshot reaches this many epochs (≥ 1; 1 = snapshot always,
     /// never a delta).
     pub snapshot_every: u64,
-    /// At-rest item-factor precision of every [`FactorStore`] the loop
-    /// publishes. Training and checkpoints stay full f32 — only the
-    /// serving tiles are quantized, so a restart (or a precision
-    /// change) rebuilds them from the exact factors.
-    pub precision: crate::store::Precision,
 }
 
 impl Default for LiveConfig {
@@ -183,7 +178,6 @@ impl Default for LiveConfig {
             passes: 2,
             foldin: FoldInConfig::default(),
             snapshot_every: 8,
-            precision: crate::store::Precision::F32,
         }
     }
 }
@@ -269,7 +263,7 @@ impl LiveTrainer {
         fs.publish(&dir, &name, &mut |w| {
             checkpoint::write_checkpoint(&model, meta, w)
         })?;
-        let live = LiveStore::new(FactorStore::from_model(&model, meta.epoch, cfg.precision));
+        let live = LiveStore::new(FactorStore::from_model(&model, meta.epoch));
         Ok(LiveTrainer {
             fs,
             dir,
@@ -298,11 +292,7 @@ impl LiveTrainer {
     ) -> LiveTrainer {
         assert!(cfg.snapshot_every >= 1, "snapshot_every must be ≥ 1");
         let ck = recovery.checkpoint;
-        let live = LiveStore::new(FactorStore::from_model(
-            &ck.model,
-            ck.meta.epoch,
-            cfg.precision,
-        ));
+        let live = LiveStore::new(FactorStore::from_model(&ck.model, ck.meta.epoch));
         LiveTrainer {
             fs,
             dir,
@@ -323,11 +313,6 @@ impl LiveTrainer {
     /// folded in when the epoch runs.
     pub fn ingest(&mut self, user: u32, item: u32, rating: f32) {
         self.pending.push((user, item, rating));
-    }
-
-    /// Ratings queued for the next epoch.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// The reader handle; clone freely across threads.
@@ -486,8 +471,7 @@ impl LiveTrainer {
         // The serving store is built while the record is written and
         // synced; both only read the model, and the swap waits for both.
         let ((write_res, bytes), store) = std::thread::scope(|s| {
-            let build =
-                s.spawn(|| FactorStore::from_model(&self.model, self.epoch, self.cfg.precision));
+            let build = s.spawn(|| FactorStore::from_model(&self.model, self.epoch));
             let written = self.write_record(kind, &name);
             let store = build
                 .join()
@@ -624,7 +608,7 @@ impl ById {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{Precision, Query, QueryUser};
+    use crate::store::{Query, QueryUser};
     use mf_sparse::RealFs;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -919,7 +903,7 @@ mod tests {
     }
 
     /// Everything a reader can observe of a store, as bits.
-    fn store_bits(s: &FactorStore) -> (u64, Precision, Vec<u32>, Vec<u32>, Vec<u32>) {
+    fn store_bits(s: &FactorStore) -> (u64, Vec<u32>, Vec<u32>, Vec<u32>) {
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let users = (0..s.nusers()).flat_map(|u| bits(s.user_factor(u)));
         let items = (0..s.nitems()).flat_map(|v| bits(&s.item_row_f32(v)));
@@ -927,13 +911,7 @@ mod tests {
             .tiles
             .iter()
             .flat_map(|t| bits(&t.norms).into_iter().chain([t.max_norm.to_bits()]));
-        (
-            s.epoch(),
-            s.precision(),
-            users.collect(),
-            items.collect(),
-            norms.collect(),
-        )
+        (s.epoch(), users.collect(), items.collect(), norms.collect())
     }
 
     /// Every step, acked or not, swaps in the store of the model it

@@ -3,19 +3,17 @@
 //! The tile sweep ([`crate::batch`]) gets cheaper per query the more
 //! queries share a sweep — but a query sitting in the queue is latency
 //! spent before its batch even starts. [`Batcher`] owns that trade with
-//! two knobs ([`BatchPolicy`]): **`max_batch`** caps how many queries a
-//! sweep may carry, and **`max_delay`** caps how long the oldest queued
-//! query may wait before the batch is cut regardless of size. A batch
-//! is dispatched as soon as either bound binds.
-//!
-//! With [`BatchPolicy::adaptive`], the dispatch size additionally
-//! self-tunes inside `[min_batch, max_batch]` the way rayon-adaptive's
+//! three knobs ([`BatchPolicy`]): a batch is cut as soon as the queue
+//! reaches the current dispatch target or the oldest queued query has
+//! waited **`max_delay`**, whichever binds first. The target self-tunes
+//! inside **`[min_batch, max_batch]`** the way rayon-adaptive's
 //! `Policy::Adaptive` grows its block sizes: start small, *double* the
 //! target after every batch whose measured service time fits comfortably
 //! inside the delay budget, halve it when a batch blows the budget.
 //! Under light load the queue drains in small low-latency batches;
 //! under pressure the target climbs geometrically to the
-//! throughput-optimal size within a handful of batches.
+//! throughput-optimal size within a handful of batches. A fixed-size
+//! policy is `min_batch == max_batch`.
 //!
 //! [`run_load`] closes the loop for benchmarking: it replays a timed
 //! arrival schedule against a [`FactorStore`] on a *virtual* clock —
@@ -43,34 +41,20 @@ pub struct BatchPolicy {
     /// Hard cap on how long the oldest queued query may wait (seconds)
     /// before a batch is cut regardless of size.
     pub max_delay: f64,
-    /// Smallest adaptive dispatch target (and its starting value).
+    /// Smallest dispatch target (and its starting value).
     pub min_batch: usize,
-    /// Whether the dispatch target self-tunes between `min_batch` and
-    /// `max_batch` (see [`BatchPolicy::adaptive`]).
-    pub adaptive: bool,
 }
 
 impl BatchPolicy {
-    /// Fixed-size batching: dispatch at exactly `max_batch` queries or
-    /// at `max_delay` seconds of queue age, whichever comes first.
-    pub fn fixed(max_batch: usize, max_delay: f64) -> BatchPolicy {
-        BatchPolicy {
-            max_batch,
-            max_delay,
-            min_batch: max_batch,
-            adaptive: false,
-        }
-    }
-
     /// Adaptive batching: the dispatch target starts at `min_batch`,
     /// doubles after each batch served within half the delay budget,
     /// and halves after each batch that overran the budget.
+    /// `adaptive(n, n, max_delay)` dispatches at exactly `n` queries.
     pub fn adaptive(min_batch: usize, max_batch: usize, max_delay: f64) -> BatchPolicy {
         BatchPolicy {
             max_batch,
             max_delay,
             min_batch,
-            adaptive: true,
         }
     }
 }
@@ -133,7 +117,7 @@ impl Batcher {
         self.queue.is_empty()
     }
 
-    /// The current dispatch target (fixed policies: `max_batch`).
+    /// The current dispatch target.
     pub fn target(&self) -> usize {
         self.target
     }
@@ -181,14 +165,10 @@ impl Batcher {
         Some(Batch { arrivals, queries })
     }
 
-    /// Feeds back the measured service time of the last batch; under an
-    /// adaptive policy this moves the dispatch target geometrically —
-    /// double while batches finish inside half the delay budget, halve
-    /// when one overruns it.
+    /// Feeds back the measured service time of the last batch, moving
+    /// the dispatch target geometrically — double while batches finish
+    /// inside half the delay budget, halve when one overruns it.
     pub fn observe(&mut self, service_secs: f64) {
-        if !self.policy.adaptive {
-            return;
-        }
         if service_secs > self.policy.max_delay {
             self.target = (self.target / 2).max(self.policy.min_batch);
         } else if service_secs * 2.0 <= self.policy.max_delay {
@@ -212,18 +192,6 @@ pub struct LoadReport {
     pub service_secs: f64,
     /// Queries served.
     pub served: usize,
-}
-
-impl LoadReport {
-    /// Offered queries per second of *service* time — the saturated
-    /// throughput of the sweep path at this batch mix.
-    pub fn service_qps(&self) -> f64 {
-        if self.service_secs > 0.0 {
-            self.served as f64 / self.service_secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Replays a timed arrival schedule (`(arrival_seconds, query)`, sorted
@@ -302,7 +270,7 @@ mod tests {
 
     #[test]
     fn fixed_policy_cuts_at_size_or_deadline() {
-        let mut b = Batcher::new(BatchPolicy::fixed(3, 0.010));
+        let mut b = Batcher::new(BatchPolicy::adaptive(3, 3, 0.010));
         assert!(b.take(0.0).is_none());
         b.offer(0.000, q(0));
         b.offer(0.001, q(1));
@@ -323,7 +291,7 @@ mod tests {
 
     #[test]
     fn take_never_exceeds_target() {
-        let mut b = Batcher::new(BatchPolicy::fixed(4, 1.0));
+        let mut b = Batcher::new(BatchPolicy::adaptive(4, 4, 1.0));
         for i in 0..10 {
             b.offer(0.0, q(i));
         }
@@ -359,7 +327,7 @@ mod tests {
         let arrivals: Vec<(f64, Query)> = (0..40)
             .map(|i| (i as f64 * 1e-5, Query::top_k(i % 20, 5)))
             .collect();
-        let mut batcher = Batcher::new(BatchPolicy::fixed(8, 0.001));
+        let mut batcher = Batcher::new(BatchPolicy::adaptive(8, 8, 0.001));
         let report = run_load(&store, &arrivals, &mut batcher, &pool);
         assert_eq!(report.served, 40);
         assert_eq!(report.latencies.len(), 40);
@@ -376,7 +344,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         // 3 queries, batch target 100: only the delay bound can flush.
         let arrivals: Vec<(f64, Query)> = (0..3).map(|i| (0.0, Query::top_k(i, 2))).collect();
-        let mut batcher = Batcher::new(BatchPolicy::fixed(100, 0.005));
+        let mut batcher = Batcher::new(BatchPolicy::adaptive(100, 100, 0.005));
         let report = run_load(&store, &arrivals, &mut batcher, &pool);
         assert_eq!(report.served, 3);
         assert_eq!(report.batch_sizes, vec![3]);

@@ -3,12 +3,13 @@
 //! Training wants factors mutable and block-partitioned; serving wants
 //! them immutable and *scan-friendly*. [`FactorStore`] re-shards a
 //! trained model's item factors into fixed-size **tiles** — contiguous
-//! runs of [`TILE_ITEMS`] item rows, each with its item norms and the
-//! tile-maximum norm precomputed — and answers top-k queries by scanning
-//! tiles in item order with a Cauchy–Schwarz prune: a tile whose bound
-//! `|p|·max_norm` cannot strictly beat the current k-th best score is
-//! skipped whole. The prune never changes the answer (see the
-//! determinism argument in ARCHITECTURE.md → "Serving & persistence"):
+//! runs of [`TILE_ITEMS`] f32 item rows exactly as trained, each with
+//! its item norms and the tile-maximum norm precomputed — and answers
+//! top-k queries by scanning tiles in item order with a Cauchy–Schwarz
+//! prune: a tile whose bound `|p|·max_norm` cannot strictly beat the
+//! current k-th best score is skipped whole. The prune never changes the
+//! answer (see the determinism argument in ARCHITECTURE.md → "Serving &
+//! persistence"):
 //! items are visited in ascending id, ties break toward lower ids, and a
 //! skipped tile is skipped precisely because no item in it can win a
 //! tie-break or a strict comparison.
@@ -29,7 +30,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 
-use mf_sgd::sweep::{f16_bits, f16_from_bits};
 use mf_sgd::{kernel, Model};
 
 /// Item rows per tile. 512 rows at k = 32 is a 64 KiB factor block —
@@ -37,202 +37,16 @@ use mf_sgd::{kernel, Model};
 /// norms array (2 KiB) rides along in L1.
 pub const TILE_ITEMS: usize = 512;
 
-/// How item factors are stored at rest inside the serving tiles.
-///
-/// Reduced precisions shrink the resident catalog (and the memory
-/// traffic per sweep); **scoring always accumulates in f32** over the
-/// dequantized rows, and the per-item norms — and therefore every
-/// Cauchy–Schwarz prune bound — are computed from the *dequantized*
-/// values, so the prune stays exact over the scores the store actually
-/// serves. A reduced-precision store answers exactly like an f32 store
-/// built from its dequantized rows; only the rows themselves carry
-/// quantization error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Full-precision rows: answers bit-identical to [`Model::recommend`]
-    /// on the source model.
-    #[default]
-    F32,
-    /// IEEE binary16 rows (bit-stored as `u16`, [`mf_sgd::sweep::f16_round`]
-    /// semantics): 2 bytes/element, ≤ 2⁻¹¹ relative error per element.
-    F16,
-    /// Per-row affine u8 codes (`scale = (max − min)/255`, offset
-    /// `min`): 1 byte/element + one f32 scale and offset per row,
-    /// ≤ scale/2 absolute error per element. Affine beats a symmetric
-    /// `max|x|/127` scale because factor rows are rarely centred on
-    /// zero — fresh [`Model::init`] rows are entirely non-negative, so
-    /// a symmetric code would waste half its range on values that never
-    /// occur; min/max always spends all 256 codes on the row's actual
-    /// span.
-    Int8,
-}
-
-impl Precision {
-    /// Stable lowercase name (bench/JSON label).
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::F16 => "f16",
-            Precision::Int8 => "int8",
-        }
-    }
-}
-
-/// The at-rest encoding of one tile's `len × k` row-major factor rows.
-pub(crate) enum TileData {
-    /// Rows exactly as trained.
-    F32(Vec<f32>),
-    /// binary16 bit patterns; decode with [`f16_from_bits`].
-    F16(Vec<u16>),
-    /// Per-row affine codes: element = `zero[row] + code · scale[row]`.
-    Int8 {
-        codes: Vec<u8>,
-        scales: Vec<f32>,
-        zeros: Vec<f32>,
-    },
-}
-
 /// One contiguous shard of item factors.
 pub(crate) struct Tile {
     /// First item id in the tile.
     pub(crate) base: u32,
-    /// `len × k` row-major factor rows, possibly quantized.
-    pub(crate) data: TileData,
-    /// Per-item Euclidean norms `|q_v|` **of the dequantized rows** —
-    /// the values scoring actually dots against — so the prune bounds
-    /// cover the served scores exactly, at any precision.
+    /// `len × k` row-major factor rows, exactly as trained.
+    pub(crate) rows: Vec<f32>,
+    /// Per-item Euclidean norms `|q_v|`.
     pub(crate) norms: Vec<f32>,
     /// `max(norms)` — the tile's prune bound.
     pub(crate) max_norm: f32,
-}
-
-impl Tile {
-    /// Decodes item row `i` to f32. F32 tiles return the stored slice
-    /// directly (no copy); quantized tiles decode into `scratch[..k]`.
-    pub(crate) fn row<'a>(&'a self, i: usize, k: usize, scratch: &'a mut [f32]) -> &'a [f32] {
-        match &self.data {
-            TileData::F32(f) => &f[i * k..(i + 1) * k],
-            TileData::F16(bits) => {
-                for (d, &s) in scratch[..k].iter_mut().zip(&bits[i * k..(i + 1) * k]) {
-                    *d = f16_from_bits(s);
-                }
-                &scratch[..k]
-            }
-            TileData::Int8 {
-                codes,
-                scales,
-                zeros,
-            } => {
-                let (sc, z) = (scales[i], zeros[i]);
-                for (d, &c) in scratch[..k].iter_mut().zip(&codes[i * k..(i + 1) * k]) {
-                    *d = z + c as f32 * sc;
-                }
-                &scratch[..k]
-            }
-        }
-    }
-
-    /// Decodes the whole tile to f32 rows. F32 tiles return the stored
-    /// buffer (no copy); quantized tiles decode into `scratch` — the
-    /// batched sweep calls this **once per tile per batch run**, so the
-    /// decode cost is amortized over every query panel in the run.
-    pub(crate) fn decode_all<'a>(&'a self, k: usize, scratch: &'a mut Vec<f32>) -> &'a [f32] {
-        match &self.data {
-            TileData::F32(f) => f,
-            TileData::F16(bits) => {
-                scratch.clear();
-                scratch.extend(bits.iter().map(|&b| f16_from_bits(b)));
-                scratch
-            }
-            TileData::Int8 {
-                codes,
-                scales,
-                zeros,
-            } => {
-                scratch.clear();
-                scratch.reserve(codes.len());
-                for ((row, &sc), &z) in codes.chunks_exact(k).zip(scales).zip(zeros) {
-                    scratch.extend(row.iter().map(|&c| z + c as f32 * sc));
-                }
-                scratch
-            }
-        }
-    }
-
-    /// Resident bytes of the at-rest factor encoding (codes + scales).
-    fn factor_bytes(&self) -> usize {
-        match &self.data {
-            TileData::F32(f) => std::mem::size_of_val(f.as_slice()),
-            TileData::F16(b) => std::mem::size_of_val(b.as_slice()),
-            TileData::Int8 {
-                codes,
-                scales,
-                zeros,
-            } => {
-                std::mem::size_of_val(codes.as_slice())
-                    + std::mem::size_of_val(scales.as_slice())
-                    + std::mem::size_of_val(zeros.as_slice())
-            }
-        }
-    }
-}
-
-/// Encodes one tile's rows at the requested precision and returns the
-/// at-rest data alongside the dequantized rows (what scoring will see —
-/// norms must be computed from these).
-fn encode_tile(rows: &[f32], k: usize, precision: Precision) -> (TileData, Vec<f32>) {
-    match precision {
-        Precision::F32 => (TileData::F32(rows.to_vec()), rows.to_vec()),
-        Precision::F16 => {
-            let bits: Vec<u16> = rows.iter().map(|&x| f16_bits(x)).collect();
-            let deq: Vec<f32> = bits.iter().map(|&b| f16_from_bits(b)).collect();
-            (TileData::F16(bits), deq)
-        }
-        Precision::Int8 => {
-            let nrows = rows.len() / k;
-            let mut codes = Vec::with_capacity(rows.len());
-            let mut scales = Vec::with_capacity(nrows);
-            let mut zeros = Vec::with_capacity(nrows);
-            for row in rows.chunks_exact(k) {
-                // Affine per-row scale over the row's actual [min, max]
-                // span. NaN must *propagate* (IEEE `min`/`max` would
-                // drop it), so a NaN row gets a NaN scale and offset —
-                // its dequantized elements are NaN, its norm is NaN,
-                // and the existing NaN-norm handling keeps the tile
-                // unprunable, exactly like an f32 store with NaN rows.
-                let (lo, hi) = if row.iter().any(|x| x.is_nan()) {
-                    (f32::NAN, f32::NAN)
-                } else {
-                    row.iter()
-                        .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &b| {
-                            (lo.min(b), hi.max(b))
-                        })
-                };
-                let scale = (hi - lo) / 255.0;
-                // A flat row (scale 0) encodes every element as code 0
-                // and decodes to `lo` exactly; `NaN as u8` and inf
-                // spans land on code 0 too — correctness only needs
-                // decode(encode(row)) to be what the norms (and the
-                // test oracle) are built from.
-                codes.extend(row.iter().map(|&x| ((x - lo) / scale).round() as u8));
-                scales.push(scale);
-                zeros.push(lo);
-            }
-            let deq: Vec<f32> = codes
-                .chunks_exact(k)
-                .zip(scales.iter().zip(&zeros))
-                .flat_map(|(row, (&sc, &z))| row.iter().map(move |&c| z + c as f32 * sc))
-                .collect();
-            (
-                TileData::Int8 {
-                    codes,
-                    scales,
-                    zeros,
-                },
-                deq,
-            )
-        }
-    }
 }
 
 /// Widens every Cauchy–Schwarz bound past the computed-arithmetic
@@ -448,10 +262,7 @@ pub struct FactorStore {
     m: u32,
     n: u32,
     epoch: u64,
-    precision: Precision,
-    /// User factors, row-major (`m × k`). Always f32: there are far
-    /// fewer resident user rows than item rows, and keeping the query
-    /// side exact means quantization error enters each score once.
+    /// User factors, row-major (`m × k`).
     p: Vec<f32>,
     pub(crate) tiles: Vec<Tile>,
     pub(crate) cache: Option<Mutex<Lru>>,
@@ -465,23 +276,14 @@ impl FactorStore {
     /// checkpoint epoch the factors came from; it keys the result cache
     /// so two stores of one training run never alias entries.
     pub fn new(model: Model, epoch: u64) -> FactorStore {
-        FactorStore::with_precision(model, epoch, Precision::F32)
-    }
-
-    /// [`FactorStore::new`] with an explicit at-rest item-factor
-    /// precision. Scoring accumulates in f32 at every precision and all
-    /// prune bounds are derived from the dequantized rows, so the
-    /// answers are exactly those of an f32 store built from the
-    /// dequantized factors (see [`Precision`]).
-    pub fn with_precision(model: Model, epoch: u64, precision: Precision) -> FactorStore {
         let (m, n, k, p, q) = model.into_parts();
-        FactorStore::build(m, n, k, p, &q, epoch, precision)
+        FactorStore::build(m, n, k, p, &q, epoch)
     }
 
-    /// [`FactorStore::with_precision`] from a borrowed model: copies `P`
-    /// and encodes the tiles straight from `Q`, with no model clone in
-    /// between — how the live loop publishes while it keeps training.
-    pub(crate) fn from_model(model: &Model, epoch: u64, precision: Precision) -> FactorStore {
+    /// [`FactorStore::new`] from a borrowed model: copies `P` and tiles
+    /// `Q` straight from the model, with no model clone in between —
+    /// how the live loop publishes while it keeps training.
+    pub(crate) fn from_model(model: &Model, epoch: u64) -> FactorStore {
         FactorStore::build(
             model.nrows(),
             model.ncols(),
@@ -489,28 +291,19 @@ impl FactorStore {
             model.p_raw().to_vec(),
             model.q_raw(),
             epoch,
-            precision,
         )
     }
 
     /// The one tile builder: shards `q` (`n × k` row-major) into tiles.
-    fn build(
-        m: u32,
-        n: u32,
-        k: usize,
-        p: Vec<f32>,
-        q: &[f32],
-        epoch: u64,
-        precision: Precision,
-    ) -> FactorStore {
+    fn build(m: u32, n: u32, k: usize, p: Vec<f32>, q: &[f32], epoch: u64) -> FactorStore {
         let mut tiles = Vec::with_capacity((n as usize).div_ceil(TILE_ITEMS));
         for tile_ix in 0..(n as usize).div_ceil(TILE_ITEMS) {
             let base = tile_ix * TILE_ITEMS;
             let len = TILE_ITEMS.min(n as usize - base);
-            let (data, served) = encode_tile(&q[base * k..(base + len) * k], k, precision);
+            let rows = q[base * k..(base + len) * k].to_vec();
             let norms: Vec<f32> = (0..len)
                 .map(|i| {
-                    served[i * k..(i + 1) * k]
+                    rows[i * k..(i + 1) * k]
                         .iter()
                         .map(|x| x * x)
                         .sum::<f32>()
@@ -535,7 +328,7 @@ impl FactorStore {
                 );
             tiles.push(Tile {
                 base: base as u32,
-                data,
+                rows,
                 norms,
                 max_norm,
             });
@@ -545,7 +338,6 @@ impl FactorStore {
             m,
             n,
             epoch,
-            precision,
             p,
             tiles,
             cache: None,
@@ -593,29 +385,12 @@ impl FactorStore {
         self.tiles.len()
     }
 
-    /// The at-rest precision of the item factors.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Resident bytes of at-rest item-factor data across all tiles
-    /// (codes plus per-row scales/offsets; norms and user factors
-    /// excluded) — what `tests/quantized_store.rs` holds int8 to half
-    /// of f32 on.
-    pub fn resident_factor_bytes(&self) -> usize {
-        self.tiles.iter().map(Tile::factor_bytes).sum()
-    }
-
-    /// Item `v`'s factor row *as served*: the dequantized f32 values
-    /// scoring dots against. For `Precision::F32` this is the trained
-    /// row exactly; tests rebuild the store's exact-answer oracle from
-    /// these rows.
+    /// A copy of item `v`'s stored factor row — the trained row
+    /// exactly, the values scoring dots against.
     pub fn item_row_f32(&self, v: u32) -> Vec<f32> {
         assert!(v < self.n, "item {v} out of range");
-        let tile = &self.tiles[v as usize / TILE_ITEMS];
-        let mut scratch = vec![0f32; self.k];
-        tile.row(v as usize % TILE_ITEMS, self.k, &mut scratch)
-            .to_vec()
+        let i = v as usize % TILE_ITEMS;
+        self.tiles[v as usize / TILE_ITEMS].rows[i * self.k..(i + 1) * self.k].to_vec()
     }
 
     /// Cache hit/miss counters since construction.
@@ -714,9 +489,6 @@ impl FactorStore {
         // provably-losing work — keeping the scan's answer equal to the
         // unpruned oracle's bit for bit.
         let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(query.count + 1);
-        // Row-decode scratch for reduced-precision tiles (f32 tiles
-        // hand out their stored slice and never touch it).
-        let mut row_buf = vec![0f32; self.k];
         for tile in &self.tiles {
             // Tile prune: no score inside can exceed |p|·max|q|. Once the
             // heap is full, a candidate must beat the current worst
@@ -744,7 +516,7 @@ impl FactorStore {
                         continue;
                     }
                 }
-                let score = kernel::dot(p, tile.row(i, self.k, &mut row_buf));
+                let score = kernel::dot(p, &tile.rows[i * self.k..(i + 1) * self.k]);
                 if heap.len() < query.count {
                     heap.push(Worst { item, score });
                 } else if score.total_cmp(&heap.peek().expect("full heap").score)

@@ -72,7 +72,9 @@ fn sweep_batch_is_bit_identical_to_oracle() {
 /// Mono-dimension stores big enough to span several tiles, with a band
 /// of inflated norms so tile pruning actually fires, plus NaN and
 /// signed-zero rows — the paths where batched pruning and the beat
-/// filter could plausibly diverge from the oracle.
+/// filter could plausibly diverge from the oracle. The serial
+/// `serve_one` scan prunes on the same bounds and is held to the same
+/// oracle.
 #[test]
 fn sweep_batch_matches_oracle_across_tiles_and_nans() {
     let input = |g: &mut Gen| {
@@ -112,6 +114,9 @@ fn sweep_batch_matches_oracle_across_tiles_and_nans() {
             })
             .collect();
         let expect: Vec<Vec<(u32, u32)>> = queries.iter().map(|q| oracle(&model, q)).collect();
+        let serial: Vec<Vec<(u32, u32)>> =
+            queries.iter().map(|q| bits(&store.serve_one(q))).collect();
+        assert_eq!(&serial, &expect, "serve_one");
         for threads in [1usize, 3] {
             let pool = ThreadPool::new(threads);
             let got: Vec<Vec<(u32, u32)>> = store

@@ -4,9 +4,8 @@
 //! CPU workers and the simulated GPU, in virtual time and on real threads
 //! — runs the one SoA block loop behind [`sgd_block_raw_soa`] (the GPU in
 //! lane order). The per-rating callers (sequential Algorithm 1, the live
-//! trainer, the half-precision SIMT loop, the oracles) use [`sgd_step`],
-//! which reaches the same step function. Two implementations exist behind
-//! one dispatching front door:
+//! trainer, the oracles) use [`sgd_step`], which reaches the same step
+//! function. Two implementations exist behind one dispatching front door:
 //!
 //! * **Monomorphized kernels** for the common latent dimensions
 //!   ([`MONO_DIMS`]: k = 8, 16, 32, 64, 128). Each is a const-generic

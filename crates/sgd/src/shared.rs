@@ -60,35 +60,6 @@ impl<'a> SharedModel<'a> {
         self.n
     }
 
-    /// Returns mutable views of user `u`'s `P` row and item `v`'s `Q`
-    /// row — the escape hatch for execution engines (e.g. the simulated
-    /// SIMT kernel) that need to run their own visit order over rows the
-    /// block scheduler has reserved for the calling thread.
-    ///
-    /// # Safety
-    ///
-    /// For the lifetime of the returned slices, no other thread may
-    /// access the factor rows of `u` or `v` (the scheduler's
-    /// conflict-freedom invariant provides this), and the caller must not
-    /// request an overlapping row pair while holding these. `u`/`v` must
-    /// be in bounds (checked in debug builds).
-    // `&self` → `&mut` is this type's whole point: SharedModel is an
-    // interior-mutability view (the exclusivity that normally comes from
-    // `&mut` is supplied by the scheduler invariant in the safety
-    // contract), exactly like `sgd_block_exclusive` above.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn pq_rows_unchecked(&self, u: u32, v: u32) -> (&mut [f32], &mut [f32]) {
-        debug_assert!(u < self.m && v < self.n);
-        // SAFETY: in-bounds rows of the exclusively borrowed model;
-        // exclusivity of the rows themselves is the caller's contract.
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(self.p.add(u as usize * self.k), self.k),
-                std::slice::from_raw_parts_mut(self.q.add(v as usize * self.k), self.k),
-            )
-        }
-    }
-
     /// Runs the SGD kernel over a whole structure-of-arrays block at full
     /// speed — the layout [`mf_sparse::GridPartition`] hands out.
     ///

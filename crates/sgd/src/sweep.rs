@@ -45,10 +45,6 @@
 //! maintenance: a monotone integer image of `f32::total_cmp` lets the
 //! serving sweep reject a whole chunk of scores per query with a single
 //! integer compare against the query's current k-th best.
-//!
-//! [`f16_round`] / [`f16_bits`] / [`f16_from_bits`] are the IEEE binary16
-//! codec: the f16 serving store keeps item rows as `u16` bits and decodes
-//! them into the sweep.
 
 use crate::kernel::{dispatch_k, LANES};
 
@@ -256,110 +252,6 @@ fn panel_max_keys_body(scores: &[f32], keys: &mut [i32; PANEL_W]) {
     }
 }
 
-/// Rounds an `f32` to the nearest representable IEEE 754 binary16 value
-/// (round-to-nearest-even), returned as `f32`. Overflow saturates to
-/// ±infinity, underflow flushes through subnormals exactly as binary16
-/// does.
-pub fn f16_round(x: f32) -> f32 {
-    let bits = x.to_bits();
-    let sign = bits & 0x8000_0000;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let frac = bits & 0x007f_ffff;
-
-    // NaN propagates; infinity stays infinity.
-    if exp == 0xff {
-        return x;
-    }
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        // Overflows binary16 → ±inf.
-        return f32::from_bits(sign | 0x7f80_0000);
-    }
-    if unbiased >= -14 {
-        // Normal range: keep 10 fraction bits, round to nearest even.
-        let shift = 13; // 23 − 10
-        let lsb = 1u32 << shift;
-        let half = lsb >> 1;
-        let rounded = frac + half - 1 + ((frac >> shift) & 1);
-        let mut frac16 = rounded >> shift;
-        let mut exp16 = unbiased;
-        if frac16 == 0x400 {
-            // Rounded up past the fraction width.
-            frac16 = 0;
-            exp16 += 1;
-            if exp16 > 15 {
-                return f32::from_bits(sign | 0x7f80_0000);
-            }
-        }
-        let back = sign | (((exp16 + 127) as u32) << 23) | (frac16 << shift);
-        return f32::from_bits(back);
-    }
-    if unbiased >= -24 {
-        // Subnormal in binary16: quantize to multiples of 2^-24.
-        let scale = (-24f32).exp2();
-        let q = (x / scale).round_ties_even();
-        return q * scale;
-    }
-    // Underflows to ±0.
-    f32::from_bits(sign)
-}
-
-/// Encodes an `f32` as IEEE 754 binary16 bits, with exactly
-/// [`f16_round`]'s semantics: round-to-nearest-even, overflow saturates
-/// to ±infinity, subnormals are kept. NaN becomes the canonical quiet
-/// NaN (`0x7e00`, sign preserved). For every `x`,
-/// `f16_from_bits(f16_bits(x)).to_bits() == f16_round(x).to_bits()`
-/// (except NaN payloads, which are canonicalized).
-pub fn f16_bits(x: f32) -> u16 {
-    // Round first; the result is exactly representable in binary16, so
-    // the extraction below is a pure re-encoding with no further error.
-    let r = f16_round(x);
-    let bits = r.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Infinity or NaN.
-        return if man == 0 {
-            sign | 0x7c00
-        } else {
-            sign | 0x7e00
-        };
-    }
-    if r == 0.0 {
-        return sign;
-    }
-    let unbiased = exp - 127;
-    if unbiased >= -14 {
-        // Normal in binary16: 5-bit exponent, top 10 mantissa bits.
-        let e = (unbiased + 15) as u16;
-        sign | (e << 10) | ((man >> 13) as u16)
-    } else {
-        // Subnormal: the value is an exact multiple of 2^-24 after
-        // f16_round, so scaling by 2^24 yields the integer significand.
-        let mag = f32::from_bits(bits & 0x7fff_ffff);
-        sign | (mag * 16_777_216.0) as u16
-    }
-}
-
-/// Decodes IEEE 754 binary16 bits into the exactly-equal `f32` value
-/// (binary16 ⊂ binary32, so this conversion is lossless).
-pub fn f16_from_bits(bits: u16) -> f32 {
-    let sign = ((bits as u32) & 0x8000) << 16;
-    let exp = (bits >> 10) & 0x1f;
-    let man = (bits & 0x3ff) as u32;
-    if exp == 0x1f {
-        // Infinity / NaN.
-        return f32::from_bits(sign | 0x7f80_0000 | (man << 13));
-    }
-    if exp == 0 {
-        // Zero or subnormal: value is man · 2^-24.
-        let mag = man as f32 * (-24f32).exp2();
-        return if sign != 0 { -mag } else { mag };
-    }
-    f32::from_bits(sign | ((exp as u32 + 112) << 23) | (man << 13))
-}
-
 /// Which vector tier the one-time probe picked (exposed for bench
 /// reporting, not for correctness — all tiers produce the same bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -457,44 +349,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn f16_round_exact_values_unchanged() {
-        for v in [0.0f32, 1.0, -1.0, 0.5, 2.0, 1024.0, -0.25] {
-            assert_eq!(f16_round(v), v, "{v} is exactly representable");
-        }
-    }
-
-    #[test]
-    fn f16_round_quantizes() {
-        // binary16 spacing near 1.0 is 2^-10 = 2ε with ε = 2^-11.
-        let eps = (2f32).powi(-11);
-        // 1 + ε is a tie between 1.0 and 1 + 2ε: even mantissa (1.0) wins.
-        assert_eq!(f16_round(1.0 + eps), 1.0);
-        // 1 + 3ε is a tie between 1 + 2ε (odd) and 1 + 4ε (even): even wins.
-        assert_eq!(f16_round(1.0 + 3.0 * eps), 1.0 + 4.0 * eps);
-        // 1 + 2.5ε is closer to 1 + 2ε — no tie.
-        assert_eq!(f16_round(1.0 + 2.5 * eps), 1.0 + 2.0 * eps);
-    }
-
-    #[test]
-    fn f16_round_overflow_and_underflow() {
-        assert_eq!(f16_round(1e6), f32::INFINITY);
-        assert_eq!(f16_round(-1e6), f32::NEG_INFINITY);
-        assert_eq!(f16_round(1e-9), 0.0);
-        assert!(f16_round(f32::NAN).is_nan());
-        // Largest binary16 normal: 65504.
-        assert_eq!(f16_round(65504.0), 65504.0);
-        assert_eq!(f16_round(65520.0), f32::INFINITY);
-    }
-
-    #[test]
-    fn f16_round_subnormals() {
-        let tiny = (2f32).powi(-24); // smallest positive binary16 subnormal
-        assert_eq!(f16_round(tiny), tiny);
-        assert_eq!(f16_round(tiny * 0.4), 0.0);
-        assert_eq!(f16_round(tiny * 2.5), tiny * 2.0); // ties to even
     }
 
     #[test]

@@ -291,11 +291,6 @@ impl SparseMatrix {
         &mut self.entries
     }
 
-    /// Consumes the matrix, returning its entry buffer.
-    pub fn into_entries(self) -> Vec<Rating> {
-        self.entries
-    }
-
     /// Appends an entry.
     ///
     /// # Panics
