@@ -1,12 +1,13 @@
-//! IO fault injection for the crash-safe online lifecycle.
+//! Storage fault injection: [`FaultFs`] and the harnesses of the two
+//! storage subjects.
 //!
-//! [`crate::script`] attacks the *schedulers*; this module attacks the
-//! *durability layer*: it drives `mf_serve`'s live train-and-serve loop
-//! against an in-memory filesystem ([`FaultFs`]) that injects short
-//! writes, ENOSPC, byte-exact crash kills, torn renames, and bit flips
-//! — keyed by **cumulative bytes written**, the one deterministic clock
-//! the storage path has — then kills the loop and asserts the recovery
-//! contract:
+//! [`FaultFs`] is an in-memory filesystem that injects the byte-clock
+//! events of a [`crate::Script`] — short writes, ENOSPC, byte-exact
+//! crash kills, torn renames and bit flips — keyed by **cumulative
+//! bytes written**.
+//!
+//! The **lifecycle** subject drives `mf_serve`'s live train-and-serve
+//! loop against it, kills the loop and asserts the recovery contract:
 //!
 //! * recovery **never loads a corrupt factor** (every recovered byte
 //!   re-fingerprints to a state the trainer actually acked);
@@ -19,40 +20,28 @@
 //! * after recovery the loop **resumes**: one more epoch chains onto
 //!   the recovered state and recovers again.
 //!
-//! Scenarios are serialized as [`IoScript`]s in the same line-oriented
-//! `.fz` style as scheduler scripts (magic `hsgd-fuzz io v1`), replayed
-//! by the `fuzz_smoke` CI gate, and shrunk by [`shrink_io`] when a
-//! fresh seed fails.
-//!
-//! A second **subject** shares the script format and fault vocabulary:
-//! `subject arena` scenarios attack the out-of-core training path
-//! instead of the serving lifecycle — the MFCK v3 block arena
-//! (`mf_sparse::arena`) is written through the same [`FaultFs`], then
-//! re-opened spill-backed, and the contract audited is the spill
-//! contract: a crash mid-write leaves at worst orphaned `*.tmp` debris,
-//! a bit flip in a spilled block surfaces as a typed
-//! [`mf_sparse::arena::ArenaError`] before any byte reaches a kernel,
-//! and every block that does load is bit-identical to the in-RAM truth.
+//! The **arena** subject aims the same faults at the out-of-core
+//! training path's MFCK v3 block arena (`mf_sparse::arena`); its spill
+//! contract is listed on `run_arena`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 use mf_data::{ingest_stream, IngestConfig};
 use mf_serve::checkpoint::{self, CheckpointMeta};
-use mf_serve::delta::{self, recover_in, RecoverError};
+use mf_serve::delta::{recover_in, RecoverError};
 use mf_serve::live::{LiveConfig, LiveTrainer, RecordKind};
 use mf_sgd::Model;
 use mf_sparse::arena::BlockArena;
 use mf_sparse::vfs::{Vfs, TMP_SUFFIX};
 use mf_sparse::{BlockOrder, GridPartition, GridSpec, Rating, SparseMatrix};
 
-use crate::check::drop_one;
+use crate::harness::Failure;
 use crate::rng::SplitMix;
-use crate::script::Fields;
+use crate::script::{Event, StoreSetup};
 
 /// The message every injected kill carries. The harness matches on it
 /// to tell "the disk died" (stop and recover) from ordinary write
@@ -63,77 +52,15 @@ fn crash_err() -> io::Error {
     io::Error::other(CRASH_MSG)
 }
 
-/// One injected storage fault. `at` is the cumulative-bytes-written
-/// clock value at which the event arms; each event fires at most once.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IoEvent {
-    /// The next `write` accepts at most `len` bytes — exercises the
-    /// caller's retry path (`write_all` must finish the record).
-    ShortWrite {
-        /// Byte-clock trigger.
-        at: u64,
-        /// Bytes the throttled write accepts (0 = a `WriteZero` error,
-        /// which fails the publish without crashing).
-        len: usize,
-    },
-    /// One write fails with "no space left" — the publish fails, the
-    /// epoch goes unacked, and the loop must keep going.
-    Enospc {
-        /// Byte-clock trigger.
-        at: u64,
-    },
-    /// The storage dies exactly at byte `at`: the in-flight temporary
-    /// keeps its accepted prefix as an orphan, nothing is renamed, and
-    /// every later operation fails with [`CRASH_MSG`].
-    Crash {
-        /// Byte-clock trigger (the kill is byte-exact).
-        at: u64,
-    },
-    /// The rename itself tears: the *final* name appears holding only
-    /// the first `keep` bytes (clamped to a proper prefix), then the
-    /// storage dies. Recovery must classify the file as torn, never
-    /// load it.
-    TornRename {
-        /// Byte-clock trigger, checked at commit time.
-        at: u64,
-        /// Bytes of the record that survive under the final name.
-        keep: u64,
-    },
-    /// Silent corruption: one bit of committed file `file` flips when
-    /// the clock passes `at` (no-op if the file doesn't exist yet).
-    BitFlip {
-        /// Byte-clock trigger.
-        at: u64,
-        /// Target file name within the lifecycle directory.
-        file: String,
-        /// Selects the flipped byte (`byte % file_len`) and bit
-        /// (`byte % 8`).
-        byte: u64,
-    },
-}
-
-impl IoEvent {
-    /// The event's byte-clock trigger.
-    pub fn at(&self) -> u64 {
-        match self {
-            IoEvent::ShortWrite { at, .. }
-            | IoEvent::Enospc { at }
-            | IoEvent::Crash { at }
-            | IoEvent::TornRename { at, .. }
-            | IoEvent::BitFlip { at, .. } => *at,
-        }
-    }
-}
-
 struct FaultState {
     /// Committed files, name → bytes (the post-rename namespace).
     files: BTreeMap<String, Vec<u8>>,
     /// Cumulative bytes accepted across all writes — the fault clock.
     written: u64,
-    events: Vec<IoEvent>,
+    events: Vec<Event>,
     fired: Vec<bool>,
     crashed: bool,
-    /// Files a [`IoEvent::BitFlip`] actually damaged.
+    /// Files an [`Event::BitFlip`] actually damaged.
     flipped: Vec<String>,
 }
 
@@ -145,7 +72,7 @@ impl FaultState {
             if self.fired[i] {
                 continue;
             }
-            if let IoEvent::BitFlip { at, file, byte } = &self.events[i] {
+            if let Event::BitFlip { at, file, byte } = &self.events[i] {
                 if self.written >= *at {
                     self.fired[i] = true;
                     if let Some(data) = self.files.get_mut(file) {
@@ -168,8 +95,8 @@ pub struct FaultFs {
 }
 
 impl FaultFs {
-    /// A fresh filesystem armed with `events`.
-    pub fn new(events: Vec<IoEvent>) -> FaultFs {
+    /// A fresh filesystem armed with `events` (byte-clock kinds fire).
+    pub fn new(events: Vec<Event>) -> FaultFs {
         let fired = vec![false; events.len()];
         FaultFs {
             state: Mutex::new(FaultState {
@@ -230,7 +157,7 @@ impl Write for FaultWriter<'_> {
                 continue;
             }
             match self.st.events[i].clone() {
-                IoEvent::Crash { at } if clock + data.len() as u64 > at => {
+                Event::Crash { at } if clock + data.len() as u64 > at => {
                     // Byte-exact: accept up to the kill point, then die.
                     self.st.fired[i] = true;
                     let accept = (at.saturating_sub(clock) as usize).min(data.len());
@@ -239,11 +166,11 @@ impl Write for FaultWriter<'_> {
                     self.st.crashed = true;
                     return Err(crash_err());
                 }
-                IoEvent::Enospc { at } if clock + data.len() as u64 > at => {
+                Event::Enospc { at } if clock + data.len() as u64 > at => {
                     self.st.fired[i] = true;
                     return Err(io::Error::other("injected ENOSPC: no space left on device"));
                 }
-                IoEvent::ShortWrite { at, len } if clock + data.len() as u64 > at => {
+                Event::ShortWrite { at, len } if clock + data.len() as u64 > at => {
                     self.st.fired[i] = true;
                     let accept = len.min(data.len());
                     self.buf.extend_from_slice(&data[..accept]);
@@ -324,7 +251,7 @@ impl Vfs for FaultFs {
             if st.fired[i] {
                 continue;
             }
-            if let IoEvent::TornRename { at, keep } = st.events[i].clone() {
+            if let Event::TornRename { at, keep } = st.events[i].clone() {
                 if st.written >= at {
                     st.fired[i] = true;
                     // Clamp to a proper prefix: a complete file under
@@ -354,281 +281,9 @@ impl fmt::Debug for FaultFs {
     }
 }
 
-/// One serialized lifecycle-fault scenario:
-///
-/// ```text
-/// hsgd-fuzz io v1
-/// seed 42
-/// geometry users=32 items=48 k=8
-/// stream epochs=8 per_epoch=40 new_user_frac=0.1 new_item_frac=0.05
-/// snapshot every=3
-/// shortwrite at=5000 len=7
-/// enospc at=9000
-/// bitflip at=20000 file=delta_epoch_00002.mfckd byte=517
-/// crash at=31000
-/// ```
-///
-/// Fault events are keyed by cumulative bytes written — the storage
-/// path's deterministic clock, playing the role completed passes play
-/// for scheduler scripts.
-///
-/// An optional `subject arena` line switches the harness from the
-/// serving lifecycle to the out-of-core block arena (same faults, same
-/// clock, different durable artifact and contract).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IoScript {
-    /// What the faults are aimed at (default: the serving lifecycle).
-    pub subject: IoSubject,
-    /// Master seed: model init, ingest stream, and fold-in rows.
-    pub seed: u64,
-    /// Users at bootstrap.
-    pub users: u32,
-    /// Items at bootstrap.
-    pub items: u32,
-    /// Latent dimension.
-    pub k: usize,
-    /// Epochs the loop attempts before the (possibly early) end.
-    pub epochs: u32,
-    /// Ratings ingested per epoch.
-    pub per_epoch: usize,
-    /// Fraction of events naming an unseen user.
-    pub new_user_frac: f64,
-    /// Fraction of events naming an unseen item.
-    pub new_item_frac: f64,
-    /// Re-basing snapshot cadence ([`LiveConfig::snapshot_every`]).
-    pub snapshot_every: u64,
-    /// Injected storage faults.
-    pub events: Vec<IoEvent>,
-}
-
-/// Which durable artifact an [`IoScript`]'s faults attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoSubject {
-    /// The live train-and-serve loop: snapshots, deltas, recovery.
-    #[default]
-    Lifecycle,
-    /// The out-of-core training path: one MFCK v3 block arena, written
-    /// and spill-read through the faulted filesystem.
-    Arena,
-}
-
-impl IoScript {
-    /// First line of every serialized IO script.
-    pub const MAGIC: &'static str = "hsgd-fuzz io v1";
-
-    /// A hostile-but-well-formed scenario for `seed`.
-    pub fn generate(seed: u64) -> IoScript {
-        let mut rng = SplitMix::new(seed ^ IO_SCRIPT_SEED_SALT);
-        let users = rng.range(24, 64) as u32;
-        let items = rng.range(32, 96) as u32;
-        let k = rng.range(4, 12) as usize;
-        let epochs = rng.range(5, 12) as u32;
-        let per_epoch = rng.range(20, 60) as usize;
-        let snapshot_every = rng.range(2, 6);
-        // Rough bytes-per-record bound (the model roughly doubles by
-        // fold-in over a run); events land somewhere inside the run.
-        let est_total =
-            (epochs as u64 + 1) * (72 + 2 * (users as u64 + items as u64) * k as u64 * 4);
-        let mut events = Vec::new();
-        let mut fatal = false;
-        for _ in 0..rng.range(1, 3) {
-            let at = rng.range(1, est_total);
-            match rng.range(0, 4) {
-                0 => events.push(IoEvent::ShortWrite {
-                    at,
-                    len: rng.range(1, 4096) as usize,
-                }),
-                1 => events.push(IoEvent::Enospc { at }),
-                2 if !fatal => {
-                    fatal = true;
-                    events.push(IoEvent::Crash { at });
-                }
-                3 if !fatal => {
-                    fatal = true;
-                    events.push(IoEvent::TornRename {
-                        at,
-                        keep: rng.range(0, 4096),
-                    });
-                }
-                _ => {
-                    let epoch = rng.range(1, epochs as u64);
-                    let file = if rng.unit() < 0.5 || !epoch.is_multiple_of(snapshot_every) {
-                        delta::delta_file_name(epoch)
-                    } else {
-                        checkpoint::epoch_file_name(epoch)
-                    };
-                    events.push(IoEvent::BitFlip {
-                        at,
-                        file,
-                        byte: rng.range(0, 1 << 17),
-                    });
-                }
-            }
-        }
-        let mut script = IoScript {
-            subject: IoSubject::Lifecycle,
-            seed,
-            users,
-            items,
-            k,
-            epochs,
-            per_epoch,
-            new_user_frac: rng.range_f64(0.0, 0.15),
-            new_item_frac: rng.range_f64(0.0, 0.15),
-            snapshot_every,
-            events,
-        };
-        // Subject drawn *last* so lifecycle scenarios for a given seed
-        // are unchanged by the arena subject's existence.
-        if rng.unit() < 0.35 {
-            script.subject = IoSubject::Arena;
-            // The arena is a far smaller artifact than a whole lifecycle
-            // run; rescale the byte-clock triggers so faults land inside
-            // the write (or just past it, where bit flips strike the
-            // committed file).
-            let arena_est = script.epochs as u64 * script.per_epoch as u64 * 12 + 600;
-            for e in &mut script.events {
-                match e {
-                    IoEvent::ShortWrite { at, .. }
-                    | IoEvent::Enospc { at }
-                    | IoEvent::Crash { at }
-                    | IoEvent::TornRename { at, .. }
-                    | IoEvent::BitFlip { at, .. } => *at = *at % arena_est + 1,
-                }
-            }
-        }
-        script
-    }
-}
-
-impl fmt::Display for IoScript {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", IoScript::MAGIC)?;
-        writeln!(f, "seed {}", self.seed)?;
-        if self.subject == IoSubject::Arena {
-            writeln!(f, "subject arena")?;
-        }
-        writeln!(
-            f,
-            "geometry users={} items={} k={}",
-            self.users, self.items, self.k
-        )?;
-        writeln!(
-            f,
-            "stream epochs={} per_epoch={} new_user_frac={} new_item_frac={}",
-            self.epochs, self.per_epoch, self.new_user_frac, self.new_item_frac
-        )?;
-        writeln!(f, "snapshot every={}", self.snapshot_every)?;
-        for e in &self.events {
-            match e {
-                IoEvent::ShortWrite { at, len } => writeln!(f, "shortwrite at={at} len={len}")?,
-                IoEvent::Enospc { at } => writeln!(f, "enospc at={at}")?,
-                IoEvent::Crash { at } => writeln!(f, "crash at={at}")?,
-                IoEvent::TornRename { at, keep } => {
-                    writeln!(f, "tornrename at={at} keep={keep}")?;
-                }
-                IoEvent::BitFlip { at, file, byte } => {
-                    writeln!(f, "bitflip at={at} file={file} byte={byte}")?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for IoScript {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoScript, String> {
-        let mut lines = s
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'));
-        if lines.next() != Some(IoScript::MAGIC) {
-            return Err(format!("missing {:?} header", IoScript::MAGIC));
-        }
-        let mut subject = IoSubject::Lifecycle;
-        let mut seed = None;
-        let mut geometry = None;
-        let mut stream = None;
-        let mut snapshot_every = None;
-        let mut events = Vec::new();
-        for line in lines {
-            let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
-            if word == "seed" {
-                seed = Some(
-                    rest.trim()
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad seed in {line:?}"))?,
-                );
-                continue;
-            }
-            if word == "subject" {
-                subject = match rest.trim() {
-                    "lifecycle" => IoSubject::Lifecycle,
-                    "arena" => IoSubject::Arena,
-                    other => return Err(format!("unknown subject {other:?} in {line:?}")),
-                };
-                continue;
-            }
-            let f = Fields::parse(line, rest)?;
-            match word {
-                "geometry" => {
-                    geometry = Some((
-                        f.get::<u32>("users")?,
-                        f.get::<u32>("items")?,
-                        f.get::<usize>("k")?,
-                    ));
-                }
-                "stream" => {
-                    stream = Some((
-                        f.get::<u32>("epochs")?,
-                        f.get::<usize>("per_epoch")?,
-                        f.get::<f64>("new_user_frac")?,
-                        f.get::<f64>("new_item_frac")?,
-                    ));
-                }
-                "snapshot" => snapshot_every = Some(f.get::<u64>("every")?),
-                "shortwrite" => events.push(IoEvent::ShortWrite {
-                    at: f.get("at")?,
-                    len: f.get("len")?,
-                }),
-                "enospc" => events.push(IoEvent::Enospc { at: f.get("at")? }),
-                "crash" => events.push(IoEvent::Crash { at: f.get("at")? }),
-                "tornrename" => events.push(IoEvent::TornRename {
-                    at: f.get("at")?,
-                    keep: f.get("keep")?,
-                }),
-                "bitflip" => events.push(IoEvent::BitFlip {
-                    at: f.get("at")?,
-                    file: f.get("file")?,
-                    byte: f.get("byte")?,
-                }),
-                other => return Err(format!("unknown directive {other:?} in {line:?}")),
-            }
-        }
-        let (users, items, k) = geometry.ok_or("missing geometry line")?;
-        let (epochs, per_epoch, new_user_frac, new_item_frac) =
-            stream.ok_or("missing stream line")?;
-        Ok(IoScript {
-            subject,
-            seed: seed.ok_or("missing seed line")?,
-            users,
-            items,
-            k,
-            epochs,
-            per_epoch,
-            new_user_frac,
-            new_item_frac,
-            snapshot_every: snapshot_every.ok_or("missing snapshot line")?,
-            events,
-        })
-    }
-}
-
-/// What a clean kill-and-recover run reports.
+/// What a clean lifecycle kill-and-recover run reports.
 #[derive(Debug, Clone)]
-pub struct IoRunStats {
+pub struct LifecycleStats {
     /// Epochs the loop completed before the end (or the kill).
     pub epochs_run: u64,
     /// Epochs durably acked.
@@ -640,33 +295,23 @@ pub struct IoRunStats {
     pub recovered_epoch: Option<u64>,
     /// Whether the post-recovery resume epoch ran and re-recovered.
     pub resumed: bool,
+    /// The byte clock after the bootstrap snapshot (entry 0) and after
+    /// each epoch's step.
+    pub offsets: Vec<u64>,
 }
 
-/// A failed run: every durability-contract violation observed.
+/// What a clean arena write-and-spill run reports.
 #[derive(Debug, Clone)]
-pub struct IoFailure {
-    /// Violations in detection order.
-    pub violations: Vec<String>,
-}
-
-impl fmt::Display for IoFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "[io] {} violation(s):", self.violations.len())?;
-        for v in &self.violations {
-            writeln!(f, "  - {v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Harness knobs. The defaults are the real contract; `ignore_flips`
-/// deliberately mis-builds the oracle (treating bit-flipped records as
-/// intact) so the negative test can prove the harness detects silent
-/// corruption.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IoOptions {
-    /// Build the expected-state oracle as if no bit flip had fired.
-    pub ignore_flips: bool,
+pub struct ArenaStats {
+    /// Blocks in the arena's grid.
+    pub blocks: u64,
+    /// Blocks served bit-identical to the in-RAM truth through the
+    /// spill cache; the rest failed their load with a typed error.
+    pub clean_blocks: u64,
+    /// Failed arena publishes that were retried.
+    pub rewrites: u64,
+    /// Whether a crash-class event fired.
+    pub crashed: bool,
 }
 
 /// One acked durable record, as the harness saw it happen: the shadow
@@ -681,9 +326,9 @@ struct AckedRec {
 
 /// Content fingerprint of a model state: the XXH64 of its canonical v1
 /// serialization (covers geometry, seed, epoch, and every factor byte).
-fn fingerprint(model: &Model, seed: u64, epoch: u64) -> u64 {
+fn fingerprint(model: &Model, meta: CheckpointMeta) -> u64 {
     let mut buf = Vec::new();
-    checkpoint::write_checkpoint(model, CheckpointMeta { seed, epoch }, &mut buf)
+    checkpoint::write_checkpoint(model, meta, &mut buf)
         .expect("in-memory serialization cannot fail");
     mf_sparse::hash::xxh64(&buf)
 }
@@ -712,44 +357,38 @@ fn expected_epoch(shadow: &[AckedRec], damaged: &BTreeSet<String>) -> Option<u64
         .max()
 }
 
-/// Replays `script` with the default (honest) oracle.
-pub fn run_io_script(script: &IoScript) -> Result<IoRunStats, IoFailure> {
-    run_io_script_with(script, IoOptions::default())
-}
-
-/// Replays one scenario end to end: bootstrap → ingest/step epochs
-/// under fault injection (with reader-consistency checks after every
-/// publish) → kill → recover → audit against the shadow log → heal,
-/// resume, and re-recover one epoch further.
-pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunStats, IoFailure> {
-    if script.subject == IoSubject::Arena {
-        return run_arena_script(script, opts);
-    }
+/// Replays one lifecycle scenario end to end: bootstrap → ingest/step
+/// epochs under fault injection (with reader-consistency checks after
+/// every publish) → kill → recover → audit against the shadow log →
+/// heal, resume, and re-recover one epoch further. `ignore_flips`
+/// deliberately mis-builds the oracle (treating bit-flipped records as
+/// intact) so a negative test can prove the audit sees silent
+/// corruption.
+pub(crate) fn run_lifecycle(
+    seed: u64,
+    setup: &StoreSetup,
+    events: &[Event],
+    ignore_flips: bool,
+) -> Result<LifecycleStats, Failure> {
     let mut violations: Vec<String> = Vec::new();
-    let fs = Arc::new(FaultFs::new(script.events.clone()));
+    let fs = Arc::new(FaultFs::new(events.to_vec()));
     let dir = PathBuf::from("/lifecycle");
     let cfg = LiveConfig {
-        snapshot_every: script.snapshot_every,
+        snapshot_every: setup.snapshot_every,
         ..Default::default()
     };
-    let model = Model::init(script.users, script.items, script.k, script.seed);
-    let base_fp = fingerprint(&model, script.seed, 0);
+    let model = Model::init(setup.users, setup.items, setup.k, seed);
+    let base_meta = CheckpointMeta { seed, epoch: 0 };
+    let base_fp = fingerprint(&model, base_meta);
 
     let mut shadow: Vec<AckedRec> = Vec::new();
+    let mut offsets = Vec::new();
     let mut epochs_run = 0u64;
     let mut crashed = false;
 
-    let trainer = match LiveTrainer::bootstrap(
-        fs.clone(),
-        dir.clone(),
-        model,
-        CheckpointMeta {
-            seed: script.seed,
-            epoch: 0,
-        },
-        cfg,
-    ) {
+    let trainer = match LiveTrainer::bootstrap(fs.clone(), dir.clone(), model, base_meta, cfg) {
         Ok(t) => {
+            offsets.push(fs.written());
             shadow.push(AckedRec {
                 name: checkpoint::epoch_file_name(0),
                 kind: RecordKind::Snapshot,
@@ -770,16 +409,16 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
     if let Some(mut t) = trainer {
         let stream = ingest_stream(
             &IngestConfig {
-                users: script.users,
-                items: script.items,
-                new_user_frac: script.new_user_frac,
-                new_item_frac: script.new_item_frac,
-                seed: script.seed,
+                users: setup.users,
+                items: setup.items,
+                new_user_frac: setup.new_user_frac,
+                new_item_frac: setup.new_item_frac,
+                seed,
             },
-            script.epochs as usize * script.per_epoch,
+            setup.epochs as usize * setup.per_epoch,
         );
         let live = t.live();
-        for chunk in stream.chunks(script.per_epoch.max(1)) {
+        for chunk in stream.chunks(setup.per_epoch.max(1)) {
             for ev in chunk {
                 t.ingest(ev.user, ev.item, ev.rating);
             }
@@ -788,6 +427,7 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
             let base_of_step = t.acked_epoch();
             let rep = t.step();
             epochs_run += 1;
+            offsets.push(fs.written());
 
             // Reader-side invariants hold on every epoch, acked or not:
             // serving is exactly the trained state, never a hybrid.
@@ -819,7 +459,13 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
                     kind: rep.kind,
                     epoch: rep.epoch,
                     base_epoch: base_of_step,
-                    fingerprint: fingerprint(t.model(), script.seed, rep.epoch),
+                    fingerprint: fingerprint(
+                        t.model(),
+                        CheckpointMeta {
+                            seed,
+                            epoch: rep.epoch,
+                        },
+                    ),
                 });
             } else if let Some(e) = &rep.ckpt_error {
                 if e.to_string().contains(CRASH_MSG) {
@@ -831,7 +477,7 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
     }
 
     // ---- The kill happened (or the script ran dry). Recover. ----
-    let damaged: BTreeSet<String> = if opts.ignore_flips {
+    let damaged: BTreeSet<String> = if ignore_flips {
         BTreeSet::new()
     } else {
         fs.flipped().into_iter().collect()
@@ -854,11 +500,7 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
                     .find(|r| r.epoch == want)
                     .map(|r| r.fingerprint)
                     .expect("expected epoch comes from the shadow log");
-                let got_fp = fingerprint(
-                    &rec.checkpoint.model,
-                    rec.checkpoint.meta.seed,
-                    rec.checkpoint.meta.epoch,
-                );
+                let got_fp = fingerprint(&rec.checkpoint.model, rec.checkpoint.meta);
                 if got_fp != want_fp {
                     violations.push(format!(
                         "recovered state at epoch {want} does not match the acked \
@@ -898,9 +540,9 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
                 items: t.model().ncols(),
                 new_user_frac: 0.0,
                 new_item_frac: 0.0,
-                seed: script.seed ^ 1,
+                seed: seed ^ 1,
             },
-            script.per_epoch.max(1),
+            setup.per_epoch.max(1),
         ) {
             t.ingest(ev.user, ev.item, ev.rating);
         }
@@ -913,12 +555,12 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
         } else {
             match recover_in(fs.as_ref(), &dir) {
                 Ok(rec2) if rec2.epoch() == before + 1 => {
-                    let want = fingerprint(t.model(), script.seed, rec2.epoch());
-                    let got = fingerprint(
-                        &rec2.checkpoint.model,
-                        rec2.checkpoint.meta.seed,
-                        rec2.checkpoint.meta.epoch,
-                    );
+                    let meta = CheckpointMeta {
+                        seed,
+                        epoch: rec2.epoch(),
+                    };
+                    let want = fingerprint(t.model(), meta);
+                    let got = fingerprint(&rec2.checkpoint.model, rec2.checkpoint.meta);
                     if got != want {
                         violations.push(
                             "resumed chain recovers to a state that differs from the \
@@ -940,21 +582,17 @@ pub fn run_io_script_with(script: &IoScript, opts: IoOptions) -> Result<IoRunSta
     }
 
     if violations.is_empty() {
-        Ok(IoRunStats {
+        Ok(LifecycleStats {
             epochs_run,
             acked_epochs: shadow.len().saturating_sub(1) as u64,
             crashed,
             recovered_epoch,
             resumed,
+            offsets,
         })
     } else {
-        Err(IoFailure { violations })
+        Err(Failure::storage(violations))
     }
-}
-
-/// Generates and replays the IO scenario for `seed`.
-pub fn fuzz_io_seed(seed: u64) -> Result<IoRunStats, IoFailure> {
-    run_io_script(&IoScript::generate(seed))
 }
 
 // ---------------------------------------------------------------------------
@@ -965,12 +603,12 @@ pub fn fuzz_io_seed(seed: u64) -> Result<IoRunStats, IoFailure> {
 pub const ARENA_SUBJECT_FILE: &str = "train.arena";
 
 /// The deterministic rating matrix an arena scenario spills: geometry
-/// from the script, `epochs * per_epoch` ratings from its seed.
-fn arena_matrix(script: &IoScript) -> SparseMatrix {
-    let mut rng = SplitMix::new(script.seed ^ ARENA_SUBJECT_SEED_SALT);
-    let (m, n) = (script.users, script.items);
+/// from the setup, `epochs * per_epoch` ratings from the seed.
+fn arena_matrix(seed: u64, setup: &StoreSetup) -> SparseMatrix {
+    let mut rng = SplitMix::new(seed ^ ARENA_SUBJECT_SEED_SALT);
+    let (m, n) = (setup.users, setup.items);
     let mut mat = SparseMatrix::empty(m, n);
-    for _ in 0..(script.epochs as usize * script.per_epoch).max(1) {
+    for _ in 0..(setup.epochs as usize * setup.per_epoch).max(1) {
         let u = rng.range(0, m as u64 - 1) as u32;
         let v = rng.range(0, n as u64 - 1) as u32;
         mat.push(Rating::new(u, v, (1.0 + 4.0 * rng.unit()) as f32));
@@ -994,32 +632,28 @@ fn arena_matrix(script: &IoScript) -> SparseMatrix {
 ///   load — corrupt factor bytes never reach a kernel;
 /// * every block that *does* load is bit-identical to the in-RAM truth.
 ///
-/// Stats mapping (the struct is shared with the lifecycle subject):
-/// `epochs_run` = total blocks, `acked_epochs` = blocks served clean
-/// through the spill cache, `resumed` = a failed write was retried to a
-/// committed arena.
-fn run_arena_script(script: &IoScript, opts: IoOptions) -> Result<IoRunStats, IoFailure> {
+/// `ignore_flips` makes the oracle treat a flipped arena as intact, for
+/// the negative test.
+pub(crate) fn run_arena(
+    seed: u64,
+    setup: &StoreSetup,
+    events: &[Event],
+    ignore_flips: bool,
+) -> Result<ArenaStats, Failure> {
     let mut violations: Vec<String> = Vec::new();
     // The subject has exactly one durable artifact: aim every flip at it.
-    let events: Vec<IoEvent> = script
-        .events
-        .iter()
-        .cloned()
-        .map(|e| match e {
-            IoEvent::BitFlip { at, byte, .. } => IoEvent::BitFlip {
-                at,
-                file: ARENA_SUBJECT_FILE.to_string(),
-                byte,
-            },
-            other => other,
-        })
-        .collect();
-    let fs = Arc::new(FaultFs::new(events));
+    let mut aimed = events.to_vec();
+    for e in &mut aimed {
+        if let Event::BitFlip { file, .. } = e {
+            *file = ARENA_SUBJECT_FILE.to_string();
+        }
+    }
+    let fs = Arc::new(FaultFs::new(aimed));
     let dir = PathBuf::from("/arena");
-    let mat = arena_matrix(script);
+    let mat = arena_matrix(seed, setup);
     let part = GridPartition::build_with_order(
         &mat,
-        GridSpec::uniform(script.users, script.items, 4, 3),
+        GridSpec::uniform(setup.users, setup.items, 4, 3),
         BlockOrder::UserMajor,
     );
     let blocks = part.spec().block_count();
@@ -1029,15 +663,15 @@ fn run_arena_script(script: &IoScript, opts: IoOptions) -> Result<IoRunStats, Io
     // ---- Write under fire; every failed publish is retried. ----
     let mut crashed = false;
     let mut committed = false;
-    let mut write_failures = 0u32;
-    for _ in 0..script.events.len() + 2 {
+    let mut rewrites = 0u64;
+    for _ in 0..events.len() + 2 {
         match part.write_arena(fs.as_ref(), &dir, ARENA_SUBJECT_FILE) {
             Ok(()) => {
                 committed = true;
                 break;
             }
             Err(e) => {
-                write_failures += 1;
+                rewrites += 1;
                 let names = fs.list(&dir).unwrap_or_default();
                 if fs.crashed() {
                     crashed = true;
@@ -1068,16 +702,15 @@ fn run_arena_script(script: &IoScript, opts: IoOptions) -> Result<IoRunStats, Io
     if !committed {
         violations
             .push("arena never committed despite retrying past every armed fault".to_string());
-        return Err(IoFailure { violations });
+        return Err(Failure::storage(violations));
     }
 
     // ---- Advance the byte clock past any still-armed flip so it lands
     // on the committed arena (flips only fire on write activity). ----
-    let max_flip_at = script
-        .events
+    let max_flip_at = events
         .iter()
         .filter_map(|e| match e {
-            IoEvent::BitFlip { at, .. } => Some(*at),
+            Event::BitFlip { at, .. } => Some(*at),
             _ => None,
         })
         .max()
@@ -1099,7 +732,7 @@ fn run_arena_script(script: &IoScript, opts: IoOptions) -> Result<IoRunStats, Io
 
     // ---- Re-open spill-backed and serve every block through the
     // pinned kernel path, against the in-RAM truth. ----
-    let damaged = !opts.ignore_flips && fs.flipped().iter().any(|f| f == ARENA_SUBJECT_FILE);
+    let damaged = !ignore_flips && fs.flipped().iter().any(|f| f == ARENA_SUBJECT_FILE);
     let budget = (part.total_nnz() * Rating::WIRE_BYTES / 3).max(64);
     let mut clean_blocks = 0u64;
     let mut detected = false;
@@ -1146,15 +779,14 @@ fn run_arena_script(script: &IoScript, opts: IoOptions) -> Result<IoRunStats, Io
     }
 
     if violations.is_empty() {
-        Ok(IoRunStats {
-            epochs_run: blocks as u64,
-            acked_epochs: clean_blocks,
+        Ok(ArenaStats {
+            blocks: blocks as u64,
+            clean_blocks,
+            rewrites,
             crashed,
-            recovered_epoch: None,
-            resumed: write_failures > 0,
         })
     } else {
-        Err(IoFailure { violations })
+        Err(Failure::storage(violations))
     }
 }
 
@@ -1162,103 +794,23 @@ fn run_arena_script(script: &IoScript, opts: IoOptions) -> Result<IoRunStats, Io
 /// else derived from the same master seed.
 const ARENA_SUBJECT_SEED_SALT: u64 = 0x5b21_c6d8_0f73_a94e;
 
-/// Byte-clock values of a **fault-free** replay of `script`: entry 0 is
-/// the clock after the bootstrap snapshot, entry `e` after epoch `e`'s
-/// record commits. Deterministic in the script, so `at=` values chosen
-/// between two entries land inside that epoch's write — this is how
-/// corpus scenarios and the negative tests are calibrated.
-pub fn probe_offsets(script: &IoScript) -> Vec<u64> {
-    let fs = Arc::new(FaultFs::new(Vec::new()));
-    let dir = PathBuf::from("/lifecycle");
-    let cfg = LiveConfig {
-        snapshot_every: script.snapshot_every,
-        ..Default::default()
-    };
-    let mut t = LiveTrainer::bootstrap(
-        fs.clone(),
-        dir,
-        Model::init(script.users, script.items, script.k, script.seed),
-        CheckpointMeta {
-            seed: script.seed,
-            epoch: 0,
-        },
-        cfg,
-    )
-    .expect("fault-free bootstrap");
-    let mut offsets = vec![fs.written()];
-    let stream = ingest_stream(
-        &IngestConfig {
-            users: script.users,
-            items: script.items,
-            new_user_frac: script.new_user_frac,
-            new_item_frac: script.new_item_frac,
-            seed: script.seed,
-        },
-        script.epochs as usize * script.per_epoch,
-    );
-    for chunk in stream.chunks(script.per_epoch.max(1)) {
-        for ev in chunk {
-            t.ingest(ev.user, ev.item, ev.rating);
-        }
-        assert!(t.step().acked, "fault-free step must ack");
-        offsets.push(fs.written());
-    }
-    offsets
+/// Byte-clock values of a **fault-free** lifecycle run of `setup` under
+/// `seed` ([`LifecycleStats::offsets`]). Deterministic, so `at=` values
+/// chosen between two entries land inside that epoch's write — this is
+/// how corpus scenarios and the negative tests are calibrated.
+pub fn probe_offsets(seed: u64, setup: &StoreSetup) -> Vec<u64> {
+    run_lifecycle(seed, setup, &[], false)
+        .expect("a fault-free lifecycle run holds the contract")
+        .offsets
 }
-
-/// Greedy event shrinking for IO scripts — [`drop_one`] over
-/// storage-fault events, as [`crate::harness::shrink`] does over
-/// scheduler faults.
-pub fn shrink_io(script: &IoScript, mut still_fails: impl FnMut(&IoScript) -> bool) -> IoScript {
-    let mut cand = script.clone();
-    cand.events = drop_one(script.events.clone(), |events| {
-        cand.events = events.to_vec();
-        still_fails(&cand)
-    });
-    cand
-}
-
-/// Domain-separates IO-script generation from scheduler-script
-/// generation under the same master seed.
-const IO_SCRIPT_SEED_SALT: u64 = 0x7d3a_9c15_e842_06bf;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn io_scripts_round_trip_through_text() {
-        for seed in 0..50u64 {
-            let s = IoScript::generate(seed);
-            let text = s.to_string();
-            let back: IoScript = text.parse().unwrap_or_else(|e| {
-                panic!("seed {seed}: parse failed: {e}\n{text}");
-            });
-            assert_eq!(text, back.to_string(), "seed {seed} round-trip");
-        }
-    }
-
-    #[test]
-    fn parses_hand_written_io_script() {
-        let text = "hsgd-fuzz io v1\n\
-                    # lifecycle scenario\n\
-                    seed 9\n\
-                    geometry users=32 items=48 k=8\n\
-                    stream epochs=6 per_epoch=30 new_user_frac=0.1 new_item_frac=0.05\n\
-                    snapshot every=3\n\
-                    shortwrite at=100 len=7\n\
-                    bitflip at=5000 file=delta_epoch_00002.mfckd byte=517\n\
-                    crash at=9000\n";
-        let s: IoScript = text.parse().expect("parse");
-        assert_eq!(s.seed, 9);
-        assert_eq!((s.users, s.items, s.k), (32, 48, 8));
-        assert_eq!(s.events.len(), 3);
-        assert!(matches!(s.events[2], IoEvent::Crash { at: 9000 }));
-    }
-
-    #[test]
     fn crash_leaves_an_orphan_temp_with_the_accepted_prefix() {
-        let fs = FaultFs::new(vec![IoEvent::Crash { at: 10 }]);
+        let fs = FaultFs::new(vec![Event::Crash { at: 10 }]);
         let err = fs
             .publish(Path::new("/d"), "a.bin", &mut |w| {
                 w.write_all(b"0123456789abcdef")
@@ -1285,7 +837,7 @@ mod tests {
 
     #[test]
     fn torn_rename_truncates_the_final_name() {
-        let fs = FaultFs::new(vec![IoEvent::TornRename { at: 5, keep: 4 }]);
+        let fs = FaultFs::new(vec![Event::TornRename { at: 5, keep: 4 }]);
         let err = fs.publish(Path::new("/d"), "a.bin", &mut |w| {
             w.write_all(b"0123456789")
         });
@@ -1301,8 +853,8 @@ mod tests {
     #[test]
     fn short_writes_and_enospc_are_survivable() {
         let fs = FaultFs::new(vec![
-            IoEvent::ShortWrite { at: 0, len: 3 },
-            IoEvent::Enospc { at: 20 },
+            Event::ShortWrite { at: 0, len: 3 },
+            Event::Enospc { at: 20 },
         ]);
         // write_all retries past the short write; the publish commits.
         fs.publish(Path::new("/d"), "a.bin", &mut |w| {
@@ -1327,7 +879,7 @@ mod tests {
 
     #[test]
     fn bit_flip_damages_a_committed_file_once() {
-        let fs = FaultFs::new(vec![IoEvent::BitFlip {
+        let fs = FaultFs::new(vec![Event::BitFlip {
             at: 5,
             file: "a.bin".to_string(),
             byte: 2,
@@ -1348,11 +900,10 @@ mod tests {
         assert_eq!(buf.len(), 4);
     }
 
-    /// The arena-subject script fields every inline scenario below uses.
-    fn arena_script(events: Vec<IoEvent>) -> IoScript {
-        IoScript {
-            subject: IoSubject::Arena,
-            seed: 13,
+    /// Runs the arena subject on the geometry every inline scenario
+    /// below uses.
+    fn run_arena_with(events: Vec<Event>, ignore_flips: bool) -> Result<ArenaStats, Failure> {
+        let setup = StoreSetup {
             users: 32,
             items: 24,
             k: 6,
@@ -1361,19 +912,22 @@ mod tests {
             new_user_frac: 0.0,
             new_item_frac: 0.0,
             snapshot_every: 3,
-            events,
-        }
+        };
+        run_arena(13, &setup, &events, ignore_flips)
     }
 
     #[test]
     fn arena_crash_mid_write_leaves_orphan_and_rewrite_round_trips() {
         // ~4 KB arena (300 ratings); the kill lands mid-block-frames.
-        let stats = run_io_script(&arena_script(vec![IoEvent::Crash { at: 2000 }]))
+        let stats = run_arena_with(vec![Event::Crash { at: 2000 }], false)
             .expect("arena crash scenario must hold the contract");
         assert!(stats.crashed, "the crash event never fired");
-        assert!(stats.resumed, "the rewrite after healing never happened");
+        assert!(
+            stats.rewrites > 0,
+            "the rewrite after healing never happened"
+        );
         assert_eq!(
-            stats.acked_epochs, stats.epochs_run,
+            stats.clean_blocks, stats.blocks,
             "the rewritten arena must serve every block clean"
         );
     }
@@ -1382,22 +936,23 @@ mod tests {
     fn arena_bitflip_is_typed_and_detected() {
         // The flip arms past the arena's ~4 KB: it fires on the poke
         // writes, damaging the *committed* file before the spill reads.
-        let script = arena_script(vec![IoEvent::BitFlip {
-            at: 4500,
-            file: ARENA_SUBJECT_FILE.to_string(),
-            byte: 1234,
-        }]);
-        let stats = run_io_script(&script).expect("typed detection is green");
+        let flip = || {
+            vec![Event::BitFlip {
+                at: 4500,
+                file: ARENA_SUBJECT_FILE.to_string(),
+                byte: 1234,
+            }]
+        };
+        let stats = run_arena_with(flip(), false).expect("typed detection is green");
         assert!(
-            stats.acked_epochs < stats.epochs_run,
+            stats.clean_blocks < stats.blocks,
             "the flip damaged nothing ({} of {} blocks clean)",
-            stats.acked_epochs,
-            stats.epochs_run
+            stats.clean_blocks,
+            stats.blocks
         );
         // A flip-blind oracle must be caught: the damaged load errors
         // become violations, proving the harness sees the corruption.
-        let fail = run_io_script_with(&script, IoOptions { ignore_flips: true })
-            .expect_err("a flip-blind oracle must be caught");
+        let fail = run_arena_with(flip(), true).expect_err("a flip-blind oracle must be caught");
         assert!(
             fail.violations.iter().any(|v| v.contains("intact")),
             "wrong violation class: {fail}"
@@ -1406,26 +961,13 @@ mod tests {
 
     #[test]
     fn arena_enospc_retries_to_a_clean_commit() {
-        let stats = run_io_script(&arena_script(vec![IoEvent::Enospc { at: 1500 }]))
-            .expect("survivable fault");
+        let stats =
+            run_arena_with(vec![Event::Enospc { at: 1500 }], false).expect("survivable fault");
         assert!(!stats.crashed);
-        assert!(stats.resumed, "the failed publish must have been retried");
-        assert_eq!(stats.acked_epochs, stats.epochs_run);
-    }
-
-    #[test]
-    fn generated_io_scripts_are_well_formed() {
-        for seed in 0..100u64 {
-            let s = IoScript::generate(seed);
-            assert!(s.users >= 1 && s.items >= 1 && s.k >= 1, "seed {seed}");
-            assert!(s.snapshot_every >= 1, "seed {seed}");
-            assert!(!s.events.is_empty(), "seed {seed}: no faults generated");
-            let fatal = s
-                .events
-                .iter()
-                .filter(|e| matches!(e, IoEvent::Crash { .. } | IoEvent::TornRename { .. }))
-                .count();
-            assert!(fatal <= 1, "seed {seed}: {fatal} crash-class events");
-        }
+        assert!(
+            stats.rewrites > 0,
+            "the failed publish must have been retried"
+        );
+        assert_eq!(stats.clean_blocks, stats.blocks);
     }
 }

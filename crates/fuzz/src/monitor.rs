@@ -26,7 +26,7 @@ use hsgd_core::executor::{DeviceHealth, HealthCell};
 use hsgd_core::scheduler::{BlockScheduler, Task, WorkerClass};
 use mf_sparse::{GridPartition, GridSpec};
 
-use crate::script::{DevId, Event, Script};
+use crate::script::{DevId, Event};
 
 /// Scheduler-interaction budget per run: `next_task`/`release` calls
 /// beyond this many per scheduled block pass indicate a livelock.
@@ -78,13 +78,19 @@ pub struct MonitoredScheduler<S> {
 }
 
 impl<S: BlockScheduler> MonitoredScheduler<S> {
-    /// Wraps `inner`, compiling `script`'s events against the health
-    /// `cells` the execution world will consult. A `Freeze` expands into
+    /// Wraps `inner`, compiling a scheduler script's `events` against the
+    /// health `cells` the execution world will consult; the script's
+    /// `total_passes` sizes the livelock budget. A `Freeze` expands into
     /// a degrade action plus a matching recovery action `passes` later.
-    pub fn new(inner: S, script: &Script, cells: Vec<(DevId, Arc<HealthCell>)>) -> Self {
+    pub fn new(
+        inner: S,
+        events: &[Event],
+        total_passes: u64,
+        cells: Vec<(DevId, Arc<HealthCell>)>,
+    ) -> Self {
         let spec = inner.spec().clone();
         let mut actions: Vec<(u64, Action)> = Vec::new();
-        for e in &script.events {
+        for e in events {
             match *e {
                 Event::Slow { dev, at, factor } => {
                     actions.push((at, Action::SetHealth(dev, DeviceHealth::Degraded(factor))));
@@ -105,10 +111,13 @@ impl<S: BlockScheduler> MonitoredScheduler<S> {
                 Event::Observe { at, cpu, gpu } => {
                     actions.push((at, Action::Observe(cpu, gpu)));
                 }
+                // Byte-clock events: `harness::run` refuses them before a
+                // world starts.
+                _ => {}
             }
         }
         actions.sort_by_key(|(at, _)| *at);
-        let total = script.total_passes().max(1);
+        let total = total_passes.max(1);
         MonitoredScheduler {
             inner,
             row_busy: vec![0; spec.nrow_blocks() as usize],
@@ -399,27 +408,11 @@ mod tests {
         (part, spec)
     }
 
-    fn script_stub() -> Script {
-        Script {
-            seed: 1,
-            data: (16, 16, 64, 8),
-            sched: crate::script::SchedKind::Uniform {
-                rows: 2,
-                cols: 2,
-                cap: true,
-            },
-            workers: (1, 0),
-            iters: 1,
-            latency: None,
-            events: Vec::new(),
-        }
-    }
-
     #[test]
     fn clean_run_has_no_violations() {
         let (part, spec) = tiny_part(2, 2);
         let inner = UniformScheduler::new(spec, 1, true);
-        let mut m = MonitoredScheduler::new(inner, &script_stub(), Vec::new());
+        let mut m = MonitoredScheduler::new(inner, &[], 4, Vec::new());
         let mut done = 0;
         while done < 4 {
             let t = m.next_task(WorkerClass::Cpu, &part).expect("work left");
@@ -435,7 +428,7 @@ mod tests {
     fn lost_block_is_reported() {
         let (part, spec) = tiny_part(2, 2);
         let inner = UniformScheduler::new(spec, 1, true);
-        let mut m = MonitoredScheduler::new(inner, &script_stub(), Vec::new());
+        let mut m = MonitoredScheduler::new(inner, &[], 4, Vec::new());
         let _leaked = m.next_task(WorkerClass::Cpu, &part).expect("work left");
         // Never released: the audit must flag it.
         let v = m.finish(true);
@@ -449,7 +442,7 @@ mod tests {
     fn double_release_is_reported() {
         let (part, spec) = tiny_part(2, 2);
         let inner = UniformScheduler::new(spec, 2, false);
-        let mut m = MonitoredScheduler::new(inner, &script_stub(), Vec::new());
+        let mut m = MonitoredScheduler::new(inner, &[], 4, Vec::new());
         let t = m.next_task(WorkerClass::Cpu, &part).expect("work left");
         m.release(&t);
         m.release(&t);
@@ -498,7 +491,7 @@ mod tests {
             spec: spec.clone(),
             counts: vec![0; 4],
         };
-        let mut m = MonitoredScheduler::new(evil, &script_stub(), Vec::new());
+        let mut m = MonitoredScheduler::new(evil, &[], 4, Vec::new());
         let _a = m.next_task(WorkerClass::Cpu, &part).unwrap();
         let _b = m.next_task(WorkerClass::Cpu, &part).unwrap();
         assert!(
@@ -515,14 +508,13 @@ mod tests {
         let (part, spec) = tiny_part(2, 2);
         let inner = UniformScheduler::new(spec, 2, false);
         let cell = Arc::new(HealthCell::new());
-        let mut script = script_stub();
-        script.events.push(Event::Freeze {
+        let freeze = [Event::Freeze {
             dev: DevId::Cpu(0),
             at: 2,
             passes: 2,
             factor: 8.0,
-        });
-        let mut m = MonitoredScheduler::new(inner, &script, vec![(DevId::Cpu(0), cell.clone())]);
+        }];
+        let mut m = MonitoredScheduler::new(inner, &freeze, 8, vec![(DevId::Cpu(0), cell.clone())]);
         for step in 1..=8u64 {
             let t = m.next_task(WorkerClass::Cpu, &part).expect("work left");
             m.release(&t);

@@ -1,9 +1,7 @@
 //! End-to-end adversarial runs: generated seeds and the committed
 //! regression corpus, replayed through both execution worlds.
 
-use mf_fuzz::{
-    fuzz_seed, run_io_script, run_script, shrink, Event, IoScript, IoSubject, Script, World,
-};
+use mf_fuzz::{replay_corpus, run, shrink, Clock, Event, Options, Script, Stats};
 
 /// Pinned seeds exercised in both worlds on every test run. The
 /// `fuzz_smoke` bench binary covers a much wider random batch.
@@ -12,22 +10,20 @@ const PINNED_SEEDS: [u64; 8] = [0, 1, 2, 3, 5, 8, 13, 21];
 #[test]
 fn pinned_seeds_hold_invariants_in_both_worlds() {
     for &seed in &PINNED_SEEDS {
-        if let Err(f) = fuzz_seed(seed) {
-            panic!(
-                "seed {seed} violated invariants:\n{f}script:\n{}",
-                Script::generate(seed)
-            );
+        let script = Script::generate(seed, Clock::Passes);
+        if let Err(f) = run(&script, Options::default()) {
+            panic!("seed {seed} violated invariants:\n{f}script:\n{script}");
         }
     }
 }
 
 #[test]
-fn fresh_seed_batch_holds_invariants_in_virtual_world() {
-    // A wider virtual-only sweep: the DES world is cheap enough to run
+fn fresh_seed_batch_holds_invariants_in_both_worlds() {
+    // A wider sweep: both worlds are cheap enough at fuzz geometry to run
     // dozens of hostile scenarios per test invocation.
     for seed in 100..140u64 {
-        let script = Script::generate(seed);
-        if let Err(f) = run_script(&script, World::Virtual, true) {
+        let script = Script::generate(seed, Clock::Passes);
+        if let Err(f) = run(&script, Options::default()) {
             panic!("seed {seed} violated invariants:\n{f}script:\n{script}");
         }
     }
@@ -48,22 +44,25 @@ fn gpu_death_script() -> Script {
                           fail gpu0 at=38\n"
         .parse()
         .expect("valid script");
-    assert!(script.has_fail());
+    assert!(matches!(script.events[..], [Event::Fail { .. }]));
     script
 }
 
+/// The drain fix reverted — the negative-test switch.
+const NO_DRAIN: Options = Options {
+    drain_failed: false,
+    ignore_flips: false,
+};
+
 #[test]
 fn gpu_death_with_drain_fix_satisfies_invariants() {
-    let script = gpu_death_script();
-    match run_script(&script, World::Virtual, true) {
+    match run(&gpu_death_script(), Options::default()) {
         Err(f) => panic!("drain fix on, but:\n{f}"),
-        Ok(stats) => assert!(
-            !stats.ended_early,
-            "drain fix should let the survivors finish the full schedule: {stats:?}"
+        Ok(Stats::Scheduler(virt, _)) => assert!(
+            !virt.ended_early,
+            "drain fix should let the survivors finish the full schedule: {virt:?}"
         ),
-    }
-    if let Err(f) = run_script(&script, World::ThreadedExclusive, true) {
-        panic!("drain fix on (threaded), but:\n{f}");
+        Ok(other) => panic!("not a scheduler run: {other:?}"),
     }
 }
 
@@ -76,7 +75,7 @@ fn gpu_death_with_drain_fix_satisfies_invariants() {
 #[should_panic(expected = "lost in flight")]
 fn gpu_death_with_drain_fix_reverted_trips_the_monitor() {
     let script = gpu_death_script();
-    match run_script(&script, World::Virtual, false) {
+    match run(&script, NO_DRAIN) {
         Ok(stats) => {
             panic!("expected a violation with the drain fix reverted, got a clean run: {stats:?}")
         }
@@ -110,9 +109,7 @@ fn shrinking_reduces_to_the_fatal_event() {
         factor: 1.0,
     });
 
-    let minimal = shrink(&script, |cand| {
-        run_script(cand, World::Virtual, false).is_err()
-    });
+    let minimal = shrink(&script, |cand| run(cand, NO_DRAIN).is_err());
     assert_eq!(
         minimal.events.len(),
         1,
@@ -128,46 +125,22 @@ fn shrinking_reduces_to_the_fatal_event() {
 
 #[test]
 fn corpus_scripts_replay_green_in_both_worlds() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_corpus");
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "fz"))
-        .collect();
-    entries.sort();
-    assert!(!entries.is_empty(), "fuzz corpus is empty");
     let mut io_scripts = 0;
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable script");
-        // Dispatch on the magic line: storage-lifecycle scripts replay
-        // through the fault-injected durability harness, scheduler
-        // scripts through both execution worlds.
-        if text.lines().next().map(str::trim) == Some(IoScript::MAGIC) {
-            let script: IoScript = text
-                .parse()
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            let stats = run_io_script(&script).unwrap_or_else(|f| {
-                panic!("{} failed the durability harness:\n{f}", path.display())
-            });
-            let exercised = match script.subject {
-                IoSubject::Lifecycle => stats.crashed || stats.recovered_epoch.is_some(),
-                IoSubject::Arena => stats.crashed || stats.acked_epochs < stats.epochs_run,
-            };
-            assert!(exercised, "{}: scenario exercised nothing", path.display());
-            io_scripts += 1;
-            continue;
-        }
-        let script: Script = text
-            .parse()
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for world in [World::Virtual, World::ThreadedExclusive] {
-            if let Err(f) = run_script(&script, world, true) {
-                panic!("{} failed in {} world:\n{f}", path.display(), world.label());
-            }
-        }
-    }
+    replay_corpus(|name, outcome| {
+        let stats = outcome.unwrap_or_else(|f| panic!("{name} failed its harness:\n{f}"));
+        // A storage scenario must actually strike: crash, degrade the
+        // recovery, or damage a block.
+        let exercised = match stats {
+            Stats::Scheduler(..) => return,
+            Stats::Lifecycle(s) => s.crashed || s.recovered_epoch.is_some(),
+            Stats::Arena(s) => s.crashed || s.clean_blocks < s.blocks,
+        };
+        assert!(exercised, "{name}: scenario exercised nothing");
+        io_scripts += 1;
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
     assert!(
         io_scripts >= 3,
-        "expected ≥ 3 committed lifecycle scenarios, found {io_scripts}"
+        "expected ≥ 3 committed storage scenarios, found {io_scripts}"
     );
 }

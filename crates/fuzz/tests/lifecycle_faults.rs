@@ -4,17 +4,16 @@
 //! with the rest of the corpus.
 
 use mf_fuzz::{
-    fuzz_io_seed, probe_offsets, run_io_script, run_io_script_with, shrink_io, IoEvent, IoOptions,
-    IoScript, IoSubject,
+    probe_offsets, run, shrink, Clock, Event, Options, Script, Stats, StoreSetup, Subject,
 };
 
 /// Freshly generated hostile scenarios hold the durability contract.
 #[test]
 fn fresh_io_seeds_hold_the_contract() {
     for seed in 0..30u64 {
-        if let Err(f) = fuzz_io_seed(seed) {
-            let script = IoScript::generate(seed);
-            let minimal = shrink_io(&script, |c| run_io_script(c).is_err());
+        let script = Script::generate(seed, Clock::Bytes);
+        if let Err(f) = run(&script, Options::default()) {
+            let minimal = shrink(&script, |c| run(c, Options::default()).is_err());
             panic!("seed {seed}: {f}\nshrunk:\n{minimal}");
         }
     }
@@ -28,9 +27,7 @@ fn fresh_io_seeds_hold_the_contract() {
 /// vacuously passing.
 #[test]
 fn harness_detects_silent_corruption() {
-    let mut script = IoScript {
-        subject: IoSubject::Lifecycle,
-        seed: 17,
+    let setup = StoreSetup {
         users: 24,
         items: 32,
         k: 6,
@@ -39,22 +36,34 @@ fn harness_detects_silent_corruption() {
         new_user_frac: 0.08,
         new_item_frac: 0.04,
         snapshot_every: 10, // all deltas: the chain is load-bearing
-        events: Vec::new(),
     };
-    let offsets = probe_offsets(&script);
-    // Flip a byte of epoch 2's delta once epoch 3 is writing; then the
-    // chain 0 → 1 → 2 → … is severed at 1.
-    script.events.push(IoEvent::BitFlip {
-        at: offsets[2] + 1,
-        file: "delta_epoch_00002.mfckd".to_string(),
-        byte: 321,
-    });
-    // Kill the run mid-way through epoch 5's delta.
-    script.events.push(IoEvent::Crash {
-        at: offsets[4] + 40,
-    });
+    let offsets = probe_offsets(17, &setup);
+    let script = Script {
+        seed: 17,
+        subject: Subject::Lifecycle(setup),
+        events: vec![
+            // Flip a byte of epoch 2's delta once epoch 3 is writing;
+            // then the chain 0 → 1 → 2 → … is severed at 1.
+            Event::BitFlip {
+                at: offsets[2] + 1,
+                file: "delta_epoch_00002.mfckd".to_string(),
+                byte: 321,
+            },
+            // Kill the run mid-way through epoch 5's delta.
+            Event::Crash {
+                at: offsets[4] + 40,
+            },
+        ],
+    };
+    let flip_blind = Options {
+        ignore_flips: true,
+        ..Options::default()
+    };
 
-    let stats = run_io_script(&script).expect("honest audit is green");
+    let stats = match run(&script, Options::default()) {
+        Ok(Stats::Lifecycle(stats)) => stats,
+        other => panic!("honest audit must be green: {other:?}"),
+    };
     assert!(stats.crashed);
     assert_eq!(
         stats.recovered_epoch,
@@ -62,8 +71,7 @@ fn harness_detects_silent_corruption() {
         "the flip severs the chain after epoch 1"
     );
 
-    let fail = run_io_script_with(&script, IoOptions { ignore_flips: true })
-        .expect_err("a flip-blind oracle must be caught");
+    let fail = run(&script, flip_blind).expect_err("a flip-blind oracle must be caught");
     assert!(
         fail.violations
             .iter()
@@ -73,14 +81,12 @@ fn harness_detects_silent_corruption() {
 
     // Shrinking under the broken oracle keeps both events: the flip
     // causes the divergence, the crash makes epoch 4 acked-but-lost.
-    let minimal = shrink_io(&script, |c| {
-        run_io_script_with(c, IoOptions { ignore_flips: true }).is_err()
-    });
+    let minimal = shrink(&script, |c| run(c, flip_blind).is_err());
     assert!(
         minimal
             .events
             .iter()
-            .any(|e| matches!(e, IoEvent::BitFlip { .. })),
+            .any(|e| matches!(e, Event::BitFlip { .. })),
         "shrink dropped the load-bearing flip: {minimal}"
     );
 }
