@@ -6,10 +6,13 @@
 //! CPU workers run a task's blocks in storage order and charge the flat
 //! Observation-2 throughput; GPU workers delegate to
 //! [`gpu_sim::GpuDevice`], which accounts PCIe transfers and the 3-stream
-//! pipeline and runs the SIMT kernel (the same loop, in lane order).
+//! pipeline and runs the SIMT kernel (the same loop, in lane order). A
+//! GPU worker gathers each block of a resident partition into lane order
+//! once and keeps the copy for the run's later passes.
 
 use std::sync::Arc;
 
+use gpu_sim::KernelBlock;
 use mf_des::SimTime;
 use mf_sgd::{HyperParams, Model, SharedModel};
 use mf_sparse::hash::splitmix64;
@@ -101,6 +104,22 @@ impl Device for CpuWorker {
     }
 }
 
+/// `task`'s blocks as the SIMT kernel takes them. Blocks of a resident
+/// partition carry their [`mf_sparse::BlockKey`], so the kernel keeps
+/// their lane order for the run's later passes; a spill-backed block's
+/// bytes are budgeted by the block cache, so it carries none and is
+/// gathered afresh on every pass.
+fn kernel_blocks<'p>(part: &'p GridPartition, task: &Task) -> Vec<KernelBlock<'p>> {
+    let memo = !part.is_spilled();
+    task.blocks
+        .iter()
+        .map(|&b| KernelBlock {
+            ratings: part.block(b),
+            memo_key: memo.then(|| part.block_key(b)),
+        })
+        .collect()
+}
+
 /// A GPU worker (virtual), wrapping the simulator device.
 #[derive(Debug)]
 pub struct GpuWorker {
@@ -143,15 +162,14 @@ impl GpuWorker {
         gamma: f32,
         hyper: &HyperParams,
     ) -> (gpu_sim::BlockCost, f64) {
-        let slices: Vec<mf_sparse::BlockSlices<'_>> =
-            task.blocks.iter().map(|&b| part.block(b)).collect();
+        let blocks = kernel_blocks(part, task);
         if self.resident_all {
             // Everything was bulk-loaded once at startup: only kernel
             // time accrues per task.
             return self.device.process_task_resident(
                 now,
                 model,
-                &slices,
+                &blocks,
                 gamma,
                 hyper.lambda_p,
                 hyper.lambda_q,
@@ -161,7 +179,7 @@ impl GpuWorker {
             .process_task(
                 now,
                 model,
-                &slices,
+                &blocks,
                 task.p_rows.clone(),
                 task.q_cols.clone(),
                 gamma,
@@ -191,15 +209,14 @@ impl GpuWorker {
         gamma: f32,
         hyper: &HyperParams,
     ) -> (gpu_sim::BlockCost, f64) {
-        let slices: Vec<mf_sparse::BlockSlices<'_>> =
-            task.blocks.iter().map(|&b| part.block(b)).collect();
+        let blocks = kernel_blocks(part, task);
         // SAFETY: forwarded caller contract.
         unsafe {
             if self.resident_all {
                 return self.device.process_task_resident_shared(
                     now,
                     model,
-                    &slices,
+                    &blocks,
                     gamma,
                     hyper.lambda_p,
                     hyper.lambda_q,
@@ -209,7 +226,7 @@ impl GpuWorker {
                 .process_task_shared(
                     now,
                     model,
-                    &slices,
+                    &blocks,
                     task.p_rows.clone(),
                     task.q_cols.clone(),
                     gamma,
@@ -366,6 +383,47 @@ mod tests {
         gpu.process(SimTime::ZERO, &mut gpu_model, &part, &task, 0.01, &hyper);
 
         assert_eq!(cpu_model, gpu_model);
+    }
+
+    #[test]
+    fn gpu_worker_follows_a_new_partition_under_an_old_block_id() {
+        // One worker, a run of partitions with the same shape, block ids
+        // and block lengths but other ratings, each dropped before the
+        // next is built, so the allocator may hand a later one an earlier
+        // one's addresses. Every result must match a fresh worker's: no
+        // lanes survive from another partition.
+        let spec = gpu_sim::GpuSpec::default().with_workers(4);
+        let hyper = mf_sgd::HyperParams::movielens(4);
+        let mut worker = GpuWorker::new(spec);
+        for salt in 0..12u32 {
+            let data = SparseMatrix::from_triples(
+                (0..64u32).map(|i| (i % 8, (i * 3) % 8, 1.0 + ((i + salt) % 5) as f32)),
+            );
+            let part = GridPartition::build(&data, GridSpec::uniform(8, 8, 2, 2));
+            let id = BlockId::new(0, 0);
+            let task = Task {
+                points: part.block_len(id),
+                p_rows: part.spec().row_range(0),
+                q_cols: part.spec().col_range(0),
+                pass: 0,
+                stolen: false,
+                blocks: vec![id],
+            };
+            let mut model = Model::init(8, 8, 8, 1);
+            let mut oracle = model.clone();
+            for _ in 0..3 {
+                worker.process(SimTime::ZERO, &mut model, &part, &task, 0.01, &hyper);
+                GpuWorker::new(spec).process(
+                    SimTime::ZERO,
+                    &mut oracle,
+                    &part,
+                    &task,
+                    0.01,
+                    &hyper,
+                );
+            }
+            assert_eq!(model, oracle, "partition {salt}: stale lanes");
+        }
     }
 
     #[test]

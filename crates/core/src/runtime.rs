@@ -109,9 +109,10 @@ pub struct ThreadedExecutor<'p> {
 
 impl ThreadedExecutor<'static> {
     /// Creates the world in the given mode. Exclusive mode executes
-    /// rounds on the process-wide `mf-par` pool; relaxed mode spawns its
-    /// own (budget-clamped) workers and always feeds measured rates back
-    /// into the cost models.
+    /// each run's rounds on a pool of its own, one thread per CPU worker
+    /// and per GPU, clamped to the `mf-par` budget (one thread when
+    /// nested); relaxed mode spawns its own (budget-clamped) workers and
+    /// always feeds measured rates back into the cost models.
     pub fn new(mode: ExecMode) -> ThreadedExecutor<'static> {
         ThreadedExecutor {
             mode,
@@ -178,6 +179,12 @@ pub fn effective_cpu_workers(requested: usize) -> usize {
         return 1;
     }
     requested.min(mf_par::effective_parallelism()).max(1)
+}
+
+/// Threads for an exclusive round's pool: one per CPU worker and one per
+/// GPU, clamped like [`effective_cpu_workers`], and at least one.
+fn round_threads(cpu_workers: usize, gpus: usize) -> usize {
+    effective_cpu_workers(cpu_workers.saturating_add(gpus)).max(1)
 }
 
 /// Convenience front-end: trains `scheduler` on real threads and returns
@@ -458,17 +465,20 @@ fn run_exclusive(
         pool: dev_pool,
         epoch_hook,
     } = ctx;
-    // Honor the rig's requested CPU worker count (budget-clamped), so
-    // "exclusive at cpu_workers = N" means what it says. A
-    // caller-provided pool (the determinism tests) overrides.
+    // One thread per seat (budget-clamped), so a round's GPU tasks run
+    // beside its CPU tasks. A caller-provided pool (the determinism
+    // tests) overrides.
     let own_pool;
     let tpool = match pool {
         Some(p) => p,
         None => {
-            own_pool = ThreadPool::new(effective_cpu_workers(dev_pool.cpu_workers).max(1));
+            own_pool = ThreadPool::new(round_threads(dev_pool.cpu_workers, dev_pool.gpus.len()));
             &own_pool
         }
     };
+    // CPU workers that can run at once: the seats the rig asked for, or
+    // fewer when the pool is smaller. They normalize the measured α.
+    let nc = effective_cpu_workers(dev_pool.cpu_workers).min(tpool.threads());
     let nblocks = scheduler.spec().block_count() as u64;
     let mut probes = ProbeState::new(nblocks, cfg.target_rmse);
     let mut meter = Meter::new();
@@ -550,13 +560,7 @@ fn run_exclusive(
     let wall = start.elapsed().as_secs_f64();
     let final_rmse = probes.finish(wall, model, test);
     let total_points = (meter.cpu_points + meter.gpu_points) as f64;
-    let measured = meter.finish(
-        wall,
-        tpool.threads(),
-        ng,
-        total_points,
-        scheduler.dynamic_ratio(),
-    );
+    let measured = meter.finish(wall, nc, ng, total_points, scheduler.dynamic_ratio());
     ExecOutcome {
         end_secs: wall,
         rmse_series: std::mem::take(&mut probes.series),
@@ -1378,6 +1382,19 @@ mod tests {
         );
         assert!(out.report.time_to_target_secs.is_some());
         assert!(out.report.total_passes < 20 * 200);
+    }
+
+    #[test]
+    fn exclusive_round_pool_has_a_thread_per_seat() {
+        let budget = mf_par::effective_parallelism();
+        assert_eq!(round_threads(1, 1), 2.min(budget), "GPU beside the CPU");
+        assert_eq!(round_threads(0, 1), 1);
+        assert_eq!(round_threads(0, 0), 1);
+        assert_eq!(round_threads(3, 2), 5.min(budget));
+        assert!(round_threads(usize::MAX / 2, 4) <= budget);
+        ThreadPool::new(2).run_indexed(2, |_| {
+            assert_eq!(round_threads(4, 2), 1, "nested must not fan out");
+        });
     }
 
     #[test]

@@ -239,7 +239,7 @@ mod tests {
     fn ramp_fit_recovers_saturating_device() {
         // Ground truth: speed = 20·ln(s) − 100 capped at 150 (cap reached
         // at s = e^12.5 ≈ 268k).
-        let truth_speed = |s: f64| (20.0 * s.ln() - 100.0).min(150.0).max(1.0);
+        let truth_speed = |s: f64| (20.0 * s.ln() - 100.0).clamp(1.0, 150.0);
         let cfg = CalibrationConfig {
             repeats: 1,
             ..Default::default()

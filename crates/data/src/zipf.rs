@@ -99,8 +99,8 @@ mod tests {
         for _ in 0..n {
             counts[z.sample(&mut rng) as usize] += 1;
         }
-        for i in 0..10 {
-            let freq = counts[i] as f64 / n as f64;
+        for (i, &count) in counts.iter().enumerate() {
+            let freq = count as f64 / n as f64;
             let expect = z.pmf(i);
             assert!(
                 (freq - expect).abs() < 0.01,

@@ -134,19 +134,9 @@ impl<S: BlockScheduler> MonitoredScheduler<S> {
         }
     }
 
-    /// Read access to the wrapped policy.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// Block passes released so far (the event clock).
     pub fn passes(&self) -> u64 {
         self.passes
-    }
-
-    /// Whether a permanent device failure has been injected so far.
-    pub fn fail_applied(&self) -> bool {
-        self.fail_applied
     }
 
     /// Violations recorded so far.

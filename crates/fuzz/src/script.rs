@@ -45,6 +45,7 @@
 //! The magic first line picks the clock. An event of the other clock
 //! fails to parse, with an error that names its line.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
@@ -684,6 +685,8 @@ struct Fields<'a> {
     text: &'a str,
     head: Option<&'a str>,
     pairs: Vec<(&'a str, &'a str)>,
+    /// `read[i]`: a lookup has asked for `pairs[i]`.
+    read: Vec<Cell<bool>>,
 }
 
 impl<'a> Fields<'a> {
@@ -698,12 +701,14 @@ impl<'a> Fields<'a> {
             text,
             head,
             pairs: Vec::new(),
+            read: Vec::new(),
         };
         for tok in toks {
             let pair = tok.split_once('=');
             f.pairs
                 .push(pair.ok_or_else(|| f.err(format!("expected key=value, got {tok:?}")))?);
         }
+        f.read = vec![Cell::new(false); f.pairs.len()];
         Ok(f)
     }
 
@@ -717,10 +722,22 @@ impl<'a> Fields<'a> {
     }
 
     fn get<T: FromStr>(&self, key: &str) -> Result<T, String> {
-        let pair = self.pairs.iter().find(|(k, _)| *k == key);
-        let (_, v) = pair.ok_or_else(|| self.err(format!("missing {key}=")))?;
-        v.parse()
+        let at = self.pairs.iter().position(|(k, _)| *k == key);
+        let at = at.ok_or_else(|| self.err(format!("missing {key}=")))?;
+        self.read[at].set(true);
+        self.pairs[at]
+            .1
+            .parse()
             .map_err(|_| self.err(format!("bad value for {key}")))
+    }
+
+    /// Fails on the first key no lookup asked for: a misspelt, repeated
+    /// or foreign key would otherwise be dropped without a word.
+    fn all_read(&self) -> Result<(), String> {
+        match self.pairs.iter().zip(&self.read).find(|(_, r)| !r.get()) {
+            Some(((k, _), _)) => Err(self.err(format!("unexpected key {k:?}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -755,6 +772,7 @@ impl FromStr for Script {
                     let want = event.clock().magic();
                     return Err(f.err(format!("{word} belongs in a {want:?} script")));
                 }
+                f.all_read()?;
                 events.push(event);
             } else if header_words.contains(&word) {
                 header.insert(word, f);
@@ -817,8 +835,14 @@ impl FromStr for Script {
                 }
             }
         };
+        let seed = line("seed")?.head()?;
+        let mut header: Vec<&Fields<'_>> = header.values().collect();
+        header.sort_by_key(|f| f.n);
+        for f in header {
+            f.all_read()?;
+        }
         Ok(Script {
-            seed: line("seed")?.head()?,
+            seed,
             subject,
             events,
         })
@@ -918,6 +942,29 @@ mod tests {
         assert!(format!("{store}crash junk at=5\n")
             .parse::<Script>()
             .is_err());
+        // A key no directive reads is an error naming the line and the
+        // key, in events and header lines alike.
+        for (text, names, key) in [
+            (
+                format!("{sched}slow cpu0 at=3 factor=2 facter=9\n"),
+                "line 7",
+                "facter",
+            ),
+            (format!("{sched}fail gpu0 at=3 at=4\n"), "line 7", "at"),
+            (
+                sched.replace("iters 1", "iters 1 epochs=2"),
+                "line 6",
+                "epochs",
+            ),
+            (format!("{store}crash at=5 keep=1\n"), "line 6", "keep"),
+        ] {
+            let err = text.parse::<Script>().expect_err(names);
+            let unexpected = format!("unexpected key {key:?}");
+            assert!(
+                err.starts_with(names) && err.ends_with(&unexpected),
+                "{err}"
+            );
+        }
         for line in ["geometry", "stream", "snapshot"] {
             let text: String = store
                 .lines()

@@ -8,7 +8,7 @@ use mf_sparse::{BlockSlices, Rating};
 
 use crate::kernel_model::KernelModel;
 use crate::memory::{GlobalMemory, GpuMemError};
-use crate::simt::SimtKernel;
+use crate::simt::{KernelBlock, SimtKernel};
 use crate::spec::GpuSpec;
 use crate::stream::{PipelineTimes, StreamPipeline};
 use crate::transfer::PcieBus;
@@ -147,7 +147,7 @@ impl GpuDevice {
         self.process_task(
             now,
             model,
-            &[block],
+            &[block.into()],
             p_rows,
             q_cols,
             gamma,
@@ -165,7 +165,7 @@ impl GpuDevice {
         &mut self,
         now: SimTime,
         model: &mut Model,
-        slices: &[BlockSlices<'_>],
+        blocks: &[KernelBlock<'_>],
         p_rows: Range<u32>,
         q_cols: Range<u32>,
         gamma: f32,
@@ -176,7 +176,7 @@ impl GpuDevice {
         // SAFETY: `model` is exclusively borrowed for the whole call.
         unsafe {
             self.process_task_shared(
-                now, &shared, slices, p_rows, q_cols, gamma, lambda_p, lambda_q,
+                now, &shared, blocks, p_rows, q_cols, gamma, lambda_p, lambda_q,
             )
         }
     }
@@ -190,7 +190,7 @@ impl GpuDevice {
     /// # Safety
     ///
     /// For the duration of the call, no other thread may access the
-    /// factor rows of any user or item appearing in `slices` (the
+    /// factor rows of any user or item appearing in `blocks` (the
     /// scheduler's conflict-freedom invariant for an in-flight task).
     ///
     /// # Errors
@@ -202,7 +202,7 @@ impl GpuDevice {
         &mut self,
         now: SimTime,
         model: &SharedModel<'_>,
-        slices: &[BlockSlices<'_>],
+        blocks: &[KernelBlock<'_>],
         p_rows: Range<u32>,
         q_cols: Range<u32>,
         gamma: f32,
@@ -210,7 +210,7 @@ impl GpuDevice {
         lambda_q: f32,
     ) -> Result<(BlockCost, f64), GpuMemError> {
         let k = model.k() as u64;
-        let total_points: usize = slices.iter().map(|s| s.len()).sum();
+        let total_points: usize = blocks.iter().map(|b| b.ratings.len()).sum();
         let block_bytes = (total_points * Rating::WIRE_BYTES) as u64;
         let p_bytes = (p_rows.end - p_rows.start) as u64 * k * 4;
         let q_bytes = (q_cols.end - q_cols.start) as u64 * k * 4;
@@ -233,13 +233,13 @@ impl GpuDevice {
             .time_for(crate::transfer::Direction::DeviceToHost, d2h_bytes);
         let times = self.pipeline.submit(now, t_h2d, t_kernel, t_d2h);
 
-        // Real arithmetic, slice by slice.
+        // Real arithmetic, block by block.
         let mut sq_err = 0.0;
-        for slice in slices {
+        for &block in blocks {
             // SAFETY: forwarded caller contract.
             sq_err += unsafe {
                 self.kernel
-                    .execute_shared(model, *slice, gamma, lambda_p, lambda_q)
+                    .execute_shared(model, block, gamma, lambda_p, lambda_q)
             };
         }
         self.points_processed += total_points as u64;
@@ -267,7 +267,7 @@ impl GpuDevice {
         &mut self,
         now: SimTime,
         model: &mut Model,
-        slices: &[BlockSlices<'_>],
+        blocks: &[KernelBlock<'_>],
         gamma: f32,
         lambda_p: f32,
         lambda_q: f32,
@@ -275,7 +275,7 @@ impl GpuDevice {
         let shared = SharedModel::new(model);
         // SAFETY: `model` is exclusively borrowed for the whole call.
         unsafe {
-            self.process_task_resident_shared(now, &shared, slices, gamma, lambda_p, lambda_q)
+            self.process_task_resident_shared(now, &shared, blocks, gamma, lambda_p, lambda_q)
         }
     }
 
@@ -290,22 +290,22 @@ impl GpuDevice {
         &mut self,
         now: SimTime,
         model: &SharedModel<'_>,
-        slices: &[BlockSlices<'_>],
+        blocks: &[KernelBlock<'_>],
         gamma: f32,
         lambda_p: f32,
         lambda_q: f32,
     ) -> (BlockCost, f64) {
-        let total_points: usize = slices.iter().map(|s| s.len()).sum();
+        let total_points: usize = blocks.iter().map(|b| b.ratings.len()).sum();
         let t_kernel = self.kernel_model.time_for(total_points as u64);
         let times = self
             .pipeline
             .submit(now, SimTime::ZERO, t_kernel, SimTime::ZERO);
         let mut sq_err = 0.0;
-        for slice in slices {
+        for &block in blocks {
             // SAFETY: forwarded caller contract.
             sq_err += unsafe {
                 self.kernel
-                    .execute_shared(model, *slice, gamma, lambda_p, lambda_q)
+                    .execute_shared(model, block, gamma, lambda_p, lambda_q)
             };
         }
         self.points_processed += total_points as u64;
@@ -430,8 +430,10 @@ mod tests {
 
     #[test]
     fn oom_is_reported_without_side_effects() {
-        let mut spec = GpuSpec::default();
-        spec.global_memory_bytes = 1024; // pathologically tiny device
+        let spec = GpuSpec {
+            global_memory_bytes: 1024, // pathologically tiny device
+            ..GpuSpec::default()
+        };
         let mut dev = GpuDevice::new(spec);
         let mut model = Model::init(8, 8, 4, 3);
         let b = block(1000);

@@ -31,6 +31,7 @@ pub mod transfer;
 pub use device::{BlockCost, GpuDevice};
 pub use kernel_model::KernelModel;
 pub use memory::{GlobalMemory, GpuMemError};
+pub use simt::KernelBlock;
 pub use spec::GpuSpec;
 pub use stream::StreamPipeline;
 pub use transfer::{PcieBus, TransferModel};

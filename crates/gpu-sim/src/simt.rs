@@ -10,29 +10,73 @@
 //!
 //! The schedule runs through mf-sgd's one SoA block loop
 //! ([`SharedModel::sgd_block_exclusive`]), the same loop the CPU seats
-//! run. The kernel first gathers the block's three streams into lane
-//! order, in a scratch buffer it keeps across calls (a warm device
-//! allocates nothing per task), so the loop dispatches its step once per
-//! block and prefetches factor rows ahead while visiting ratings in
-//! exactly the lane schedule's order, bit for bit. A per-rating lane
-//! loop, kept under `cfg(test)`, is the oracle that claim is tested
-//! against.
+//! run, over the block's three streams gathered into lane order, so the
+//! loop dispatches its step once per block and prefetches factor rows
+//! ahead while visiting ratings in exactly the lane schedule's order, bit
+//! for bit. A per-rating lane loop, kept under `cfg(test)`, is the oracle
+//! that claim is tested against.
+//!
+//! Lane order depends only on the block's bytes and the lane count, so
+//! the kernel gathers a keyed block ([`KernelBlock::memo_key`]) once and
+//! keeps the copy for every later pass, as cuMF_SGD lays ratings out once
+//! for its workers. The memo holds one partition's blocks at a time and
+//! lives in host memory, outside the simulated device memory the cost
+//! model charges, so virtual time does not see it. An unkeyed block (a
+//! spill-backed one, whose bytes the block cache budgets) is gathered
+//! into a scratch buffer on every pass.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mf_sgd::{Model, SharedModel};
-use mf_sparse::BlockSlices;
+use mf_sparse::{BlockId, BlockKey, BlockSlices};
 
 use crate::spec::GpuSpec;
 
-/// The simulated kernel: execution geometry and the lane-order scratch
-/// each block is gathered into.
+/// Blocks gathered into lane order by every kernel in the process.
+static LANE_GATHERS: AtomicU64 = AtomicU64::new(0);
+
+/// How many blocks every kernel in this process has gathered into lane
+/// order so far: one per keyed block per run, one per pass for the rest.
+pub fn lane_gathers() -> u64 {
+    LANE_GATHERS.load(Ordering::Relaxed)
+}
+
+/// A block handed to the kernel: its ratings in storage order, and the
+/// key its lane order may be kept under for later passes.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelBlock<'a> {
+    /// The block's ratings in storage order.
+    pub ratings: BlockSlices<'a>,
+    /// `Some` when the kernel may keep this block's lane order for later
+    /// passes: the key must name the bytes of `ratings` for the life of
+    /// the process ([`BlockKey`]).
+    pub memo_key: Option<BlockKey>,
+}
+
+impl<'a> From<BlockSlices<'a>> for KernelBlock<'a> {
+    /// An unkeyed block, gathered afresh on every pass.
+    fn from(ratings: BlockSlices<'a>) -> KernelBlock<'a> {
+        KernelBlock {
+            ratings,
+            memo_key: None,
+        }
+    }
+}
+
+/// The simulated kernel: execution geometry and the lane orders of the
+/// blocks it has run.
 #[derive(Debug, Clone)]
 pub struct SimtKernel {
     workers: usize,
-    lanes: LaneOrder,
+    /// Lane orders of keyed blocks, all of partition `memo_partition`.
+    memo: HashMap<BlockId, LaneOrder>,
+    memo_partition: Option<u64>,
+    /// The lane order of the last unkeyed block.
+    scratch: LaneOrder,
 }
 
-/// A block's ratings rearranged into lock-step lane order. The buffers
-/// are cleared, never freed, between blocks.
+/// A block's ratings rearranged into lock-step lane order.
 #[derive(Debug, Clone, Default)]
 struct LaneOrder {
     rows: Vec<u32>,
@@ -42,19 +86,26 @@ struct LaneOrder {
 
 impl LaneOrder {
     /// Refills the buffers with `block` in lane order for segment length
-    /// `seg`: step `t`, lane `l` → rating `l·seg + t`. The lanes that hold
-    /// a `t`-th rating are exactly the indices `t, t + seg, …` below
-    /// `block.len()`, since `seg · workers ≥ block.len()`.
-    fn gather(&mut self, block: BlockSlices<'_>, seg: usize) -> BlockSlices<'_> {
+    /// `seg`, in one pass over all three streams: step `t`, lane `l` →
+    /// rating `l·seg + t`. The lanes that hold a `t`-th rating are
+    /// exactly the indices `t, t + seg, …` below `block.len()`, since
+    /// `seg · workers ≥ block.len()`.
+    fn gather(&mut self, block: BlockSlices<'_>, seg: usize) {
+        LANE_GATHERS.fetch_add(1, Ordering::Relaxed);
         self.rows.clear();
         self.cols.clear();
         self.vals.clear();
-        for t in 0..seg {
-            let lanes = (t..block.len()).step_by(seg);
-            self.rows.extend(lanes.clone().map(|i| block.rows[i]));
-            self.cols.extend(lanes.clone().map(|i| block.cols[i]));
-            self.vals.extend(lanes.map(|i| block.vals[i]));
+        self.rows.reserve_exact(block.len());
+        self.cols.reserve_exact(block.len());
+        self.vals.reserve_exact(block.len());
+        for i in (0..seg).flat_map(|t| (t..block.len()).step_by(seg)) {
+            self.rows.push(block.rows[i]);
+            self.cols.push(block.cols[i]);
+            self.vals.push(block.vals[i]);
         }
+    }
+
+    fn as_slices(&self) -> BlockSlices<'_> {
         BlockSlices::new(&self.rows, &self.cols, &self.vals)
     }
 }
@@ -64,7 +115,9 @@ impl SimtKernel {
     pub fn new(spec: &GpuSpec) -> SimtKernel {
         SimtKernel {
             workers: spec.parallel_workers as usize,
-            lanes: LaneOrder::default(),
+            memo: HashMap::new(),
+            memo_partition: None,
+            scratch: LaneOrder::default(),
         }
     }
 
@@ -76,10 +129,10 @@ impl SimtKernel {
     /// Executes the SGD kernel over a structure-of-arrays `block`,
     /// mutating `model` exactly as the GPU would. Returns the sum of
     /// squared pre-update errors.
-    pub fn execute(
+    pub fn execute<'b>(
         &mut self,
         model: &mut Model,
-        block: BlockSlices<'_>,
+        block: impl Into<KernelBlock<'b>>,
         gamma: f32,
         lambda_p: f32,
         lambda_q: f32,
@@ -87,7 +140,7 @@ impl SimtKernel {
         let shared = SharedModel::new(model);
         // SAFETY: `model` is exclusively borrowed for the whole call, so
         // no other thread can touch any factor row.
-        unsafe { self.execute_shared(&shared, block, gamma, lambda_p, lambda_q) }
+        unsafe { self.execute_shared(&shared, block.into(), gamma, lambda_p, lambda_q) }
     }
 
     /// [`SimtKernel::execute`] through a [`SharedModel`] view — the entry
@@ -95,9 +148,11 @@ impl SimtKernel {
     /// factor rows the block scheduler has reserved for it while other
     /// workers run concurrently on disjoint rows.
     ///
-    /// The block is gathered into lane order in the kernel's scratch
-    /// (skipped when one lane or one step makes lane order the storage
-    /// order) and handed to [`SharedModel::sgd_block_exclusive`].
+    /// The block is handed to [`SharedModel::sgd_block_exclusive`] in
+    /// lane order: the memoized copy for a keyed block (gathered on its
+    /// first pass), a fresh gather into scratch for an unkeyed one, and
+    /// the storage order itself when one lane or one step makes the two
+    /// orders agree.
     ///
     /// # Safety
     ///
@@ -108,21 +163,42 @@ impl SimtKernel {
     pub unsafe fn execute_shared(
         &mut self,
         model: &SharedModel<'_>,
-        block: BlockSlices<'_>,
+        block: KernelBlock<'_>,
         gamma: f32,
         lambda_p: f32,
         lambda_q: f32,
     ) -> f64 {
-        let w = self.workers.max(1);
-        let seg = block.len().div_ceil(w);
-        let ordered = if w == 1 || seg <= 1 {
-            block
-        } else {
-            self.lanes.gather(block, seg)
-        };
-        // SAFETY: rows reserved for us (caller contract); the gathered
-        // view holds exactly `block`'s ratings, so it touches the same rows.
+        let ordered = self.lane_order(block);
+        // SAFETY: rows reserved for us (caller contract); the lane order
+        // holds exactly `block`'s ratings, so it touches the same rows.
         unsafe { model.sgd_block_exclusive(ordered, gamma, lambda_p, lambda_q) }
+    }
+
+    /// `block`'s ratings in lane order: the storage order itself when one
+    /// lane or one step makes the two agree; else the memoized copy,
+    /// gathered on the block's first pass, for a keyed block; else a
+    /// fresh gather into the scratch buffer.
+    fn lane_order<'s>(&'s mut self, block: KernelBlock<'s>) -> BlockSlices<'s> {
+        let w = self.workers.max(1);
+        let seg = block.ratings.len().div_ceil(w);
+        if w == 1 || seg <= 1 {
+            return block.ratings;
+        }
+        let Some(key) = block.memo_key else {
+            self.scratch.gather(block.ratings, seg);
+            return self.scratch.as_slices();
+        };
+        if self.memo_partition != Some(key.partition) {
+            self.memo.clear();
+            self.memo_partition = Some(key.partition);
+        }
+        let lanes = self.memo.entry(key.block).or_insert_with(|| {
+            let mut lanes = LaneOrder::default();
+            lanes.gather(block.ratings, seg);
+            lanes
+        });
+        debug_assert_eq!(lanes.rows.len(), block.ratings.len(), "{key:?}");
+        lanes.as_slices()
     }
 
     /// The per-rating lock-step loop: `step` runs on every rating of
@@ -160,6 +236,15 @@ mod tests {
 
     fn spec_with(workers: u32) -> GpuSpec {
         GpuSpec::default().with_workers(workers)
+    }
+
+    fn bits(model: &Model) -> Vec<u32> {
+        model
+            .p_raw()
+            .iter()
+            .chain(model.q_raw())
+            .map(|x| x.to_bits())
+            .collect()
     }
 
     #[test]
@@ -220,14 +305,6 @@ mod tests {
         // both prefetch widths (16, 32); lengths straddle one step (w ± 1)
         // and run a ragged last lane (5w + 3).
         let (m, n) = (13u32, 11u32);
-        let bits = |model: &Model| -> Vec<u32> {
-            model
-                .p_raw()
-                .iter()
-                .chain(model.q_raw())
-                .map(|x| x.to_bits())
-                .collect()
-        };
         for k in [8usize, 12, 16, 32] {
             for w in [1usize, 3, 128, 512] {
                 let mut simt = SimtKernel::new(&spec_with(w as u32));
@@ -268,6 +345,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memoized_lanes_match_a_gather_on_every_pass_bitwise() {
+        // Four passes over two keyed blocks, interleaved, then a block of
+        // another partition under the same `BlockId` and length: the
+        // memoizing kernel must match one that gathers every pass.
+        let (m, n, w) = (7u32, 5u32, 4usize);
+        let block = |len: u32, salt: u32| {
+            SoaRatings::from_entries(
+                &(0..len)
+                    .map(|i| Rating::new((i * 3 + salt) % m, (i + salt) % n, 1.0 + (i % 4) as f32))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let key = |partition, row| BlockKey {
+            partition,
+            block: BlockId::new(row, 0),
+        };
+        let (a, b, a2) = (block(29, 0), block(17, 1), block(29, 2));
+        let mut visits = Vec::new();
+        for _ in 0..4 {
+            visits.extend([(&a, key(1, 0)), (&b, key(1, 1))]);
+        }
+        visits.extend([(&a2, key(2, 0)), (&a2, key(2, 0)), (&a, key(3, 0))]);
+        let mut memo = SimtKernel::new(&spec_with(w as u32));
+        let mut fresh = memo.clone();
+        let mut memo_model = Model::init(m, n, 8, 11);
+        let mut fresh_model = memo_model.clone();
+        for (pass, (ratings, key)) in visits.into_iter().enumerate() {
+            let keyed = KernelBlock {
+                ratings: ratings.as_slices(),
+                memo_key: Some(key),
+            };
+            let sq = memo.execute(&mut memo_model, keyed, 0.02, 0.01, 0.03);
+            let sq_fresh = fresh.execute(&mut fresh_model, ratings.as_slices(), 0.02, 0.01, 0.03);
+            assert_eq!(sq.to_bits(), sq_fresh.to_bits(), "pass {pass}: Σ err²");
+            assert_eq!(
+                bits(&memo_model),
+                bits(&fresh_model),
+                "pass {pass}: factors"
+            );
+        }
+        assert!(fresh.memo.is_empty(), "an unkeyed block was memoized");
+        assert_eq!(memo.memo.len(), 1, "the memo holds one partition");
     }
 
     #[test]

@@ -113,9 +113,10 @@ mod tests {
             direct_sq += (err as f64) * (err as f64);
         }
         // Shared path.
-        let shared = SharedModel::new(&mut b);
-        let shared_sq = unsafe { shared.sgd_block_exclusive(soa.as_slices(), 0.01, 0.05, 0.05) };
-        drop(shared);
+        let shared_sq = {
+            let shared = SharedModel::new(&mut b);
+            unsafe { shared.sgd_block_exclusive(soa.as_slices(), 0.01, 0.05, 0.05) }
+        };
         assert_eq!(a, b);
         assert_eq!(direct_sq, shared_sq);
     }
@@ -132,19 +133,20 @@ mod tests {
         let soa_a = SoaRatings::from_entries(&block_a);
         let soa_b = SoaRatings::from_entries(&block_b);
 
-        let shared = SharedModel::new(&mut par);
-        std::thread::scope(|s| {
-            let sa = &shared;
-            let ba = soa_a.as_slices();
-            let bb = soa_b.as_slices();
-            s.spawn(move || unsafe {
-                sa.sgd_block_exclusive(ba, 0.01, 0.0, 0.0);
+        {
+            let shared = SharedModel::new(&mut par);
+            std::thread::scope(|s| {
+                let sa = &shared;
+                let ba = soa_a.as_slices();
+                let bb = soa_b.as_slices();
+                s.spawn(move || unsafe {
+                    sa.sgd_block_exclusive(ba, 0.01, 0.0, 0.0);
+                });
+                s.spawn(move || unsafe {
+                    sa.sgd_block_exclusive(bb, 0.01, 0.0, 0.0);
+                });
             });
-            s.spawn(move || unsafe {
-                sa.sgd_block_exclusive(bb, 0.01, 0.0, 0.0);
-            });
-        });
-        drop(shared);
+        }
 
         for e in block_a.iter().chain(&block_b) {
             let (p, q) = seq.pq_rows_mut(e.u, e.v);

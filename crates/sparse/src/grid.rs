@@ -26,6 +26,7 @@ use std::fmt;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mf_par::{stable_counting_scatter, ScatterSlice, ThreadPool, DEFAULT_CHUNK};
@@ -284,6 +285,26 @@ fn band_of(cuts: &[u32], x: u32) -> u32 {
     (idx - 1) as u32
 }
 
+/// One block of one partition, named so that no other bytes in the
+/// process ever carry the same key: a partition is immutable once built
+/// or opened and takes an id no other partition has had (its clones share
+/// it, with the same bytes). A copy derived from a block can be kept
+/// under its key and never go stale — unlike a slice address, which the
+/// allocator recycles once the partition is dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BlockKey {
+    /// The partition's process-unique id.
+    pub partition: u64,
+    /// The block within the partition.
+    pub block: BlockId,
+}
+
+/// A partition id no partition in this process has had.
+fn fresh_partition_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Within-block entry ordering for [`GridPartition::build_with_order`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockOrder {
@@ -316,6 +337,8 @@ pub enum BlockOrder {
 /// order they had in the source matrix.
 #[derive(Debug, Clone)]
 pub struct GridPartition {
+    /// Process-unique; names this partition's blocks in [`BlockKey`]s.
+    id: u64,
     spec: GridSpec,
     /// Row ids of all entries, grouped by block in row-major block order.
     rows: Vec<u32>,
@@ -465,6 +488,7 @@ impl GridPartition {
             }
         };
         GridPartition {
+            id: fresh_partition_id(),
             spec,
             rows,
             cols,
@@ -501,6 +525,7 @@ impl GridPartition {
             (spec, arena.nrows(), arena.ncols(), offsets)
         };
         Ok(GridPartition {
+            id: fresh_partition_id(),
             spec,
             rows: Vec::new(),
             cols: Vec::new(),
@@ -602,6 +627,14 @@ impl GridPartition {
         }
     }
 
+    /// The process-unique key of block `id`'s bytes.
+    pub fn block_key(&self, id: BlockId) -> BlockKey {
+        BlockKey {
+            partition: self.id,
+            block: id,
+        }
+    }
+
     /// Number of ratings in a block (the paper's "block size" in points).
     pub fn block_len(&self, id: BlockId) -> usize {
         let flat = self.spec.flat_index(id);
@@ -637,6 +670,23 @@ mod tests {
             }
         }
         SparseMatrix::from_triples(triples)
+    }
+
+    #[test]
+    fn block_keys_name_one_partition_and_are_shared_only_by_clones() {
+        let m = matrix_8x8();
+        let spec = GridSpec::uniform(8, 8, 2, 2);
+        let a = GridPartition::build(&m, spec.clone());
+        let b = GridPartition::build(&m, spec);
+        let id = BlockId::new(1, 0);
+        assert_eq!(a.block_key(id).block, id);
+        assert_ne!(
+            a.block_key(id),
+            b.block_key(id),
+            "same bytes, other partition"
+        );
+        assert_ne!(a.block_key(id), a.block_key(BlockId::new(0, 1)));
+        assert_eq!(a.clone().block_key(id), a.block_key(id));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod shuffle;
 pub mod vfs;
 
 pub use arena::{ArenaError, BlockArena, BlockCache, SpillCounters, SpillHandle};
-pub use grid::{balanced_cuts, BlockId, BlockOrder, GridPartition, GridSpec};
+pub use grid::{balanced_cuts, BlockId, BlockKey, BlockOrder, GridPartition, GridSpec};
 pub use matrix::{BlockSlices, Rating, SoaRatings, SparseMatrix};
 pub use pool::FreeBlockPool;
 pub use vfs::{RealFs, Vfs};
