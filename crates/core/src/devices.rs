@@ -19,7 +19,7 @@ use mf_sparse::hash::splitmix64;
 use mf_sparse::GridPartition;
 
 use crate::config::CpuSpec;
-use crate::executor::{Device, DeviceCompletion, DeviceHealth, HealthCell};
+use crate::executor::HealthCell;
 use crate::scheduler::Task;
 
 /// Relative amplitude of the deterministic execution-time jitter applied
@@ -79,28 +79,6 @@ impl CpuWorker {
         }
         let secs = self.spec.time_secs(task.points) * jitter_factor(task, 0x0c9, TIME_JITTER);
         (SimTime::from_secs(secs), sq)
-    }
-}
-
-impl Device for CpuWorker {
-    fn queue_depth(&self) -> usize {
-        1
-    }
-
-    fn process(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        part: &GridPartition,
-        task: &Task,
-        gamma: f32,
-        hyper: &HyperParams,
-    ) -> DeviceCompletion {
-        let (dur, _sq) = CpuWorker::process(self, model, part, task, gamma, hyper);
-        DeviceCompletion {
-            done: now + dur,
-            busy_secs: dur.as_secs(),
-        }
     }
 }
 
@@ -246,32 +224,6 @@ impl GpuWorker {
         self.device
             .bus()
             .time_for(gpu_sim::transfer::Direction::HostToDevice, bytes)
-    }
-}
-
-impl Device for GpuWorker {
-    fn queue_depth(&self) -> usize {
-        2
-    }
-
-    fn health(&self) -> DeviceHealth {
-        self.health.get()
-    }
-
-    fn process(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        part: &GridPartition,
-        task: &Task,
-        gamma: f32,
-        hyper: &HyperParams,
-    ) -> DeviceCompletion {
-        let (cost, _sq) = GpuWorker::process(self, now, model, part, task, gamma, hyper);
-        DeviceCompletion {
-            done: cost.times.done,
-            busy_secs: cost.t_kernel.as_secs(),
-        }
     }
 }
 

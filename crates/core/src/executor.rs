@@ -20,20 +20,18 @@
 //! and the seeded model, hands them to the chosen world, and assembles
 //! the [`RunReport`] from whatever the world measured.
 //!
-//! The [`Device`] trait plays the same role one level down, for the
-//! virtual world's per-task execution: CPU workers and GPUs differ only
-//! in how many tasks they keep in flight and how completion times are
-//! modeled.
+//! Both worlds run the same two seats, [`crate::devices::CpuWorker`] and
+//! [`GpuWorker`], and read the same per-seat [`HealthCell`]s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mf_des::SimTime;
-use mf_sgd::{eval, HyperParams, Model};
+use mf_sgd::{eval, Model};
 use mf_sparse::{BlockOrder, GridPartition, SparseMatrix};
 
 use crate::config::HeteroConfig;
 use crate::devices::GpuWorker;
-use crate::scheduler::{BlockScheduler, Task};
+use crate::scheduler::BlockScheduler;
 use crate::stats::RunReport;
 
 /// The devices participating in a run.
@@ -57,20 +55,11 @@ pub struct TrainOutcome {
     pub report: RunReport,
 }
 
-/// What a virtual device reports after accepting one task.
-#[derive(Debug, Clone, Copy)]
-pub struct DeviceCompletion {
-    /// Absolute virtual time at which the task completes.
-    pub done: SimTime,
-    /// Seconds of busy time charged to the device (kernel time for GPUs).
-    pub busy_secs: f64,
-}
-
-/// Health of one device, as reported by its [`Device::health`] poll.
+/// Health of one device, as read from its [`HealthCell`].
 ///
 /// Execution worlds consult this at dispatch and completion boundaries:
-/// a `Degraded` device keeps working (worlds that model time may stretch
-/// its completion times by the factor), while a `Failed` device must
+/// a `Degraded` device keeps working (the DES stretches its completion
+/// times by the factor; wall-clock worlds cannot), while a `Failed` device must
 /// receive no further work and its queued tasks must be *requeued* to the
 /// scheduler ([`BlockScheduler::requeue`]) so the remaining devices can
 /// pick them up instead of the run stalling on lost bands.
@@ -150,34 +139,6 @@ impl HealthCell {
     pub fn is_failed(&self) -> bool {
         self.0.load(Ordering::Acquire) == Self::FAILED
     }
-}
-
-/// One virtual device in the DES world: executes a task's real SGD
-/// arithmetic at dispatch and reports the modeled completion time.
-pub trait Device {
-    /// How many tasks this device keeps in flight: 1 for a CPU worker,
-    /// 2 for a GPU (current + prefetched — what lets the stream pipeline
-    /// overlap the next block's transfer with the current kernel, and the
-    /// reason the HSGD\* grid has `2·n_g` extra columns).
-    fn queue_depth(&self) -> usize;
-
-    /// Current health. The default device never fails; fault-injecting
-    /// wrappers and [`crate::devices::GpuWorker`] report a shared
-    /// [`HealthCell`].
-    fn health(&self) -> DeviceHealth {
-        DeviceHealth::Ok
-    }
-
-    /// Executes `task` on `model` at virtual time `now`.
-    fn process(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        part: &GridPartition,
-        task: &Task,
-        gamma: f32,
-        hyper: &HyperParams,
-    ) -> DeviceCompletion;
 }
 
 /// Throughputs and cost models *measured* during a real-thread run — the
@@ -443,8 +404,65 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::config::{CostModelKind, CpuSpec};
+    use mf_sgd::HyperParams;
+    use mf_sparse::Rating;
+
+    /// Ratings of a random rank-2 matrix, 60 % train and 10 % test.
+    pub(crate) fn low_rank_data(m: u32, n: u32, seed: u64) -> (SparseMatrix, SparseMatrix) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a: Vec<[f32; 2]> = (0..m).map(|_| [rng.random(), rng.random()]).collect();
+        let b: Vec<[f32; 2]> = (0..n).map(|_| [rng.random(), rng.random()]).collect();
+        let mut train = Vec::new();
+        let mut test = Vec::new();
+        for u in 0..m {
+            for v in 0..n {
+                let x: f32 = rng.random();
+                if x < 0.7 {
+                    let r = 1.0
+                        + 2.0
+                            * (a[u as usize][0] * b[v as usize][0]
+                                + a[u as usize][1] * b[v as usize][1]);
+                    if x < 0.6 {
+                        train.push(Rating::new(u, v, r));
+                    } else {
+                        test.push(Rating::new(u, v, r));
+                    }
+                }
+            }
+        }
+        (
+            SparseMatrix::new(m, n, train).unwrap(),
+            SparseMatrix::new(m, n, test).unwrap(),
+        )
+    }
+
+    /// The unit tests' rig: k = 8, fixed step, four CPU workers, one GPU.
+    pub(crate) fn test_cfg(iterations: u32) -> HeteroConfig {
+        HeteroConfig {
+            hyper: HyperParams {
+                k: 8,
+                lambda_p: 0.01,
+                lambda_q: 0.01,
+                gamma: 0.05,
+                schedule: mf_sgd::LearningRate::Fixed,
+            },
+            nc: 4,
+            ng: 1,
+            gpu: gpu_sim::GpuSpec::default().scaled_down(1000.0),
+            cpu: CpuSpec::default(),
+            iterations,
+            seed: 9,
+            dynamic_scheduling: true,
+            cost_model: CostModelKind::Tailored,
+            probe_interval_secs: None,
+            target_rmse: None,
+        }
+    }
 
     #[test]
     fn health_cell_roundtrips_every_state() {

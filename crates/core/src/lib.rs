@@ -59,8 +59,5 @@ pub use config::{Algorithm, CostModelKind, CpuSpec, HeteroConfig};
 pub use executor::{DevicePool, Executor, MeasuredThroughput, TrainOutcome};
 pub use experiments::run;
 pub use runtime::{run_training_real, ExecMode, ThreadedExecutor};
-pub use spill::{
-    train_out_of_core_real, train_out_of_core_virtual, IoSpec, IoTimeline, PrefetchDevice,
-    Prefetcher,
-};
+pub use spill::{train_out_of_core_real, train_out_of_core_virtual, IoSpec, Prefetcher};
 pub use stats::{ImbalanceStats, RunReport};

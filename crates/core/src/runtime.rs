@@ -67,8 +67,8 @@ use mf_sparse::{GridPartition, SparseMatrix};
 use crate::config::HeteroConfig;
 use crate::devices::GpuWorker;
 use crate::executor::{
-    train_with_executor, Device, DeviceHealth, DevicePool, ExecContext, ExecOutcome, Executor,
-    HealthCell, MeasuredThroughput, ProbeState, TrainOutcome,
+    train_with_executor, DevicePool, ExecContext, ExecOutcome, Executor, HealthCell,
+    MeasuredThroughput, ProbeState, TrainOutcome,
 };
 use crate::scheduler::{BlockScheduler, Task, WorkerClass};
 use crate::spill::Prefetcher;
@@ -313,26 +313,12 @@ impl Meter {
     }
 }
 
-/// Pins a task's blocks before its kernel runs, loading spilled misses.
-/// A resident partition makes this free. A load failure (torn frame,
-/// checksum mismatch) is fail-closed: the real-thread world cannot
-/// un-dispatch a task the way the DES world drains a failed device, so
-/// it aborts with the typed error *before* any kernel touches the bytes
-/// — factors are never corrupted.
-fn pin_for_kernel(part: &GridPartition, task: &Task) {
-    if let Err(e) = part.pin_blocks(&task.blocks) {
-        panic!("out-of-core block load failed; aborting before the kernel runs: {e}");
-    }
-}
-
 /// Where [`run_task`] runs a task's kernel.
 enum Seat<'a> {
     /// The calling thread, through the CPU block loop.
     Cpu,
-    /// A simulated GPU the calling thread owns (relaxed mode).
+    /// A simulated GPU the calling thread holds.
     Gpu(&'a mut GpuWorker),
-    /// A simulated GPU the tasks of one exclusive round share.
-    SharedGpu(&'a Mutex<GpuWorker>),
 }
 
 /// The task body every real-thread path runs: pin the task's blocks,
@@ -341,11 +327,11 @@ enum Seat<'a> {
 ///
 /// The pin (and any load it implies) happens before the clock starts:
 /// measured rates stay pure compute, and IO stalls are visible
-/// separately through the cache counters. A shared GPU is locked after
-/// the pin and before the clock: a round can hold two tasks for the same
-/// GPU, and the second's lock wait is queueing, not device busy time —
-/// counting it would double-charge `gpu_busy_secs` and halve the
-/// measured GPU rate.
+/// separately through the cache counters. A resident partition makes it
+/// free. A load failure (torn frame, checksum mismatch) is fail-closed:
+/// the real-thread world cannot un-dispatch a task the way the DES
+/// drains a failed seat, so it aborts with the typed error *before* any
+/// kernel touches the bytes — factors are never corrupted.
 ///
 /// # Safety
 ///
@@ -361,40 +347,31 @@ unsafe fn run_task(
     seat: Seat<'_>,
 ) -> f64 {
     let gamma = hyper.gamma_at(task.pass);
-    pin_for_kernel(part, task);
-    let secs = {
-        let mut locked;
-        let gpu = match seat {
-            Seat::Cpu => None,
-            Seat::Gpu(worker) => Some(worker),
-            Seat::SharedGpu(device) => {
-                locked = lock(device);
-                Some(&mut *locked)
-            }
-        };
-        let t0 = Instant::now();
-        match gpu {
-            // SAFETY: forwarded caller contract, as below.
-            Some(worker) => unsafe {
-                worker.process_shared(SimTime::ZERO, shared, part, task, gamma, hyper);
-            },
-            None => {
-                for &b in &task.blocks {
-                    // SAFETY: the caller holds this task's bands, so no
-                    // other thread touches these factor rows.
-                    unsafe {
-                        shared.sgd_block_exclusive(
-                            part.block(b),
-                            gamma,
-                            hyper.lambda_p,
-                            hyper.lambda_q,
-                        );
-                    }
+    if let Err(e) = part.pin_blocks(&task.blocks) {
+        panic!("out-of-core block load failed; aborting before the kernel runs: {e}");
+    }
+    let t0 = Instant::now();
+    match seat {
+        // SAFETY: forwarded caller contract, as below.
+        Seat::Gpu(worker) => unsafe {
+            worker.process_shared(SimTime::ZERO, shared, part, task, gamma, hyper);
+        },
+        Seat::Cpu => {
+            for &b in &task.blocks {
+                // SAFETY: the caller holds this task's bands, so no other
+                // thread touches these factor rows.
+                unsafe {
+                    shared.sgd_block_exclusive(
+                        part.block(b),
+                        gamma,
+                        hyper.lambda_p,
+                        hyper.lambda_q,
+                    );
                 }
             }
         }
-        t0.elapsed().as_secs_f64()
-    };
+    }
+    let secs = t0.elapsed().as_secs_f64();
     part.unpin_blocks(&task.blocks);
     secs
 }
@@ -449,6 +426,21 @@ fn sweep_round(
         sweep(WorkerClass::Cpu, usize::MAX);
     }
     tasks
+}
+
+/// A round's pool units, as ranges of its sweep: each GPU's tasks form
+/// one unit that locks the worker once and runs them in sweep order, so
+/// no pool thread parks on a GPU another unit holds; each CPU task is a
+/// unit of its own.
+fn round_units(tasks: &[(WorkerClass, Task)]) -> Vec<std::ops::Range<usize>> {
+    let mut units: Vec<std::ops::Range<usize>> = Vec::new();
+    for (i, (class, _)) in tasks.iter().enumerate() {
+        match units.last_mut() {
+            Some(u) if *class != WorkerClass::Cpu && tasks[u.start].0 == *class => u.end = i + 1,
+            _ => units.push(i..i + 1),
+        }
+    }
+    units
 }
 
 fn run_exclusive(
@@ -527,18 +519,21 @@ fn run_exclusive(
         {
             let shared = SharedModel::new(model);
             let out = mf_par::ScatterSlice::new(&mut secs);
-            tpool.run_indexed(tasks.len(), |i| {
-                let (class, task) = &tasks[i];
-                let seat = match class {
-                    WorkerClass::Cpu => Seat::Cpu,
-                    WorkerClass::Gpu(g) => Seat::SharedGpu(&gpus[*g as usize]),
+            let units = round_units(&tasks);
+            tpool.run_indexed(units.len(), |u| {
+                let mut gpu = match tasks[units[u].start].0 {
+                    WorkerClass::Cpu => None,
+                    WorkerClass::Gpu(g) => Some(lock(&gpus[g as usize])),
                 };
-                // SAFETY: the scheduler holds this task's row and column
-                // bands busy for the whole round, and round tasks are
-                // pairwise conflict-free.
-                let secs = unsafe { run_task(&shared, part, hyper, task, seat) };
-                // SAFETY: index `i` is written exactly once.
-                unsafe { out.write(i, secs) };
+                for i in units[u].clone() {
+                    let seat = gpu.as_deref_mut().map_or(Seat::Cpu, Seat::Gpu);
+                    // SAFETY: the scheduler holds this task's row and
+                    // column bands busy for the whole round, and round
+                    // tasks are pairwise conflict-free.
+                    let secs = unsafe { run_task(&shared, part, hyper, &tasks[i].1, seat) };
+                    // SAFETY: index `i` is in exactly one unit, once.
+                    unsafe { out.write(i, secs) };
+                }
             });
         }
 
@@ -797,7 +792,7 @@ fn gpu_worker(
         // Polled between tasks: a failed device stops here, draining its
         // unstarted prefetch window back to the scheduler instead of
         // holding those bands hostage.
-        if matches!(worker.health(), DeviceHealth::Failed) {
+        if worker.health_handle().is_failed() {
             hub.retire_failed(local.drain(..).collect());
             return;
         }
@@ -850,7 +845,7 @@ fn run_relaxed_inline(
             let who = WorkerClass::Gpu(g as u32);
             // Health is re-polled per task: inline mode has no prefetch
             // window, so a failed GPU simply stops being offered work.
-            while !matches!(worker.health(), DeviceHealth::Failed) {
+            while !worker.health_handle().is_failed() {
                 let Some(task) = scheduler.next_task(who, part) else {
                     break;
                 };
@@ -980,63 +975,10 @@ fn run_relaxed(ctx: ExecContext<'_>) -> ExecOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CostModelKind, CpuSpec};
+    use crate::executor::tests::{low_rank_data, test_cfg};
     use crate::layout::{uniform_layout, StarLayout};
     use crate::scheduler::{StarScheduler, UniformScheduler, SOFT_CAP_SLACK};
-    use mf_sgd::{eval, HyperParams, Model};
-    use mf_sparse::Rating;
-
-    fn low_rank_data(m: u32, n: u32, seed: u64) -> (SparseMatrix, SparseMatrix) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<[f32; 2]> = (0..m).map(|_| [rng.random(), rng.random()]).collect();
-        let b: Vec<[f32; 2]> = (0..n).map(|_| [rng.random(), rng.random()]).collect();
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for u in 0..m {
-            for v in 0..n {
-                let x: f32 = rng.random();
-                if x < 0.7 {
-                    let r = 1.0
-                        + 2.0
-                            * (a[u as usize][0] * b[v as usize][0]
-                                + a[u as usize][1] * b[v as usize][1]);
-                    if x < 0.6 {
-                        train.push(Rating::new(u, v, r));
-                    } else {
-                        test.push(Rating::new(u, v, r));
-                    }
-                }
-            }
-        }
-        (
-            SparseMatrix::new(m, n, train).unwrap(),
-            SparseMatrix::new(m, n, test).unwrap(),
-        )
-    }
-
-    fn test_cfg(iterations: u32) -> HeteroConfig {
-        HeteroConfig {
-            hyper: HyperParams {
-                k: 8,
-                lambda_p: 0.01,
-                lambda_q: 0.01,
-                gamma: 0.05,
-                schedule: mf_sgd::LearningRate::Fixed,
-            },
-            nc: 4,
-            ng: 1,
-            gpu: gpu_sim::GpuSpec::default().scaled_down(1000.0),
-            cpu: CpuSpec::default(),
-            iterations,
-            seed: 9,
-            dynamic_scheduling: true,
-            cost_model: CostModelKind::Tailored,
-            probe_interval_secs: None,
-            target_rmse: None,
-        }
-    }
+    use mf_sgd::{eval, Model};
 
     fn cpu_pool(workers: usize) -> DevicePool {
         DevicePool {
@@ -1382,6 +1324,25 @@ mod tests {
         );
         assert!(out.report.time_to_target_secs.is_some());
         assert!(out.report.total_passes < 20 * 200);
+    }
+
+    #[test]
+    fn a_gpus_round_tasks_run_as_one_unit_in_sweep_order() {
+        let task = |pass| Task {
+            blocks: vec![mf_sparse::BlockId::new(0, 0)],
+            points: 1,
+            p_rows: 0..1,
+            q_cols: 0..1,
+            pass,
+            stolen: false,
+        };
+        let (gpu, cpu) = (WorkerClass::Gpu(0), WorkerClass::Cpu);
+        let round: Vec<_> = [gpu, gpu, cpu, cpu, cpu]
+            .into_iter()
+            .zip(0..)
+            .map(|(class, pass)| (class, task(pass)))
+            .collect();
+        assert_eq!(round_units(&round), [0..2, 2..3, 3..4, 4..5]);
     }
 
     #[test]

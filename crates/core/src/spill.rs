@@ -6,50 +6,46 @@
 //! side so block *loads* overlap SGD *compute* exactly like H2D
 //! transfers do:
 //!
-//! * In the virtual-time world, [`PrefetchDevice`] wraps every device
-//!   ([`crate::trainer::VirtualExecutor::with_device_wrapper`]) and
-//!   models each cache miss as a read on a shared single-disk
-//!   [`IoTimeline`] — the same treatment `gpu-sim` gives the PCIe bus.
-//!   A GPU's two-deep in-flight window then hides the prefetched
-//!   task's IO behind the current kernel, and any device's IO overlaps
-//!   every other device's compute.
+//! * In the virtual-time world, the DES pins each task's blocks at
+//!   dispatch and models its cache misses as one read on the run's
+//!   single-disk `IoTimeline` — the same treatment `gpu-sim` gives the
+//!   PCIe bus. The seat starts when the read is done, so a GPU's
+//!   two-deep in-flight window hides the prefetched task's IO behind the
+//!   current kernel, and any seat's IO overlaps every other seat's
+//!   compute.
 //! * In the real-thread world, a [`Prefetcher`] IO thread per arena
 //!   warms upcoming blocks through a depth-[`PREFETCH_WINDOW`] fetch
 //!   window (mirroring the GPU worker's task window) while workers
 //!   compute; the workers' pin path then mostly hits.
 //!
-//! Determinism is preserved where the in-RAM worlds guarantee it:
-//! [`PrefetchDevice`] inherits its inner device's queue depth and only
-//! moves *completion times*, never the dispatch/release sequence of a
-//! single-slot DES run; the exclusive-mode real runtime derives each
-//! round purely from scheduler state, so warming is invisible to the
-//! result. Training on a spilled partition is therefore bit-identical
-//! to in-RAM for any cache budget that admits forward progress (see
-//! `tests/spill_identity.rs` at the workspace root).
+//! Determinism is preserved where the in-RAM worlds guarantee it: disk
+//! reads only move *completion times* in the DES, never the
+//! dispatch/release sequence of a single-slot run; the exclusive-mode
+//! real runtime derives each round purely from scheduler state, so
+//! warming is invisible to the result. Training on a spilled partition
+//! is therefore bit-identical to in-RAM for any cache budget that admits
+//! forward progress (see `tests/spill_identity.rs` at the workspace
+//! root).
 //!
 //! A failed block load (torn frame, checksum mismatch) is a *typed*
-//! failure: the device reports [`DeviceHealth::Failed`] without running
-//! the kernel, and the failed-device drain requeues its work — corrupt
+//! failure: in the DES the seat's health cell fails without running the
+//! kernel, and the failed-device drain requeues its work — corrupt
 //! bytes never reach a kernel, mirroring the checkpoint loader's
 //! fail-closed rule.
 
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mf_des::SimTime;
-use mf_sgd::{HyperParams, Model};
 use mf_sparse::{ArenaError, BlockOrder, GridPartition, GridSpec, SparseMatrix, SpillHandle, Vfs};
 
 use crate::config::HeteroConfig;
-use crate::executor::{
-    train_with_executor_on, Device, DeviceCompletion, DeviceHealth, DevicePool, HealthCell,
-    TrainOutcome,
-};
-use crate::runtime::{lock, ExecMode, ThreadedExecutor};
+use crate::executor::{train_with_executor_on, DevicePool, TrainOutcome};
+use crate::runtime::{ExecMode, ThreadedExecutor};
 use crate::scheduler::{BlockScheduler, Task};
-use crate::trainer::{DeviceWrapper, VirtualExecutor};
+use crate::trainer::VirtualExecutor;
 
 /// File name of the training arena inside the spill directory.
 pub const ARENA_FILE: &str = "train.arena";
@@ -97,101 +93,46 @@ impl IoSpec {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct IoTimelineState {
+/// The virtual world's single disk: every modeled read of one run
+/// queues here behind the previous one, exactly like kernel launches
+/// queue on one GPU.
+#[derive(Debug)]
+pub(crate) struct IoTimeline {
+    io: IoSpec,
     free: SimTime,
-    busy_secs: f64,
 }
-
-/// The shared single-disk timeline of the virtual world: every
-/// [`PrefetchDevice`] over one arena serializes its modeled reads here,
-/// so concurrent misses queue behind each other exactly like kernel
-/// launches queue on one GPU.
-#[derive(Debug, Default)]
-pub struct IoTimeline(Mutex<IoTimelineState>);
 
 impl IoTimeline {
+    /// An idle disk that reads at `io`.
+    pub(crate) fn new(io: IoSpec) -> IoTimeline {
+        IoTimeline {
+            io,
+            free: SimTime::ZERO,
+        }
+    }
+
     /// Reserves `secs` of disk time starting no earlier than `now`;
     /// returns the completion instant.
-    fn reserve(&self, now: SimTime, secs: f64) -> SimTime {
-        let mut st = lock(&self.0);
-        let start = if st.free > now { st.free } else { now };
-        let done = start + SimTime::from_secs(secs);
-        st.free = done;
-        st.busy_secs += secs;
-        done
+    fn reserve(&mut self, now: SimTime, secs: f64) -> SimTime {
+        let start = if self.free > now { self.free } else { now };
+        self.free = start + SimTime::from_secs(secs);
+        self.free
     }
 
-    /// Total modeled seconds the disk spent reading.
-    pub fn busy_secs(&self) -> f64 {
-        lock(&self.0).busy_secs
-    }
-}
-
-/// A virtual device whose block inputs live in a spill arena: on each
-/// task it pins the task's blocks (loading misses through the cache),
-/// charges the modeled read time to the shared [`IoTimeline`], and only
-/// then lets the inner device start — so the kernel's modeled start is
-/// `max(device free, IO done)`, the same max-of-pipelines shape as the
-/// GPU H2D/kernel/D2H cost model.
-///
-/// Queue depth is inherited from the inner device, so a GPU keeps its
-/// two-deep prefetch window (the *next* task's IO overlaps the current
-/// kernel) and a CPU worker stays single-slot (its dispatch/release
-/// sequence — and hence bit-determinism — is untouched).
-pub struct PrefetchDevice {
-    inner: Box<dyn Device>,
-    io: IoSpec,
-    timeline: Arc<IoTimeline>,
-    health: Arc<HealthCell>,
-}
-
-impl PrefetchDevice {
-    /// Wraps `inner`, sharing `timeline` with the other devices over the
-    /// same arena.
-    pub fn new(inner: Box<dyn Device>, io: IoSpec, timeline: Arc<IoTimeline>) -> PrefetchDevice {
-        PrefetchDevice {
-            inner,
-            io,
-            timeline,
-            health: Arc::new(HealthCell::new()),
-        }
-    }
-
-    /// The health cell this wrapper fails on a bad block load.
-    pub fn health_handle(&self) -> Arc<HealthCell> {
-        Arc::clone(&self.health)
-    }
-}
-
-impl Device for PrefetchDevice {
-    fn queue_depth(&self) -> usize {
-        self.inner.queue_depth()
-    }
-
-    fn health(&self) -> DeviceHealth {
-        if self.health.is_failed() {
-            DeviceHealth::Failed
-        } else {
-            self.inner.health()
-        }
-    }
-
-    fn process(
+    /// Pins `task`'s blocks at `now`, loading misses through the cache,
+    /// and returns when the seat can start: once the disk has read the
+    /// bytes of exactly the non-resident blocks (hits are free, like an
+    /// H2D of data already on the device). A resident partition starts
+    /// at `now`. On `Ok` the caller unpins after the kernel.
+    pub(crate) fn pin(
         &mut self,
-        now: SimTime,
-        model: &mut Model,
         part: &GridPartition,
         task: &Task,
-        gamma: f32,
-        hyper: &HyperParams,
-    ) -> DeviceCompletion {
+        now: SimTime,
+    ) -> Result<SimTime, ArenaError> {
         let Some(handle) = part.spill() else {
-            return self.inner.process(now, model, part, task, gamma, hyper);
+            return Ok(now);
         };
-        // Bytes that must come off the disk for this task: exactly the
-        // non-resident blocks (hits are free, like an H2D of data already
-        // on the device).
         let spec = part.spec();
         let mut miss_bytes = 0u64;
         for &b in &task.blocks {
@@ -200,41 +141,13 @@ impl Device for PrefetchDevice {
                 miss_bytes += handle.block_wire_bytes(flat) as u64;
             }
         }
-        if let Err(e) = part.pin_blocks(&task.blocks) {
-            // Typed failure: never run a kernel over bytes that did not
-            // verify. The device dies; the world's failed-device drain
-            // requeues this task for a healthy device.
-            eprintln!("spill: block load failed, failing device: {e}");
-            self.health.fail();
-            return DeviceCompletion {
-                done: now,
-                busy_secs: 0.0,
-            };
-        }
-        let ready = if miss_bytes == 0 {
+        part.pin_blocks(&task.blocks)?;
+        Ok(if miss_bytes == 0 {
             now
         } else {
-            self.timeline.reserve(now, self.io.time_secs(miss_bytes))
-        };
-        let comp = self.inner.process(ready, model, part, task, gamma, hyper);
-        // The DES applies the task's arithmetic inside `process`, so the
-        // pins can drop immediately — nothing touches the slices after.
-        part.unpin_blocks(&task.blocks);
-        comp
+            self.reserve(now, self.io.time_secs(miss_bytes))
+        })
     }
-}
-
-/// Builds a [`VirtualExecutor`] device wrapper that threads every device
-/// through a [`PrefetchDevice`] over one shared disk timeline. Returns
-/// the timeline too, so callers can read the modeled IO busy time (the
-/// overlap denominator in the bench's IO-overlap fraction).
-pub fn prefetch_wrapper(io: IoSpec) -> (Box<DeviceWrapper>, Arc<IoTimeline>) {
-    let timeline = Arc::new(IoTimeline::default());
-    let shared = Arc::clone(&timeline);
-    (
-        Box::new(move |dev, _class| Box::new(PrefetchDevice::new(dev, io, Arc::clone(&shared)))),
-        timeline,
-    )
 }
 
 /// The real-thread world's IO thread: one per arena, warming upcoming
@@ -324,9 +237,9 @@ pub fn spill_partition(
 }
 
 /// Out-of-core training in the virtual-time world: spills `train` to an
-/// arena under `dir`, then runs the DES with every device wrapped in a
-/// [`PrefetchDevice`] so modeled block reads overlap modeled compute.
-/// `report.spill` carries the cache counters.
+/// arena under `dir`, then runs the DES with block reads modeled on
+/// `io`, so they overlap modeled compute. `report.spill` carries the
+/// cache counters.
 #[allow(clippy::too_many_arguments)]
 pub fn train_out_of_core_virtual<S: BlockScheduler + Send>(
     train: &SparseMatrix,
@@ -342,8 +255,7 @@ pub fn train_out_of_core_virtual<S: BlockScheduler + Send>(
     label: &str,
 ) -> Result<TrainOutcome, ArenaError> {
     let part = spill_partition(train, scheduler.spec().clone(), vfs, dir, budget_bytes)?;
-    let (wrap, _timeline) = prefetch_wrapper(io);
-    let mut exec = VirtualExecutor::new().with_device_wrapper(wrap);
+    let mut exec = VirtualExecutor::new().with_io(io);
     Ok(train_with_executor_on(
         &part,
         train.mean_rating(),
@@ -407,63 +319,10 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CostModelKind, CpuSpec};
+    use crate::executor::tests::{low_rank_data, test_cfg};
     use crate::layout::uniform_layout;
     use crate::scheduler::UniformScheduler;
-    use mf_sgd::HyperParams;
-    use mf_sparse::{Rating, RealFs};
-
-    fn low_rank_data(m: u32, n: u32, seed: u64) -> (SparseMatrix, SparseMatrix) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<[f32; 2]> = (0..m).map(|_| [rng.random(), rng.random()]).collect();
-        let b: Vec<[f32; 2]> = (0..n).map(|_| [rng.random(), rng.random()]).collect();
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for u in 0..m {
-            for v in 0..n {
-                let x: f32 = rng.random();
-                if x < 0.7 {
-                    let r = 1.0
-                        + 2.0
-                            * (a[u as usize][0] * b[v as usize][0]
-                                + a[u as usize][1] * b[v as usize][1]);
-                    if x < 0.6 {
-                        train.push(Rating::new(u, v, r));
-                    } else {
-                        test.push(Rating::new(u, v, r));
-                    }
-                }
-            }
-        }
-        (
-            SparseMatrix::new(m, n, train).unwrap(),
-            SparseMatrix::new(m, n, test).unwrap(),
-        )
-    }
-
-    fn test_cfg(iterations: u32) -> HeteroConfig {
-        HeteroConfig {
-            hyper: HyperParams {
-                k: 8,
-                lambda_p: 0.01,
-                lambda_q: 0.01,
-                gamma: 0.05,
-                schedule: mf_sgd::LearningRate::Fixed,
-            },
-            nc: 4,
-            ng: 0,
-            gpu: gpu_sim::GpuSpec::default().scaled_down(1000.0),
-            cpu: CpuSpec::default(),
-            iterations,
-            seed: 9,
-            dynamic_scheduling: true,
-            cost_model: CostModelKind::Tailored,
-            probe_interval_secs: None,
-            target_rmse: None,
-        }
-    }
+    use mf_sparse::RealFs;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mf_core_spill_{tag}_{}", std::process::id()));
@@ -483,7 +342,7 @@ mod tests {
 
     #[test]
     fn io_timeline_serializes_reads() {
-        let tl = IoTimeline::default();
+        let mut tl = IoTimeline::new(IoSpec::default());
         let a = tl.reserve(SimTime::ZERO, 1.0);
         assert!((a.as_secs() - 1.0).abs() < 1e-12);
         // A second read issued at t=0 queues behind the first.
@@ -492,7 +351,6 @@ mod tests {
         // A read issued after the disk went idle starts immediately.
         let c = tl.reserve(SimTime::from_secs(10.0), 0.25);
         assert!((c.as_secs() - 10.25).abs() < 1e-12);
-        assert!((tl.busy_secs() - 1.75).abs() < 1e-12);
     }
 
     #[test]
@@ -528,6 +386,39 @@ mod tests {
         assert!(spill.bytes_read > 0, "the arena was never read");
         assert!(spill.evictions > 0, "half budget must evict");
         assert!(out.report.virtual_secs > 0.0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn plain_virtual_executor_trains_a_spilled_partition() {
+        // No out-of-core front-end: the DES itself pins each task's
+        // blocks, so any spilled partition trains on a plain executor.
+        let (train, test) = low_rank_data(40, 36, 24);
+        let cfg = test_cfg(4);
+        let dir = scratch("plain");
+        let spec = uniform_layout(&train, 4, 4);
+        let total: usize = train.nnz() * mf_sparse::Rating::WIRE_BYTES;
+        let part =
+            spill_partition(&train, spec.clone(), Arc::new(RealFs), &dir, total / 4).unwrap();
+        let out = train_with_executor_on(
+            &part,
+            train.mean_rating(),
+            &test,
+            UniformScheduler::new(spec, cfg.iterations, true),
+            DevicePool {
+                cpu_workers: 2,
+                gpus: vec![],
+                gpu_start: vec![],
+            },
+            &cfg,
+            None,
+            "plain",
+            |_, _| {},
+            &mut VirtualExecutor::new(),
+        );
+        assert_eq!(out.report.total_passes, 16 * cfg.iterations as u64);
+        let spill = out.report.spill.expect("spilled run must report counters");
+        assert!(spill.bytes_read > 0 && spill.evictions > 0, "{spill:?}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -579,7 +470,7 @@ mod tests {
 
     #[test]
     fn corrupt_arena_fails_device_without_touching_factors() {
-        // Flip one payload byte after writing the arena: the DES device
+        // Flip one payload byte after writing the arena: the DES seat
         // must die with a typed failure instead of training on garbage,
         // and the run must end early via the failed-device path.
         let (train, test) = low_rank_data(32, 32, 23);
@@ -599,8 +490,6 @@ mod tests {
 
         let spilled = GridPartition::open_spilled(Arc::new(RealFs), &path, usize::MAX / 4).unwrap();
         let sched = UniformScheduler::new(spec, cfg.iterations, true);
-        let (wrap, _tl) = prefetch_wrapper(IoSpec::default().scaled_down(1000.0));
-        let mut exec = VirtualExecutor::new().with_device_wrapper(wrap);
         let out = train_with_executor_on(
             &spilled,
             train.mean_rating(),
@@ -615,7 +504,7 @@ mod tests {
             None,
             "corrupt",
             |_, _| {},
-            &mut exec,
+            &mut VirtualExecutor::new(),
         );
         // The single CPU device died on the bad block: strictly fewer
         // passes than the budget, and exact accounting for what did run.

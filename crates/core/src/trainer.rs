@@ -2,18 +2,24 @@
 //!
 //! [`VirtualExecutor`] is the DES implementation of
 //! [`crate::executor::Executor`]: a deterministic discrete-event
-//! simulation drives any [`BlockScheduler`] over a pool of virtual
-//! devices:
+//! simulation drives any [`BlockScheduler`] over the run's seats — the
+//! paper's two kinds of worker, matched directly:
 //!
-//! * Every device keeps [`Device::queue_depth`] tasks in flight: CPU
-//!   workers hold one and request the next on completion; GPUs keep
-//!   **two** (current + prefetched), which is what lets the stream
-//!   pipeline overlap the next block's transfer with the current kernel —
-//!   the reason the HSGD\* grid has `2·n_g` extra columns.
+//! * A [`CpuWorker`] slot keeps one task in flight and requests the next
+//!   on completion; a [`GpuWorker`] slot keeps [`GPU_QUEUE_DEPTH`]
+//!   (current + prefetched), which is what lets the stream pipeline
+//!   overlap the next block's transfer with the current kernel — the
+//!   reason the HSGD\* grid has `2·n_g` extra columns.
 //! * Every task executes real SGD arithmetic on the shared model at
 //!   dispatch; its completion event fires at the modeled time. Because
 //!   concurrently scheduled tasks are independent (disjoint factor rows),
 //!   the serialized execution is equivalent to the parallel one.
+//! * Each slot reads a [`HealthCell`], as the real-thread world does: a
+//!   `Degraded(f)` seat's completions stretch by `f`, a `Failed` one
+//!   gets no more work and its in-flight tasks drain back to the
+//!   scheduler.
+//! * A spilled partition's blocks are pinned at dispatch behind one
+//!   modeled disk ([`crate::spill`]).
 //!
 //! Test-RMSE probes fire at iteration boundaries (and optionally on a
 //! virtual-time interval), producing the RMSE-over-time series of
@@ -24,17 +30,20 @@
 //! [`crate::runtime`] — see ARCHITECTURE.md § "Execution layers".
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use mf_des::{Engine, EngineHandle, SimTime};
 use mf_sgd::Model;
 use mf_sparse::SparseMatrix;
 
 use crate::config::HeteroConfig;
-use crate::devices::CpuWorker;
+use crate::devices::{CpuWorker, GpuWorker};
 use crate::executor::{
-    train_with_executor, Device, DeviceHealth, ExecContext, ExecOutcome, Executor, ProbeState,
+    train_with_executor, DeviceHealth, ExecContext, ExecOutcome, Executor, HealthCell, ProbeState,
 };
+use crate::runtime::GPU_QUEUE_DEPTH;
 use crate::scheduler::{BlockScheduler, Task, WorkerClass};
+use crate::spill::{IoSpec, IoTimeline};
 
 pub use crate::executor::{DevicePool, TrainOutcome};
 
@@ -45,11 +54,26 @@ enum Ev {
     Probe,
 }
 
-/// One virtual device plus its in-flight window and identity.
+enum Seat {
+    Cpu(CpuWorker),
+    Gpu(Box<GpuWorker>),
+}
+
+/// One seat plus its health, in-flight window and identity.
 struct Slot {
-    dev: Box<dyn Device>,
+    seat: Seat,
     class: WorkerClass,
+    health: Arc<HealthCell>,
     inflight: VecDeque<Task>,
+}
+
+impl Slot {
+    fn depth(&self) -> usize {
+        match self.seat {
+            Seat::Cpu(_) => 1,
+            Seat::Gpu(_) => GPU_QUEUE_DEPTH,
+        }
+    }
 }
 
 struct Sim<'a, 'b> {
@@ -63,6 +87,8 @@ struct Sim<'a, 'b> {
     /// harness's negative test turns it off to demonstrate the monitor
     /// catches the pre-fix lost-block stall.
     drain_failed: bool,
+    disk: IoTimeline,
+    hook: Option<&'b mut DispatchHook>,
     probes: ProbeState,
     cpu_points: u64,
     gpu_points: u64,
@@ -76,6 +102,10 @@ impl Sim<'_, '_> {
         self.slots.iter().all(|s| s.inflight.is_empty())
     }
 
+    fn any_failed(&self) -> bool {
+        self.slots.iter().any(|s| s.health.is_failed())
+    }
+
     fn is_done(&self) -> bool {
         if !self.is_drained() {
             return false;
@@ -87,47 +117,84 @@ impl Sim<'_, '_> {
         // explains the stall (no finish event will ever fire again) —
         // without this, an interval Probe would reschedule itself forever
         // on a failure-stalled run.
-        self.slots
-            .iter()
-            .any(|s| matches!(s.dev.health(), DeviceHealth::Failed))
+        self.any_failed()
+    }
+
+    /// Runs `task` on slot `i`'s seat at `now` and returns its modeled
+    /// `(completion, busy seconds)`. A spilled task's seat starts once
+    /// the disk has read its misses; the completion then stretches by
+    /// the slot's `Degraded` factor and the dispatch hook's.
+    fn run(&mut self, i: usize, now: SimTime, task: &Task) -> (SimTime, f64) {
+        let (part, hyper) = (self.ctx.part, &self.ctx.cfg.hyper);
+        let gamma = hyper.gamma_at(task.pass);
+        let slot = &mut self.slots[i];
+        let start = match self.disk.pin(part, task, now) {
+            Ok(start) => start,
+            Err(e) => {
+                // Typed failure: never run a kernel over bytes that did
+                // not verify. The seat dies; the failed-device drain
+                // requeues this task for a healthy one.
+                eprintln!("spill: block load failed, failing device: {e}");
+                slot.health.fail();
+                return (now, 0.0);
+            }
+        };
+        let (done, busy) = match &mut slot.seat {
+            Seat::Cpu(cpu) => {
+                let (dur, _sq) = cpu.process(self.ctx.model, part, task, gamma, hyper);
+                (start + dur, dur.as_secs())
+            }
+            Seat::Gpu(gpu) => {
+                let (cost, _sq) = gpu.process(start, self.ctx.model, part, task, gamma, hyper);
+                (cost.times.done, cost.t_kernel.as_secs())
+            }
+        };
+        // The arithmetic ran above, so the pins can drop at once.
+        part.unpin_blocks(&task.blocks);
+        let mut stretch = match slot.health.get() {
+            DeviceHealth::Degraded(f) => f.max(1.0),
+            _ => 1.0,
+        };
+        if let Some(hook) = self.hook.as_mut() {
+            stretch *= hook(i, task);
+        }
+        // Only a real stretch re-times: `now + (done − now)·1` can
+        // differ from `done` in the last bit.
+        if stretch == 1.0 {
+            return (done, busy);
+        }
+        let dur = (done.as_secs() - now.as_secs()).max(0.0) * stretch;
+        (now + SimTime::from_secs(dur), busy * stretch)
     }
 
     fn dispatch(&mut self, i: usize, now: SimTime, h: &mut EngineHandle<'_, Ev>) {
         if self.probes.stopped {
             return;
         }
-        let slot = &mut self.slots[i];
         // Re-polled every iteration: a failed device accepts no new work
         // (even if it failed while processing the task just dispatched);
         // whatever it still holds drains back to the scheduler as its
         // finish events arrive.
-        while slot.inflight.len() < slot.dev.queue_depth()
-            && !matches!(slot.dev.health(), DeviceHealth::Failed)
+        while self.slots[i].inflight.len() < self.slots[i].depth()
+            && !self.slots[i].health.is_failed()
         {
-            let Some(task) = self.ctx.scheduler.next_task(slot.class, self.ctx.part) else {
+            let class = self.slots[i].class;
+            let Some(task) = self.ctx.scheduler.next_task(class, self.ctx.part) else {
                 break;
             };
-            let gamma = self.ctx.cfg.hyper.gamma_at(task.pass);
-            let comp = slot.dev.process(
-                now,
-                self.ctx.model,
-                self.ctx.part,
-                &task,
-                gamma,
-                &self.ctx.cfg.hyper,
-            );
-            match slot.class {
+            let (done, busy) = self.run(i, now, &task);
+            match class {
                 WorkerClass::Cpu => {
-                    self.cpu_busy += comp.busy_secs;
+                    self.cpu_busy += busy;
                     self.cpu_points += task.points as u64;
                 }
                 WorkerClass::Gpu(_) => {
-                    self.gpu_busy += comp.busy_secs;
+                    self.gpu_busy += busy;
                     self.gpu_points += task.points as u64;
                 }
             }
-            slot.inflight.push_back(task);
-            h.schedule(comp.done, Ev::Finish(i));
+            self.slots[i].inflight.push_back(task);
+            h.schedule(done, Ev::Finish(i));
         }
     }
 
@@ -153,7 +220,7 @@ impl Sim<'_, '_> {
                     .inflight
                     .pop_front()
                     .expect("device finish without a task in flight");
-                if matches!(self.slots[i].dev.health(), DeviceHealth::Failed) {
+                if self.slots[i].health.is_failed() {
                     // The device died with this task in flight: its result
                     // is lost, so the pass goes back to the scheduler for
                     // another device to redo. (The SGD arithmetic already
@@ -193,10 +260,12 @@ impl Sim<'_, '_> {
     }
 }
 
-/// A hook that may wrap each virtual device as the DES world builds its
-/// slots — how fault injectors interpose latency/health adversaries
-/// without the world knowing about them.
-pub type DeviceWrapper = dyn FnMut(Box<dyn Device>, WorkerClass) -> Box<dyn Device>;
+/// The DES's one per-dispatch hook: called after a seat runs a task,
+/// with the slot index (CPU workers `0..cpu_workers`, then one per GPU)
+/// and the task. The returned factor multiplies the task's modeled
+/// duration, after the slot's `Degraded` factor — how the fuzz harness
+/// draws heavy-tailed latency, and how tests fail a seat after N tasks.
+pub type DispatchHook = dyn FnMut(usize, &Task) -> f64;
 
 /// The virtual-time (discrete-event simulation) execution world.
 ///
@@ -204,14 +273,18 @@ pub type DeviceWrapper = dyn FnMut(Box<dyn Device>, WorkerClass) -> Box<dyn Devi
 /// Runs are bit-for-bit reproducible because the event order is fully
 /// deterministic.
 pub struct VirtualExecutor {
-    wrap: Option<Box<DeviceWrapper>>,
+    cpu_health: Vec<Arc<HealthCell>>,
+    hook: Option<Box<DispatchHook>>,
+    io: IoSpec,
     drain_failed: bool,
 }
 
 impl std::fmt::Debug for VirtualExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VirtualExecutor")
-            .field("wrap", &self.wrap.as_ref().map(|_| ".."))
+            .field("cpu_health", &self.cpu_health)
+            .field("hook", &self.hook.as_ref().map(|_| ".."))
+            .field("io", &self.io)
             .field("drain_failed", &self.drain_failed)
             .finish()
     }
@@ -224,20 +297,34 @@ impl Default for VirtualExecutor {
 }
 
 impl VirtualExecutor {
-    /// Creates the DES world.
+    /// Creates the DES world, with spilled blocks read from an
+    /// [`IoSpec::default`] disk.
     pub fn new() -> VirtualExecutor {
         VirtualExecutor {
-            wrap: None,
+            cpu_health: Vec::new(),
+            hook: None,
+            io: IoSpec::default(),
             drain_failed: true,
         }
     }
 
-    /// Installs a device wrapper: every slot's device (CPU workers and
-    /// GPUs alike) is passed through `wrap` at world construction, so a
-    /// fault injector can interpose adversarial latency and health state
-    /// per device.
-    pub fn with_device_wrapper(mut self, wrap: Box<DeviceWrapper>) -> VirtualExecutor {
-        self.wrap = Some(wrap);
+    /// Gives CPU slot `i` the health cell `cells[i]`; a slot without one
+    /// gets a fresh cell. GPU slots read their worker's own cell
+    /// ([`GpuWorker::health_handle`]).
+    pub fn with_cpu_health(mut self, cells: Vec<Arc<HealthCell>>) -> VirtualExecutor {
+        self.cpu_health = cells;
+        self
+    }
+
+    /// Installs the per-dispatch hook.
+    pub fn with_dispatch_hook(mut self, hook: Box<DispatchHook>) -> VirtualExecutor {
+        self.hook = Some(hook);
+        self
+    }
+
+    /// Models spilled block reads on `io`.
+    pub(crate) fn with_io(mut self, io: IoSpec) -> VirtualExecutor {
+        self.io = io;
         self
     }
 
@@ -261,22 +348,19 @@ impl Executor for VirtualExecutor {
         let cpu_workers = ctx.pool.cpu_workers;
         let cpu_spec = ctx.cfg.cpu;
         let gpu_start = std::mem::take(&mut ctx.pool.gpu_start);
-        let mut wrap_dev = |dev: Box<dyn Device>, class: WorkerClass| match &mut self.wrap {
-            Some(w) => w(dev, class),
-            None => dev,
-        };
         let mut slots: Vec<Slot> = (0..cpu_workers)
-            .map(|_| Slot {
-                dev: wrap_dev(Box::new(CpuWorker { spec: cpu_spec }), WorkerClass::Cpu),
+            .map(|i| Slot {
+                seat: Seat::Cpu(CpuWorker { spec: cpu_spec }),
                 class: WorkerClass::Cpu,
+                health: self.cpu_health.get(i).cloned().unwrap_or_default(),
                 inflight: VecDeque::new(),
             })
             .collect();
         for (g, gpu) in std::mem::take(&mut ctx.pool.gpus).into_iter().enumerate() {
-            let class = WorkerClass::Gpu(g as u32);
             slots.push(Slot {
-                dev: wrap_dev(Box::new(gpu), class),
-                class,
+                health: gpu.health_handle(),
+                seat: Seat::Gpu(Box::new(gpu)),
+                class: WorkerClass::Gpu(g as u32),
                 inflight: VecDeque::new(),
             });
         }
@@ -287,6 +371,8 @@ impl Executor for VirtualExecutor {
             slots,
             ncpu: cpu_workers,
             drain_failed: self.drain_failed,
+            disk: IoTimeline::new(self.io),
+            hook: self.hook.as_deref_mut(),
             probes: ProbeState::new(nblocks, target),
             cpu_points: 0,
             gpu_points: 0,
@@ -324,13 +410,9 @@ impl Executor for VirtualExecutor {
         // A drained event queue with passes left is a deadlock — unless a
         // device failure explains it (e.g. the only device that could run
         // a region died), in which case the run ends early but cleanly.
-        let any_failed = sim
-            .slots
-            .iter()
-            .any(|s| matches!(s.dev.health(), DeviceHealth::Failed));
         let stalled = sim.ctx.scheduler.remaining() > 0 && !sim.probes.stopped;
         assert!(
-            !stalled || any_failed,
+            !stalled || sim.any_failed(),
             "trainer deadlock: {} passes unassigned with all devices idle",
             sim.ctx.scheduler.remaining()
         );
@@ -411,64 +493,10 @@ pub fn run_training_with_hook<S: BlockScheduler + Send, H: FnMut(u64, &Model)>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CostModelKind, CpuSpec};
     use crate::devices::GpuWorker;
+    use crate::executor::tests::{low_rank_data, test_cfg};
     use crate::layout::uniform_layout;
     use crate::scheduler::UniformScheduler;
-    use mf_sgd::HyperParams;
-    use mf_sparse::Rating;
-
-    fn low_rank_data(m: u32, n: u32, seed: u64) -> (SparseMatrix, SparseMatrix) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<[f32; 2]> = (0..m).map(|_| [rng.random(), rng.random()]).collect();
-        let b: Vec<[f32; 2]> = (0..n).map(|_| [rng.random(), rng.random()]).collect();
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for u in 0..m {
-            for v in 0..n {
-                let x: f32 = rng.random();
-                if x < 0.7 {
-                    let r = 1.0
-                        + 2.0
-                            * (a[u as usize][0] * b[v as usize][0]
-                                + a[u as usize][1] * b[v as usize][1]);
-                    if x < 0.6 {
-                        train.push(Rating::new(u, v, r));
-                    } else {
-                        test.push(Rating::new(u, v, r));
-                    }
-                }
-            }
-        }
-        (
-            SparseMatrix::new(m, n, train).unwrap(),
-            SparseMatrix::new(m, n, test).unwrap(),
-        )
-    }
-
-    fn test_cfg(iterations: u32) -> HeteroConfig {
-        HeteroConfig {
-            hyper: HyperParams {
-                k: 8,
-                lambda_p: 0.01,
-                lambda_q: 0.01,
-                gamma: 0.05,
-                schedule: mf_sgd::LearningRate::Fixed,
-            },
-            nc: 4,
-            ng: 1,
-            gpu: gpu_sim::GpuSpec::default().scaled_down(1000.0),
-            cpu: CpuSpec::default(),
-            iterations,
-            seed: 9,
-            dynamic_scheduling: true,
-            cost_model: CostModelKind::Tailored,
-            probe_interval_secs: None,
-            target_rmse: None,
-        }
-    }
 
     #[test]
     fn cpu_only_run_completes_and_converges() {
@@ -579,48 +607,32 @@ mod tests {
         assert_ne!(snapshots.first().unwrap(), &out.model);
     }
 
-    /// Wrapper device that permanently fails after a fixed number of
-    /// dispatched tasks — the unit-level stand-in for the fuzz harness's
-    /// scripted device deaths.
-    struct FailAfter {
-        inner: Box<dyn Device>,
-        cell: std::sync::Arc<crate::executor::HealthCell>,
-        left: usize,
+    /// A dispatch hook that fails `cells[slot]` after that slot's `n`th
+    /// task — the unit-level stand-in for the fuzz harness's scripted
+    /// device deaths.
+    fn fail_after(n: usize, cells: Vec<Option<Arc<HealthCell>>>) -> Box<DispatchHook> {
+        let mut ran = vec![0; cells.len()];
+        Box::new(move |slot, _| {
+            ran[slot] += 1;
+            if let (Some(cell), true) = (&cells[slot], ran[slot] == n) {
+                cell.fail();
+            }
+            1.0
+        })
     }
 
-    impl Device for FailAfter {
-        fn queue_depth(&self) -> usize {
-            self.inner.queue_depth()
-        }
-
-        fn health(&self) -> crate::executor::DeviceHealth {
-            self.cell.get()
-        }
-
-        fn process(
-            &mut self,
-            now: SimTime,
-            model: &mut Model,
-            part: &mf_sparse::GridPartition,
-            task: &Task,
-            gamma: f32,
-            hyper: &mf_sgd::HyperParams,
-        ) -> crate::executor::DeviceCompletion {
-            let comp = self.inner.process(now, model, part, task, gamma, hyper);
-            self.left -= 1;
-            if self.left == 0 {
-                self.cell.fail();
-            }
-            comp
+    fn cpu_pool(cpu_workers: usize) -> DevicePool {
+        DevicePool {
+            cpu_workers,
+            gpus: vec![],
+            gpu_start: vec![],
         }
     }
 
     #[test]
     fn failed_device_drains_queue_back_to_scheduler() {
-        use crate::executor::HealthCell;
         use crate::layout::StarLayout;
         use crate::scheduler::StarScheduler;
-        use std::sync::Arc;
 
         // A star run whose GPU dies after 3 dispatched tasks, with one of
         // them still in flight. The drain fix must requeue the in-flight
@@ -630,22 +642,15 @@ mod tests {
         let cfg = test_cfg(2);
         let layout = StarLayout::build(&train, 2, 1, 0.5);
         let sched = StarScheduler::new(layout, cfg.iterations, true);
+        let gpu = GpuWorker::new(cfg.gpu);
+        let cell = gpu.health_handle();
         let pool = DevicePool {
             cpu_workers: 2,
-            gpus: vec![GpuWorker::new(cfg.gpu)],
+            gpus: vec![gpu],
             gpu_start: vec![SimTime::ZERO],
         };
-        let cell = Arc::new(HealthCell::new());
-        let cell2 = Arc::clone(&cell);
-        let mut exec =
-            VirtualExecutor::new().with_device_wrapper(Box::new(move |dev, class| match class {
-                WorkerClass::Gpu(_) => Box::new(FailAfter {
-                    inner: dev,
-                    cell: Arc::clone(&cell2),
-                    left: 3,
-                }),
-                WorkerClass::Cpu => dev,
-            }));
+        let mut exec = VirtualExecutor::new()
+            .with_dispatch_hook(fail_after(3, vec![None, None, Some(Arc::clone(&cell))]));
         let out = train_with_executor(
             &train,
             &test,
@@ -675,32 +680,21 @@ mod tests {
 
     #[test]
     fn all_devices_failed_ends_early_instead_of_deadlocking() {
-        use crate::executor::HealthCell;
-        use std::sync::Arc;
-
         // Every device dies almost immediately: the run must end with
         // `ended_early` (not the deadlock assert) and consistent counts.
         let (train, test) = low_rank_data(30, 30, 12);
         let cfg = test_cfg(6);
         let spec = uniform_layout(&train, 5, 4);
         let sched = UniformScheduler::new(spec, cfg.iterations, true);
-        let pool = DevicePool {
-            cpu_workers: 2,
-            gpus: vec![],
-            gpu_start: vec![],
-        };
-        let mut exec = VirtualExecutor::new().with_device_wrapper(Box::new(|dev, _| {
-            Box::new(FailAfter {
-                inner: dev,
-                cell: Arc::new(HealthCell::new()),
-                left: 2,
-            })
-        }));
+        let cells: Vec<Arc<HealthCell>> = (0..2).map(|_| Arc::default()).collect();
+        let mut exec = VirtualExecutor::new()
+            .with_cpu_health(cells.clone())
+            .with_dispatch_hook(fail_after(2, cells.into_iter().map(Some).collect()));
         let out = train_with_executor(
             &train,
             &test,
             sched,
-            pool,
+            cpu_pool(2),
             &cfg,
             None,
             "all-die",
@@ -711,6 +705,75 @@ mod tests {
         let total: u64 = out.report.update_counts.iter().map(|&c| c as u64).sum();
         assert_eq!(total, out.report.total_passes);
         assert!(out.report.total_passes < 20 * cfg.iterations as u64);
+    }
+
+    #[test]
+    fn a_cpu_slot_failed_before_the_run_gets_no_work() {
+        // The DES mirror of the exclusive runtime's dead-CPU-cells test:
+        // slot 0's cell is failed up front, slot 1 does every pass.
+        let (train, test) = low_rank_data(24, 24, 11);
+        let cfg = test_cfg(2);
+        let sched = UniformScheduler::new(uniform_layout(&train, 3, 3), cfg.iterations, true);
+        let dead = Arc::new(HealthCell::new());
+        dead.fail();
+        let ran = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&ran);
+        let mut exec = VirtualExecutor::new()
+            .with_cpu_health(vec![dead])
+            .with_dispatch_hook(Box::new(move |slot, _| {
+                log.lock().unwrap().push(slot);
+                1.0
+            }));
+        let out = train_with_executor(
+            &train,
+            &test,
+            sched,
+            cpu_pool(2),
+            &cfg,
+            None,
+            "dead-cpu",
+            |_, _| {},
+            &mut exec,
+        );
+        let ran = ran.lock().unwrap();
+        assert!(
+            !ran.is_empty() && ran.iter().all(|&slot| slot == 1),
+            "{ran:?}"
+        );
+        assert_eq!(out.report.total_passes, 9 * cfg.iterations as u64);
+    }
+
+    #[test]
+    fn degraded_cell_stretches_completion() {
+        // One CPU slot runs every task back to back, so a `Degraded(4)`
+        // cell stretches the whole run 4×.
+        let (train, test) = low_rank_data(30, 30, 3);
+        let cfg = test_cfg(3);
+        let run = |cells: Vec<Arc<HealthCell>>| {
+            let sched = UniformScheduler::new(uniform_layout(&train, 3, 3), cfg.iterations, true);
+            let mut exec = VirtualExecutor::new().with_cpu_health(cells);
+            let out = train_with_executor(
+                &train,
+                &test,
+                sched,
+                cpu_pool(1),
+                &cfg,
+                None,
+                "degraded",
+                |_, _| {},
+                &mut exec,
+            );
+            (out.model, out.report.virtual_secs)
+        };
+        let (model, secs) = run(vec![]);
+        let slow = Arc::new(HealthCell::new());
+        slow.set(DeviceHealth::Degraded(4.0));
+        let (slow_model, slow_secs) = run(vec![slow]);
+        assert_eq!(model, slow_model, "health moves time, never arithmetic");
+        assert!(
+            (slow_secs / secs - 4.0).abs() < 1e-9,
+            "{slow_secs} / {secs}"
+        );
     }
 
     #[test]

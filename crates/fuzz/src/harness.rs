@@ -6,7 +6,8 @@
 //! invariant monitor wrapped around the real scheduler. Both worlds run
 //! the *same* `UniformScheduler`/`StarScheduler` instances the
 //! production trainers use — the harness only adds the monitor in
-//! between and hostile devices underneath, so a violation is a
+//! between, the seats' health cells it writes, and (in the DES) a
+//! dispatch hook that draws each task's latency, so a violation is a
 //! scheduler/executor bug, never a test-double artifact. Storage scripts
 //! run through [`crate::iofault`]'s harnesses.
 
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use hsgd_core::devices::GpuWorker;
 use hsgd_core::executor::{DevicePool, ExecContext, Executor, HealthCell};
 use hsgd_core::layout::{uniform_layout, StarLayout};
-use hsgd_core::scheduler::{BlockScheduler, StarScheduler, UniformScheduler, WorkerClass};
+use hsgd_core::scheduler::{BlockScheduler, StarScheduler, UniformScheduler};
 use hsgd_core::trainer::VirtualExecutor;
 use hsgd_core::{CostModelKind, CpuSpec, ExecMode, HeteroConfig, ThreadedExecutor};
 use mf_data::{generator, GeneratorConfig};
@@ -26,16 +27,16 @@ use mf_sgd::{HyperParams, Model};
 use mf_sparse::{BlockOrder, GridPartition, SparseMatrix};
 
 use crate::check::{drop_one, panic_message};
-use crate::devices::AdversarialDevice;
 use crate::iofault::{run_arena, run_lifecycle, ArenaStats, LifecycleStats};
 use crate::monitor::MonitoredScheduler;
+use crate::rng::task_stretch;
 use crate::script::{DevId, SchedKind, SchedSetup, Script, Subject};
 
 /// Which execution world replays the script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum World {
     /// The virtual-time DES world (`VirtualExecutor`), with adversarial
-    /// latency devices installed.
+    /// latency drawn per task.
     Virtual,
     /// Real threads in deterministic exclusive mode
     /// (`ThreadedExecutor`). Latency events have no effect — wall-clock
@@ -293,17 +294,13 @@ fn drive<S: BlockScheduler + Send>(
     let cfg = hetero_cfg(script.seed, setup);
     let (nc, ng) = (setup.workers.0 as usize, setup.workers.1 as usize);
 
-    // Health cells first: the monitor writes them, the devices read them.
-    let cpu_cells: Vec<Arc<HealthCell>> = (0..nc).map(|_| Arc::new(HealthCell::new())).collect();
+    // Health cells first: the monitor writes them, the worlds read them.
+    let cpu_cells: Vec<Arc<HealthCell>> = (0..nc).map(|_| Arc::default()).collect();
     let gpus: Vec<GpuWorker> = (0..ng).map(|_| GpuWorker::new(cfg.gpu)).collect();
-    let gpu_cells: Vec<Arc<HealthCell>> = gpus.iter().map(|g| g.health_handle()).collect();
-    let mut cells: Vec<(DevId, Arc<HealthCell>)> = Vec::new();
-    for (i, c) in cpu_cells.iter().enumerate() {
-        cells.push((DevId::Cpu(i as u32), c.clone()));
-    }
-    for (g, c) in gpu_cells.iter().enumerate() {
-        cells.push((DevId::Gpu(g as u32), c.clone()));
-    }
+    let cells = (cpu_cells.iter().enumerate())
+        .map(|(i, c)| (DevId::Cpu(i as u32), Arc::clone(c)))
+        .chain((gpus.iter().enumerate()).map(|(g, w)| (DevId::Gpu(g as u32), w.health_handle())))
+        .collect();
 
     let mut monitor = MonitoredScheduler::new(inner, &script.events, setup.total_passes(), cells);
     let part =
@@ -334,30 +331,22 @@ fn drive<S: BlockScheduler + Send>(
         };
         match world {
             World::Virtual => {
-                // Wrap every DES device slot in the adversary. CPU slots
-                // are built first, in index order, so a running counter
-                // maps them to their cells.
-                let latency = setup.latency;
-                let salt = script.seed;
-                let mut next_cpu = 0usize;
-                let cpu_cells = cpu_cells.clone();
-                let gpu_cells = gpu_cells.clone();
+                // The DES reads every seat's cell itself; the hook draws
+                // each task's latency from a per-seat salt. Slots are the
+                // CPU workers in index order, then the GPUs.
                 let mut exec = VirtualExecutor::new()
                     .with_drain_failed(drain_failed)
-                    .with_device_wrapper(Box::new(move |dev, class| {
-                        let (cell, dev_salt) = match class {
-                            WorkerClass::Cpu => {
-                                let i = next_cpu;
-                                next_cpu += 1;
-                                (cpu_cells[i].clone(), salt ^ (i as u64))
-                            }
-                            WorkerClass::Gpu(g) => {
-                                (gpu_cells[g as usize].clone(), salt ^ 0x9000 ^ (g as u64))
-                            }
+                    .with_cpu_health(cpu_cells.clone());
+                if let Some(latency) = setup.latency {
+                    let salt = script.seed;
+                    exec = exec.with_dispatch_hook(Box::new(move |slot, task| {
+                        let seat_salt = match slot.checked_sub(nc) {
+                            None => salt ^ slot as u64,
+                            Some(g) => salt ^ 0x9000 ^ g as u64,
                         };
-                        Box::new(AdversarialDevice::new(dev, cell, latency, dev_salt))
-                            as Box<dyn hsgd_core::executor::Device>
+                        task_stretch(latency, seat_salt, task)
                     }));
+                }
                 catch_unwind(AssertUnwindSafe(move || exec.execute(ctx)))
             }
             World::ThreadedExclusive => {

@@ -8,8 +8,9 @@
 //! factors. A [`Script`] ([`script`]) names a seed, a [`Subject`]
 //! (scheduler, lifecycle or arena) and the events that attack it, each
 //! on its subject's clock: completed block passes, fired by
-//! [`MonitoredScheduler`] ([`monitor`], hostile devices in [`devices`]),
-//! or bytes written, fired by [`FaultFs`] ([`iofault`]). [`run`]
+//! [`MonitoredScheduler`] ([`monitor`]) into the seats' health cells and
+//! drawn as heavy-tailed latency ([`rng::task_stretch`]), or bytes
+//! written, fired by [`FaultFs`] ([`iofault`]). [`run`]
 //! ([`harness`]) replays a script against its subject, [`shrink`]
 //! minimizes a failing one, and [`replay_corpus`] replays the
 //! regressions committed under `tests/fuzz_corpus/`; this crate's
@@ -21,7 +22,6 @@
 //! [`drop_one`], is also the step of the script shrinker.
 
 pub mod check;
-pub mod devices;
 pub mod harness;
 pub mod iofault;
 pub mod monitor;

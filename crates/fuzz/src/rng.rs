@@ -2,7 +2,10 @@
 //! vendored `rand` so a corpus script's behaviour is pinned by this
 //! crate alone.
 
+use hsgd_core::scheduler::Task;
 use mf_sparse::hash::splitmix64;
+
+use crate::script::Latency;
 
 /// Deterministic splitmix64 generator.
 #[derive(Debug, Clone)]
@@ -45,6 +48,17 @@ impl SplitMix {
 pub fn pareto_factor(h: u64, alpha: f64, cap: f64) -> f64 {
     let u = (splitmix64(h) >> 11) as f64 / (1u64 << 53) as f64;
     (1.0 - u).powf(-1.0 / alpha.max(0.1)).min(cap.max(1.0))
+}
+
+/// One seat's [`pareto_factor`] for `task`, keyed by `(salt, first
+/// block, pass)`, so a replay draws the same stretch whatever order the
+/// tasks run in.
+pub fn task_stretch(latency: Latency, salt: u64, task: &Task) -> f64 {
+    let b = task.blocks[0];
+    let h = splitmix64(
+        ((b.row as u64) << 40) ^ ((b.col as u64) << 20) ^ (task.pass as u64) ^ salt.rotate_left(17),
+    );
+    pareto_factor(h, latency.alpha, latency.cap)
 }
 
 #[cfg(test)]
@@ -92,5 +106,24 @@ mod tests {
         }
         // The tail actually occurs: a few percent of draws are > 4x.
         assert!(big > 50, "only {big} straggler draws in 10k");
+    }
+
+    #[test]
+    fn task_stretch_is_deterministic_and_bounded() {
+        let latency = Latency {
+            alpha: 1.3,
+            cap: 8.0,
+        };
+        let task = Task {
+            blocks: vec![mf_sparse::BlockId::new(0, 0)],
+            points: 2,
+            p_rows: 0..4,
+            q_cols: 0..2,
+            pass: 0,
+            stolen: false,
+        };
+        let a = task_stretch(latency, 7, &task);
+        assert_eq!(a, task_stretch(latency, 7, &task), "same salt must replay");
+        assert!((1.0..=8.0).contains(&a), "stretch out of bounds: {a}");
     }
 }

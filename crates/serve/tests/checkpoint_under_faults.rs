@@ -15,19 +15,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hsgd_core::devices::GpuWorker;
-use hsgd_core::executor::{
-    train_with_executor, Device, DeviceCompletion, DeviceHealth, DevicePool, HealthCell,
-};
+use hsgd_core::executor::{train_with_executor, DeviceHealth, DevicePool, HealthCell};
 use hsgd_core::layout::uniform_layout;
 use hsgd_core::layout::StarLayout;
-use hsgd_core::scheduler::{StarScheduler, Task, UniformScheduler, WorkerClass};
+use hsgd_core::scheduler::{StarScheduler, UniformScheduler};
 use hsgd_core::trainer::VirtualExecutor;
 use hsgd_core::{CostModelKind, CpuSpec, HeteroConfig};
 use mf_des::SimTime;
-use mf_fuzz::devices::AdversarialDevice;
 use mf_serve::checkpoint;
 use mf_sgd::{HyperParams, Model};
-use mf_sparse::{GridPartition, SparseMatrix};
+use mf_sparse::SparseMatrix;
 
 fn dataset(seed: u64) -> (SparseMatrix, SparseMatrix) {
     let ds = mf_data::generator::generate(&mf_data::GeneratorConfig {
@@ -73,17 +70,9 @@ fn hook_fires_exactly_once_per_epoch_under_device_stall() {
     // The GPU is stalled 50x for the whole run — slow enough that the
     // CPU side laps it and steals, so epoch boundaries land in hostile
     // interleavings rather than the clean round-robin of a healthy run.
-    let stalled = Arc::new(HealthCell::new());
-    stalled.set(DeviceHealth::Degraded(50.0));
-    let stalled2 = Arc::clone(&stalled);
-    let mut exec =
-        VirtualExecutor::new().with_device_wrapper(Box::new(move |dev, class| match class {
-            WorkerClass::Gpu(_) => {
-                Box::new(AdversarialDevice::new(dev, Arc::clone(&stalled2), None, 5))
-                    as Box<dyn Device>
-            }
-            WorkerClass::Cpu => dev,
-        }));
+    let gpu = GpuWorker::new(cfg.gpu);
+    gpu.health_handle().set(DeviceHealth::Degraded(50.0));
+    let mut exec = VirtualExecutor::new();
 
     let dir = std::env::temp_dir().join(format!("mfck_stall_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -95,7 +84,7 @@ fn hook_fires_exactly_once_per_epoch_under_device_stall() {
         sched,
         DevicePool {
             cpu_workers: cfg.nc,
-            gpus: vec![GpuWorker::new(cfg.gpu)],
+            gpus: vec![gpu],
             gpu_start: vec![SimTime::ZERO],
         },
         &cfg,
@@ -127,40 +116,6 @@ fn hook_fires_exactly_once_per_epoch_under_device_stall() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Wrapper device that permanently fails after a fixed number of
-/// dispatched tasks.
-struct FailAfter {
-    inner: Box<dyn Device>,
-    cell: Arc<HealthCell>,
-    left: usize,
-}
-
-impl Device for FailAfter {
-    fn queue_depth(&self) -> usize {
-        self.inner.queue_depth()
-    }
-    fn health(&self) -> DeviceHealth {
-        self.cell.get()
-    }
-    fn process(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        part: &GridPartition,
-        task: &Task,
-        gamma: f32,
-        hyper: &HyperParams,
-    ) -> DeviceCompletion {
-        let comp = self.inner.process(now, model, part, task, gamma, hyper);
-        if self.left == 0 {
-            self.cell.fail();
-        } else {
-            self.left -= 1;
-        }
-        comp
-    }
-}
-
 #[test]
 fn partial_epoch_failure_leaves_previous_checkpoint_readable() {
     let (train, test) = dataset(2);
@@ -172,13 +127,18 @@ fn partial_epoch_failure_leaves_previous_checkpoint_readable() {
     // Every CPU worker dies after ~2.5 epochs of tasks: the run stalls
     // partway through an epoch, after some checkpoints exist.
     let per_worker = (nblocks as usize * 5) / (2 * 2);
-    let mut exec = VirtualExecutor::new().with_device_wrapper(Box::new(move |dev, _| {
-        Box::new(FailAfter {
-            inner: dev,
-            cell: Arc::new(HealthCell::new()),
-            left: per_worker,
-        }) as Box<dyn Device>
-    }));
+    let cells: Vec<Arc<HealthCell>> = (0..cfg.nc).map(|_| Arc::default()).collect();
+    let dying = cells.clone();
+    let mut ran = vec![0; cfg.nc];
+    let mut exec = VirtualExecutor::new()
+        .with_cpu_health(cells)
+        .with_dispatch_hook(Box::new(move |slot, _| {
+            ran[slot] += 1;
+            if ran[slot] > per_worker {
+                dying[slot].fail();
+            }
+            1.0
+        }));
 
     let dir = std::env::temp_dir().join(format!("mfck_fail_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
