@@ -1,14 +1,21 @@
-//! Virtual devices: CPU workers and the GPU adapter.
+//! The paper's two kinds of worker, and the one task body both execution
+//! worlds run on them.
 //!
 //! Both execute *real* SGD arithmetic on the shared model; only durations
 //! are modeled. Both seats run mf-sgd's one SoA block loop
-//! ([`SharedModel::sgd_block_exclusive`]), as the real-thread seats do.
-//! CPU workers run a task's blocks in storage order and charge the flat
-//! Observation-2 throughput; GPU workers delegate to
-//! [`gpu_sim::GpuDevice`], which accounts PCIe transfers and the 3-stream
-//! pipeline and runs the SIMT kernel (the same loop, in lane order). A
-//! GPU worker gathers each block of a resident partition into lane order
-//! once and keeps the copy for the run's later passes.
+//! ([`SharedModel::sgd_block_exclusive`]). CPU workers run a task's
+//! blocks in storage order and charge the flat Observation-2 throughput;
+//! GPU workers delegate to [`gpu_sim::GpuDevice`], which accounts PCIe
+//! transfers and the 3-stream pipeline and runs the SIMT kernel (the
+//! same loop, in lane order). A GPU worker gathers each block of a
+//! resident partition into lane order once and keeps the copy for the
+//! run's later passes.
+//!
+//! `Seat` is a worker as an execution world holds it, and `Seat::run` is
+//! the task body: the DES (`trainer::Sim::run`) calls it at a task's
+//! modeled start and keeps the modeled completion, and the real-thread
+//! world (`runtime::run_task`) calls it at time zero and times it on the
+//! wall clock.
 
 use std::sync::Arc;
 
@@ -20,6 +27,7 @@ use mf_sparse::GridPartition;
 
 use crate::config::CpuSpec;
 use crate::executor::HealthCell;
+use crate::runtime::GPU_QUEUE_DEPTH;
 use crate::scheduler::Task;
 
 /// Relative amplitude of the deterministic execution-time jitter applied
@@ -50,9 +58,15 @@ pub struct CpuWorker {
 impl CpuWorker {
     /// Executes `task` on `model`, returning `(duration, Σ err²)`; the
     /// squared errors are summed per block, then across blocks.
-    pub fn process(
+    ///
+    /// # Safety
+    ///
+    /// For the duration of the call, no other thread may access the
+    /// factor rows of the task's row and column bands — the scheduler's
+    /// conflict-freedom invariant for an in-flight task.
+    pub unsafe fn process(
         &self,
-        model: &mut Model,
+        model: &SharedModel<'_>,
         part: &GridPartition,
         task: &Task,
         gamma: f32,
@@ -66,15 +80,13 @@ impl CpuWorker {
             model.nrows(),
             model.ncols()
         );
-        let shared = SharedModel::new(model);
         let mut sq = 0f64;
         for &b in &task.blocks {
             // SAFETY: every rating of `part` indexes below its dimensions,
             // which the assert above bounds by the model's, so each factor
-            // row is in bounds; `model` is exclusively borrowed for the
-            // whole call, so no other thread can touch any factor row.
+            // row is in bounds; the caller holds the task's bands.
             sq += unsafe {
-                shared.sgd_block_exclusive(part.block(b), gamma, hyper.lambda_p, hyper.lambda_q)
+                model.sgd_block_exclusive(part.block(b), gamma, hyper.lambda_p, hyper.lambda_q)
             };
         }
         let secs = self.spec.time_secs(task.points) * jitter_factor(task, 0x0c9, TIME_JITTER);
@@ -129,56 +141,16 @@ impl GpuWorker {
         Arc::clone(&self.health)
     }
 
-    /// Executes `task`, returning the absolute completion breakdown and
-    /// the squared-error sum.
-    pub fn process(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        part: &GridPartition,
-        task: &Task,
-        gamma: f32,
-        hyper: &HyperParams,
-    ) -> (gpu_sim::BlockCost, f64) {
-        let blocks = kernel_blocks(part, task);
-        if self.resident_all {
-            // Everything was bulk-loaded once at startup: only kernel
-            // time accrues per task.
-            return self.device.process_task_resident(
-                now,
-                model,
-                &blocks,
-                gamma,
-                hyper.lambda_p,
-                hyper.lambda_q,
-            );
-        }
-        self.device
-            .process_task(
-                now,
-                model,
-                &blocks,
-                task.p_rows.clone(),
-                task.q_cols.clone(),
-                gamma,
-                hyper.lambda_p,
-                hyper.lambda_q,
-            )
-            .expect("device memory exceeded — configuration error")
-    }
-
-    /// [`GpuWorker::process`] through a [`SharedModel`] view — the
-    /// real-thread execution path, where the GPU worker thread updates
-    /// rows the scheduler reserved for this task while CPU workers run
-    /// concurrently on disjoint rows. Timing/memory accounting matches
-    /// the `&mut Model` path exactly.
+    /// Executes `task` at `now`, returning the absolute completion
+    /// breakdown and the squared-error sum. A [`GpuWorker::resident_all`]
+    /// worker ships nothing per task: only kernel time accrues.
     ///
     /// # Safety
     ///
     /// For the duration of the call, no other thread may access the
     /// factor rows of any user or item appearing in the task's blocks —
     /// the scheduler's conflict-freedom invariant for an in-flight task.
-    pub unsafe fn process_shared(
+    pub unsafe fn process(
         &mut self,
         now: SimTime,
         model: &SharedModel<'_>,
@@ -188,31 +160,14 @@ impl GpuWorker {
         hyper: &HyperParams,
     ) -> (gpu_sim::BlockCost, f64) {
         let blocks = kernel_blocks(part, task);
+        let transfer = (!self.resident_all).then(|| (task.p_rows.clone(), task.q_cols.clone()));
+        let (lp, lq) = (hyper.lambda_p, hyper.lambda_q);
         // SAFETY: forwarded caller contract.
         unsafe {
-            if self.resident_all {
-                return self.device.process_task_resident_shared(
-                    now,
-                    model,
-                    &blocks,
-                    gamma,
-                    hyper.lambda_p,
-                    hyper.lambda_q,
-                );
-            }
             self.device
-                .process_task_shared(
-                    now,
-                    model,
-                    &blocks,
-                    task.p_rows.clone(),
-                    task.q_cols.clone(),
-                    gamma,
-                    hyper.lambda_p,
-                    hyper.lambda_q,
-                )
-                .expect("device memory exceeded — configuration error")
+                .process_task(now, model, &blocks, transfer, gamma, lp, lq)
         }
+        .expect("device memory exceeded — configuration error")
     }
 
     /// One-time bulk-load cost for the fully resident regime: ship all
@@ -227,10 +182,92 @@ impl GpuWorker {
     }
 }
 
+/// A worker as an execution world holds it.
+pub(crate) enum Seat {
+    Cpu(CpuWorker),
+    Gpu(Box<GpuWorker>),
+}
+
+impl Seat {
+    /// Tasks the seat keeps in flight: one on a CPU worker,
+    /// [`GPU_QUEUE_DEPTH`] (current + prefetched) on a GPU.
+    pub(crate) fn depth(&self) -> usize {
+        match self {
+            Seat::Cpu(_) => 1,
+            Seat::Gpu(_) => GPU_QUEUE_DEPTH,
+        }
+    }
+
+    /// Runs `task` from `now` and returns its modeled completion time and
+    /// busy seconds: the CPU's jittered duration, or the GPU pipeline's
+    /// completion and kernel time.
+    ///
+    /// # Safety
+    ///
+    /// For the duration of the call, no other thread may access the
+    /// factor rows of the task's row and column bands — the scheduler's
+    /// conflict-freedom invariant for an in-flight task.
+    pub(crate) unsafe fn run(
+        &mut self,
+        now: SimTime,
+        model: &SharedModel<'_>,
+        part: &GridPartition,
+        task: &Task,
+        hyper: &HyperParams,
+    ) -> (SimTime, f64) {
+        let gamma = hyper.gamma_at(task.pass);
+        // SAFETY: forwarded caller contract.
+        unsafe {
+            match self {
+                Seat::Cpu(cpu) => {
+                    let (dur, _sq) = cpu.process(model, part, task, gamma, hyper);
+                    (now + dur, dur.as_secs())
+                }
+                Seat::Gpu(gpu) => {
+                    let (cost, _sq) = gpu.process(now, model, part, task, gamma, hyper);
+                    (cost.times.done, cost.t_kernel.as_secs())
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mf_sparse::{BlockId, GridSpec, SparseMatrix};
+
+    /// Runs `task` on a CPU worker over `model`, which no one else holds.
+    fn cpu_process(model: &mut Model, part: &GridPartition, task: &Task) -> (SimTime, f64) {
+        let hyper = mf_sgd::HyperParams::movielens(4);
+        let cpu = CpuWorker {
+            spec: CpuSpec::default(),
+        };
+        // SAFETY: `model` is exclusively borrowed for the whole call.
+        unsafe { cpu.process(&SharedModel::new(model), part, task, 0.01, &hyper) }
+    }
+
+    /// Runs `task` on `gpu` at time zero over `model`, which no one else
+    /// holds.
+    fn gpu_process(
+        gpu: &mut GpuWorker,
+        model: &mut Model,
+        part: &GridPartition,
+        task: &Task,
+    ) -> (gpu_sim::BlockCost, f64) {
+        let hyper = mf_sgd::HyperParams::movielens(4);
+        // SAFETY: `model` is exclusively borrowed for the whole call.
+        unsafe {
+            gpu.process(
+                SimTime::ZERO,
+                &SharedModel::new(model),
+                part,
+                task,
+                0.01,
+                &hyper,
+            )
+        }
+    }
 
     fn setup() -> (Model, GridPartition, Task) {
         let data = SparseMatrix::from_triples(
@@ -254,11 +291,7 @@ mod tests {
     fn cpu_worker_updates_model_and_charges_flat_rate() {
         let (mut model, part, task) = setup();
         let before = model.clone();
-        let worker = CpuWorker {
-            spec: CpuSpec::default(),
-        };
-        let hyper = mf_sgd::HyperParams::movielens(4);
-        let (dur, sq) = worker.process(&mut model, &part, &task, 0.01, &hyper);
+        let (dur, sq) = cpu_process(&mut model, &part, &task);
         assert_ne!(model, before);
         assert!(sq > 0.0);
         let expect = CpuSpec::default().time_secs(task.points);
@@ -270,12 +303,7 @@ mod tests {
     #[should_panic(expected = "exceeds model")]
     fn cpu_worker_rejects_partition_larger_than_model() {
         let (_, part, task) = setup();
-        let worker = CpuWorker {
-            spec: CpuSpec::default(),
-        };
-        let hyper = mf_sgd::HyperParams::movielens(4);
-        let mut model = Model::init(8, 4, 4, 1);
-        worker.process(&mut model, &part, &task, 0.01, &hyper);
+        cpu_process(&mut Model::init(8, 4, 4, 1), &part, &task);
     }
 
     #[test]
@@ -288,13 +316,10 @@ mod tests {
         task.blocks.push(BlockId::new(0, 1));
         task.points += part.block_len(BlockId::new(0, 1));
         let hyper = mf_sgd::HyperParams::movielens(4);
-        let worker = CpuWorker {
-            spec: CpuSpec::default(),
-        };
         for k in [4usize, 8, 16] {
             let mut model = Model::init(8, 8, k, 1);
             let mut oracle = model.clone();
-            let (_, sq) = worker.process(&mut model, &part, &task, 0.01, &hyper);
+            let (_, sq) = cpu_process(&mut model, &part, &task);
             let mut sq_oracle = 0f64;
             for &b in &task.blocks {
                 let mut block_sq = 0f64;
@@ -324,15 +349,9 @@ mod tests {
         // CPU's storage order, so the models must agree exactly.
         let (mut cpu_model, part, task) = setup();
         let mut gpu_model = cpu_model.clone();
-        let hyper = mf_sgd::HyperParams::movielens(4);
-
-        let cpu = CpuWorker {
-            spec: CpuSpec::default(),
-        };
-        cpu.process(&mut cpu_model, &part, &task, 0.01, &hyper);
-
+        cpu_process(&mut cpu_model, &part, &task);
         let mut gpu = GpuWorker::new(gpu_sim::GpuSpec::default().with_workers(1));
-        gpu.process(SimTime::ZERO, &mut gpu_model, &part, &task, 0.01, &hyper);
+        gpu_process(&mut gpu, &mut gpu_model, &part, &task);
 
         assert_eq!(cpu_model, gpu_model);
     }
@@ -345,7 +364,6 @@ mod tests {
         // one's addresses. Every result must match a fresh worker's: no
         // lanes survive from another partition.
         let spec = gpu_sim::GpuSpec::default().with_workers(4);
-        let hyper = mf_sgd::HyperParams::movielens(4);
         let mut worker = GpuWorker::new(spec);
         for salt in 0..12u32 {
             let data = SparseMatrix::from_triples(
@@ -364,15 +382,8 @@ mod tests {
             let mut model = Model::init(8, 8, 8, 1);
             let mut oracle = model.clone();
             for _ in 0..3 {
-                worker.process(SimTime::ZERO, &mut model, &part, &task, 0.01, &hyper);
-                GpuWorker::new(spec).process(
-                    SimTime::ZERO,
-                    &mut oracle,
-                    &part,
-                    &task,
-                    0.01,
-                    &hyper,
-                );
+                gpu_process(&mut worker, &mut model, &part, &task);
+                gpu_process(&mut GpuWorker::new(spec), &mut oracle, &part, &task);
             }
             assert_eq!(model, oracle, "partition {salt}: stale lanes");
         }
@@ -381,19 +392,11 @@ mod tests {
     #[test]
     fn resident_mode_skips_transfer_charges() {
         let (mut model, part, task) = setup();
-        let hyper = mf_sgd::HyperParams::movielens(4);
         let mut cold = GpuWorker::new(gpu_sim::GpuSpec::default());
-        let (cost_cold, _) = cold.process(
-            SimTime::ZERO,
-            &mut model.clone(),
-            &part,
-            &task,
-            0.01,
-            &hyper,
-        );
+        let (cost_cold, _) = gpu_process(&mut cold, &mut model.clone(), &part, &task);
         let mut warm = GpuWorker::new(gpu_sim::GpuSpec::default());
         warm.resident_all = true;
-        let (cost_warm, _) = warm.process(SimTime::ZERO, &mut model, &part, &task, 0.01, &hyper);
+        let (cost_warm, _) = gpu_process(&mut warm, &mut model, &part, &task);
         assert!(cost_cold.h2d_bytes > 0);
         assert_eq!(cost_warm.h2d_bytes, 0);
         assert_eq!(cost_warm.d2h_bytes, 0);

@@ -201,13 +201,13 @@ pub struct ExecOutcome {
     pub time_to_target_secs: Option<f64>,
     /// Test RMSE at the end.
     pub final_rmse: f64,
-    /// Ratings processed by CPU workers.
+    /// Ratings of the tasks CPU workers released.
     pub cpu_points: u64,
-    /// Ratings processed by GPUs.
+    /// Ratings of the tasks GPUs released.
     pub gpu_points: u64,
-    /// Total busy seconds across CPU workers.
+    /// Total busy seconds of the tasks CPU workers released.
     pub cpu_busy_secs: f64,
-    /// Total kernel-busy seconds across GPUs.
+    /// Total kernel-busy seconds of the tasks GPUs released.
     pub gpu_busy_secs: f64,
     /// True when the run legitimately stopped before draining the full
     /// pass budget (RMSE target reached, or no worker class could make
@@ -461,6 +461,61 @@ pub(crate) mod tests {
             cost_model: CostModelKind::Tailored,
             probe_interval_secs: None,
             target_rmse: None,
+        }
+    }
+
+    /// Asserts that `report` counted the points of exactly its released
+    /// passes over `part`: `cpu_points + gpu_points == Σ_b
+    /// update_counts[b] · block_len(b)`.
+    pub(crate) fn assert_points_are_released_passes(part: &GridPartition, report: &RunReport) {
+        let released: u64 = (report.update_counts.iter().zip(part.block_sizes()))
+            .map(|(&count, len)| count as u64 * len as u64)
+            .sum();
+        assert_eq!(
+            report.cpu_points + report.gpu_points,
+            released,
+            "{}: points of passes never released were counted",
+            report.algorithm
+        );
+    }
+
+    #[test]
+    fn both_worlds_count_the_points_of_released_passes() {
+        use crate::layout::StarLayout;
+        use crate::runtime::{ExecMode, ThreadedExecutor};
+        use crate::scheduler::StarScheduler;
+        use crate::trainer::VirtualExecutor;
+
+        let (train, test) = low_rank_data(48, 48, 3);
+        let cfg = test_cfg(3);
+        let layout = StarLayout::build(&train, 2, 1, 0.4);
+        let part = GridPartition::build(&train, layout.spec.clone());
+        let worlds: [Box<dyn Executor>; 3] = [
+            Box::new(VirtualExecutor::new()),
+            Box::new(ThreadedExecutor::new(ExecMode::Exclusive)),
+            Box::new(ThreadedExecutor::new(ExecMode::Relaxed)),
+        ];
+        for mut exec in worlds {
+            let pool = DevicePool {
+                cpu_workers: 2,
+                gpus: vec![GpuWorker::new(cfg.gpu)],
+                gpu_start: vec![],
+            };
+            let sched = StarScheduler::new(layout.clone(), cfg.iterations, true);
+            let name = exec.name();
+            let out = train_with_executor(
+                &train,
+                &test,
+                sched,
+                pool,
+                &cfg,
+                None,
+                name,
+                |_, _| {},
+                exec.as_mut(),
+            );
+            assert!(out.report.total_passes > 0, "{name}: nothing ran");
+            assert_points_are_released_passes(&part, &out.report);
         }
     }
 

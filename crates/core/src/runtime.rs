@@ -37,12 +37,17 @@
 //! only — a wall-clock probe cadence would make results timing-dependent
 //! (see the field's docs).
 //!
+//! Every path runs a task through one body, `run_task`, which pins the
+//! task's blocks and times `devices::Seat::run` on the wall clock — the
+//! seat body the DES runs at modeled times.
+//!
 //! Thread sizing follows the process-wide `mf-par` budget: worker counts
 //! are clamped to [`mf_par::effective_parallelism`] (`MF_PAR_THREADS`
-//! overrides `available_parallelism`), and when the runtime is entered
-//! from inside an `mf-par` batch it runs fully inline — no CPU *or* GPU
-//! worker threads are spawned — instead of stacking a second level of
-//! parallelism on top of the pool.
+//! overrides `available_parallelism`). A run entered from inside an
+//! `mf-par` batch spawns no thread at all: its round pool has the one
+//! calling thread, and no spill prefetch thread starts. A nested relaxed
+//! run therefore runs exclusive rounds, so it is deterministic and does
+//! not feed measurements back.
 //!
 //! Spill-backed partitions ([`GridPartition::is_spilled`]) run through
 //! the same code paths with three additions: every kernel site pins its
@@ -65,7 +70,7 @@ use mf_sgd::SharedModel;
 use mf_sparse::{GridPartition, SparseMatrix};
 
 use crate::config::HeteroConfig;
-use crate::devices::GpuWorker;
+use crate::devices::{CpuWorker, Seat};
 use crate::executor::{
     train_with_executor, DevicePool, ExecContext, ExecOutcome, Executor, HealthCell,
     MeasuredThroughput, ProbeState, TrainOutcome,
@@ -112,7 +117,8 @@ impl ThreadedExecutor<'static> {
     /// each run's rounds on a pool of its own, one thread per CPU worker
     /// and per GPU, clamped to the `mf-par` budget (one thread when
     /// nested); relaxed mode spawns its own (budget-clamped) workers and
-    /// always feeds measured rates back into the cost models.
+    /// feeds measured rates back into the cost models, except when
+    /// nested, where it runs those exclusive rounds.
     pub fn new(mode: ExecMode) -> ThreadedExecutor<'static> {
         ThreadedExecutor {
             mode,
@@ -138,9 +144,10 @@ impl<'p> ThreadedExecutor<'p> {
     /// acquires CPU tasks as a class — so CPU failure takes effect when
     /// *every* registered cell is failed: the sweep then assigns no more
     /// CPU work, mirroring the DES world with all CPU slots dead. GPU
-    /// health needs no registration (each [`GpuWorker`] carries its own
-    /// cell). Degraded states are ignored here: wall-clock worlds cannot
-    /// re-time a real thread.
+    /// health needs no registration (each
+    /// [`GpuWorker`](crate::devices::GpuWorker) carries its own cell).
+    /// Degraded states are ignored here: wall-clock worlds cannot re-time
+    /// a real thread.
     pub fn with_cpu_health(mut self, cells: Vec<Arc<HealthCell>>) -> ThreadedExecutor<'p> {
         self.cpu_health = cells;
         self
@@ -161,9 +168,11 @@ impl Executor for ThreadedExecutor<'_> {
     }
 
     fn execute(&mut self, ctx: ExecContext<'_>) -> ExecOutcome {
+        // Nested inside an mf-par batch, the round pool is the calling
+        // thread alone, so relaxed mode has nothing to free-run on.
         match self.mode {
-            ExecMode::Exclusive => run_exclusive(ctx, self.pool, &self.cpu_health),
-            ExecMode::Relaxed => run_relaxed(ctx),
+            ExecMode::Relaxed if !mf_par::in_pool() => run_relaxed(ctx),
+            _ => run_exclusive(ctx, self.pool, &self.cpu_health),
         }
     }
 }
@@ -217,18 +226,18 @@ pub fn run_training_real<S: BlockScheduler + Send>(
     )
 }
 
-/// Accumulators shared by both modes.
-struct Meter {
+/// Per-class accounting of released tasks, in both worlds.
+pub(crate) struct Meter {
     cpu_obs: ThroughputObserver,
     gpu_obs: ThroughputObserver,
-    cpu_points: u64,
-    gpu_points: u64,
-    cpu_busy: f64,
-    gpu_busy: f64,
+    pub(crate) cpu_points: u64,
+    pub(crate) gpu_points: u64,
+    pub(crate) cpu_busy: f64,
+    pub(crate) gpu_busy: f64,
 }
 
 impl Meter {
-    fn new() -> Meter {
+    pub(crate) fn new() -> Meter {
         Meter {
             cpu_obs: ThroughputObserver::new(),
             gpu_obs: ThroughputObserver::new(),
@@ -239,7 +248,9 @@ impl Meter {
         }
     }
 
-    fn record(&mut self, class: WorkerClass, points: usize, secs: f64) {
+    /// Counts one released task of `points` ratings that kept its seat
+    /// busy for `secs`.
+    pub(crate) fn record(&mut self, class: WorkerClass, points: usize, secs: f64) {
         match class {
             WorkerClass::Cpu => {
                 self.cpu_obs.record(points as f64, secs);
@@ -313,17 +324,9 @@ impl Meter {
     }
 }
 
-/// Where [`run_task`] runs a task's kernel.
-enum Seat<'a> {
-    /// The calling thread, through the CPU block loop.
-    Cpu,
-    /// A simulated GPU the calling thread holds.
-    Gpu(&'a mut GpuWorker),
-}
-
 /// The task body every real-thread path runs: pin the task's blocks,
-/// start the clock, run the kernel, stop the clock, unpin. Returns the
-/// busy seconds.
+/// start the clock, run `seat` over the task, stop the clock, unpin.
+/// Returns the busy seconds; the seat's modeled times are not used.
 ///
 /// The pin (and any load it implies) happens before the clock starts:
 /// measured rates stay pure compute, and IO stalls are visible
@@ -344,33 +347,14 @@ unsafe fn run_task(
     part: &GridPartition,
     hyper: &mf_sgd::HyperParams,
     task: &Task,
-    seat: Seat<'_>,
+    seat: &mut Seat,
 ) -> f64 {
-    let gamma = hyper.gamma_at(task.pass);
     if let Err(e) = part.pin_blocks(&task.blocks) {
         panic!("out-of-core block load failed; aborting before the kernel runs: {e}");
     }
     let t0 = Instant::now();
-    match seat {
-        // SAFETY: forwarded caller contract, as below.
-        Seat::Gpu(worker) => unsafe {
-            worker.process_shared(SimTime::ZERO, shared, part, task, gamma, hyper);
-        },
-        Seat::Cpu => {
-            for &b in &task.blocks {
-                // SAFETY: the caller holds this task's bands, so no other
-                // thread touches these factor rows.
-                unsafe {
-                    shared.sgd_block_exclusive(
-                        part.block(b),
-                        gamma,
-                        hyper.lambda_p,
-                        hyper.lambda_q,
-                    );
-                }
-            }
-        }
-    }
+    // SAFETY: forwarded caller contract.
+    unsafe { seat.run(SimTime::ZERO, shared, part, task, hyper) };
     let secs = t0.elapsed().as_secs_f64();
     part.unpin_blocks(&task.blocks);
     secs
@@ -428,19 +412,20 @@ fn sweep_round(
     tasks
 }
 
-/// A round's pool units, as ranges of its sweep: each GPU's tasks form
-/// one unit that locks the worker once and runs them in sweep order, so
-/// no pool thread parks on a GPU another unit holds; each CPU task is a
-/// unit of its own.
-fn round_units(tasks: &[(WorkerClass, Task)]) -> Vec<std::ops::Range<usize>> {
-    let mut units: Vec<std::ops::Range<usize>> = Vec::new();
-    for (i, (class, _)) in tasks.iter().enumerate() {
-        match units.last_mut() {
-            Some(u) if *class != WorkerClass::Cpu && tasks[u.start].0 == *class => u.end = i + 1,
-            _ => units.push(i..i + 1),
+/// A round's pool units, as monotone bounds over its sweep (unit `u` is
+/// `tasks[bounds[u]..bounds[u + 1]]`): each GPU's tasks form one unit
+/// that locks the worker once and runs them in sweep order, so no pool
+/// thread parks on a GPU another unit holds; each CPU task is a unit of
+/// its own.
+fn round_units(tasks: &[(WorkerClass, Task)]) -> Vec<usize> {
+    let mut bounds = vec![0];
+    for i in 1..=tasks.len() {
+        let class = tasks.get(i).map(|t| t.0);
+        if class == Some(WorkerClass::Cpu) || class != Some(tasks[i - 1].0) {
+            bounds.push(i);
         }
     }
-    units
+    bounds
 }
 
 fn run_exclusive(
@@ -478,9 +463,17 @@ fn run_exclusive(
     let ng = dev_pool.gpus.len();
     let gpu_health: Vec<Arc<HealthCell>> =
         dev_pool.gpus.iter().map(|g| g.health_handle()).collect();
-    let gpus: Vec<Mutex<GpuWorker>> = dev_pool.gpus.into_iter().map(Mutex::new).collect();
+    let gpus: Vec<Mutex<Seat>> = dev_pool
+        .gpus
+        .into_iter()
+        .map(|g| Mutex::new(Seat::Gpu(Box::new(g))))
+        .collect();
     let hyper = &cfg.hyper;
-    let prefetcher = part.spill().map(|h| Prefetcher::spawn(h.clone()));
+    // Nested, the run spawns no thread: blocks load at their pins.
+    let prefetcher = part
+        .spill()
+        .filter(|_| !mf_par::in_pool())
+        .map(|h| Prefetcher::spawn(h.clone()));
 
     let start = Instant::now();
     probes.probe(0.0, model, test);
@@ -516,26 +509,23 @@ fn run_exclusive(
         // disjoint and the result is independent of which thread runs
         // which task. Results land in per-index slots.
         let mut secs: Vec<f64> = vec![0.0; tasks.len()];
-        {
-            let shared = SharedModel::new(model);
-            let out = mf_par::ScatterSlice::new(&mut secs);
-            let units = round_units(&tasks);
-            tpool.run_indexed(units.len(), |u| {
-                let mut gpu = match tasks[units[u].start].0 {
-                    WorkerClass::Cpu => None,
-                    WorkerClass::Gpu(g) => Some(lock(&gpus[g as usize])),
-                };
-                for i in units[u].clone() {
-                    let seat = gpu.as_deref_mut().map_or(Seat::Cpu, Seat::Gpu);
-                    // SAFETY: the scheduler holds this task's row and
-                    // column bands busy for the whole round, and round
-                    // tasks are pairwise conflict-free.
-                    let secs = unsafe { run_task(&shared, part, hyper, &tasks[i].1, seat) };
-                    // SAFETY: index `i` is in exactly one unit, once.
-                    unsafe { out.write(i, secs) };
-                }
-            });
-        }
+        let shared = SharedModel::new(model);
+        let bounds = round_units(&tasks);
+        mf_par::for_each_bounded_mut(tpool, &mut secs, &bounds, |u, out| {
+            let unit = &tasks[bounds[u]..bounds[u + 1]];
+            let mut cpu = Seat::Cpu(CpuWorker { spec: cfg.cpu });
+            let mut gpu = match unit[0].0 {
+                WorkerClass::Cpu => None,
+                WorkerClass::Gpu(g) => Some(lock(&gpus[g as usize])),
+            };
+            let seat = gpu.as_deref_mut().unwrap_or(&mut cpu);
+            for (secs, (_, task)) in out.iter_mut().zip(unit) {
+                // SAFETY: the scheduler holds this task's row and column
+                // bands busy for the whole round, and round tasks are
+                // pairwise conflict-free.
+                *secs = unsafe { run_task(&shared, part, hyper, task, seat) };
+            }
+        });
 
         // Release in sweep order (deterministic), account, and fire
         // boundary probes with the model quiescent between rounds.
@@ -725,60 +715,42 @@ impl Hub<'_, '_> {
     }
 }
 
-/// One free-running CPU worker.
-fn cpu_worker(
+/// One free-running worker. A CPU seat holds one task at a time. A GPU
+/// seat wraps the simulated device as an async accelerator: it keeps
+/// [`GPU_QUEUE_DEPTH`] tasks in flight — acquiring the next task
+/// *before* releasing the current one, so the next block's (modeled)
+/// H2D transfer overlaps the current kernel and the scheduler sees the
+/// same two-column occupancy the DES world and the HSGD\* grid geometry
+/// assume — and stops when its `health` cell fails. Either feeds each
+/// completion back to the scheduler as soon as its work is done.
+#[allow(clippy::too_many_arguments)]
+fn relaxed_worker(
     hub: &Hub<'_, '_>,
     shared: &SharedModel<'_>,
     part: &GridPartition,
     cfg: &HeteroConfig,
-) {
-    let hyper = &cfg.hyper;
-    loop {
-        let mut got = hub.acquire(WorkerClass::Cpu, 1);
-        let Some(task) = got.pop() else { return };
-        // A successful acquire may have left more blocks assignable.
-        hub.cond.notify_one();
-        // SAFETY: the scheduler marked this task's row and column bands
-        // busy; no other worker touches these factor rows until we
-        // release.
-        let secs = unsafe { run_task(shared, part, hyper, &task, Seat::Cpu) };
-        hub.release(WorkerClass::Cpu, &task, secs);
-    }
-}
-
-/// One free-running GPU worker thread wrapping the simulated device as an
-/// async accelerator: it keeps [`GPU_QUEUE_DEPTH`] tasks in flight —
-/// acquiring the next task *before* releasing the current one, so the
-/// next block's (modeled) H2D transfer overlaps the current kernel and
-/// the scheduler sees the same two-column occupancy the DES world and the
-/// HSGD\* grid geometry assume — and feeds each completion back to the
-/// scheduler as soon as its work is done.
-fn gpu_worker(
-    hub: &Hub<'_, '_>,
-    shared: &SharedModel<'_>,
-    part: &GridPartition,
-    cfg: &HeteroConfig,
-    g: u32,
-    worker: &mut GpuWorker,
+    who: WorkerClass,
+    mut seat: Seat,
+    health: Option<Arc<HealthCell>>,
     prefetcher: Option<&Prefetcher>,
 ) {
-    let hyper = &cfg.hyper;
-    let who = WorkerClass::Gpu(g);
+    let depth = seat.depth();
     let mut local: std::collections::VecDeque<Task> = std::collections::VecDeque::new();
     loop {
         // Top up the prefetch window. Only block when the window is
         // empty — a worker holding executable tasks must keep executing,
         // not park waiting for more.
         if local.is_empty() {
-            let got = hub.acquire(who, GPU_QUEUE_DEPTH);
+            let got = hub.acquire(who, depth);
             if got.is_empty() {
                 return;
             }
+            // A successful acquire may have left more blocks assignable.
             hub.cond.notify_one();
             feed_window(prefetcher, part, &got);
             local.extend(got);
-        } else if local.len() < GPU_QUEUE_DEPTH {
-            let got = hub.try_acquire(who, GPU_QUEUE_DEPTH - local.len());
+        } else if local.len() < depth {
+            let got = hub.try_acquire(who, depth - local.len());
             if !got.is_empty() {
                 hub.cond.notify_one();
             }
@@ -792,15 +764,17 @@ fn gpu_worker(
         // Polled between tasks: a failed device stops here, draining its
         // unstarted prefetch window back to the scheduler instead of
         // holding those bands hostage.
-        if worker.health_handle().is_failed() {
+        if health.as_ref().is_some_and(|h| h.is_failed()) {
             hub.retire_failed(local.drain(..).collect());
             return;
         }
         let Some(task) = local.pop_front() else {
             return;
         };
-        // SAFETY: scheduler conflict-freedom for this in-flight task.
-        let secs = unsafe { run_task(shared, part, hyper, &task, Seat::Gpu(worker)) };
+        // SAFETY: the scheduler marked this task's row and column bands
+        // busy; no other worker touches these factor rows until we
+        // release.
+        let secs = unsafe { run_task(shared, part, &cfg.hyper, &task, &mut seat) };
         hub.release(who, &task, secs);
     }
 }
@@ -811,56 +785,6 @@ fn feed_window(prefetcher: Option<&Prefetcher>, part: &GridPartition, tasks: &[T
     if let Some(pf) = prefetcher {
         for t in tasks {
             pf.feed_task(part, t);
-        }
-    }
-}
-
-/// The spawn-free relaxed drive for nested invocations: one loop on the
-/// caller thread pulls and immediately executes tasks for every worker
-/// class. Semantically a relaxed run with instant completions; measured
-/// feedback still applies.
-fn run_relaxed_inline(
-    scheduler: &mut (dyn BlockScheduler + Send),
-    part: &GridPartition,
-    model: &mut mf_sgd::Model,
-    cfg: &HeteroConfig,
-    gpus: &mut [GpuWorker],
-    nc: usize,
-) -> (Meter, bool) {
-    let hyper = &cfg.hyper;
-    let mut meter = Meter::new();
-    let shared = SharedModel::new(model);
-    // Runs one task to completion on the caller: kernel, release,
-    // accounting, feedback.
-    let mut run = |scheduler: &mut (dyn BlockScheduler + Send), who, task: Task, seat: Seat<'_>| {
-        // SAFETY: single-threaded here; the task's bands are ours.
-        let secs = unsafe { run_task(&shared, part, hyper, &task, seat) };
-        scheduler.release(&task);
-        meter.record(who, task.points, secs);
-        meter.feed_back(scheduler, part);
-    };
-    loop {
-        let mut progressed = false;
-        for (g, worker) in gpus.iter_mut().enumerate() {
-            let who = WorkerClass::Gpu(g as u32);
-            // Health is re-polled per task: inline mode has no prefetch
-            // window, so a failed GPU simply stops being offered work.
-            while !worker.health_handle().is_failed() {
-                let Some(task) = scheduler.next_task(who, part) else {
-                    break;
-                };
-                run(scheduler, who, task, Seat::Gpu(&mut *worker));
-                progressed = true;
-            }
-        }
-        if nc > 0 {
-            if let Some(task) = scheduler.next_task(WorkerClass::Cpu, part) {
-                run(scheduler, WorkerClass::Cpu, task, Seat::Cpu);
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return (meter, scheduler.remaining() > 0);
         }
     }
 }
@@ -878,7 +802,7 @@ fn run_relaxed(ctx: ExecContext<'_>) -> ExecOutcome {
     let nblocks = scheduler.spec().block_count() as u64;
     let mut probes = ProbeState::new(nblocks, cfg.target_rmse);
     let nc = effective_cpu_workers(dev_pool.cpu_workers);
-    let mut gpus = dev_pool.gpus;
+    let gpus = dev_pool.gpus;
     let ng = gpus.len();
     assert!(nc + ng > 0, "relaxed runtime needs at least one worker");
 
@@ -905,54 +829,53 @@ fn run_relaxed(ctx: ExecContext<'_>) -> ExecOutcome {
         };
     }
 
-    let (meter, stalled, final_dynamic_ratio) = if mf_par::in_pool() {
-        // Nested inside an mf-par batch: the thread budget is already
-        // fully occupied, so spawn *nothing* — not even GPU threads. One
-        // inline loop on the caller serves every class (GPUs first,
-        // mirroring the DES dispatch priority).
-        let (meter, stalled) = run_relaxed_inline(scheduler, part, model, cfg, &mut gpus, nc);
-        let ratio = scheduler.dynamic_ratio();
-        (meter, stalled, ratio)
-    } else {
-        let hub = Hub {
-            state: Mutex::new(HubState {
-                scheduler,
-                part,
-                meter: Meter::new(),
-                inflight: 0,
-                release_gen: 0,
-                verdicts: 0,
-                active: nc + ng,
-                done: false,
-                stalled: false,
-            }),
-            cond: Condvar::new(),
-        };
-        let shared = SharedModel::new(model);
-        let prefetcher = part.spill().map(|h| Prefetcher::spawn(h.clone()));
-        std::thread::scope(|s| {
-            let hub = &hub;
-            let shared = &shared;
-            let pf = prefetcher.as_ref();
-            for (g, worker) in gpus.iter_mut().enumerate() {
-                s.spawn(move || gpu_worker(hub, shared, part, cfg, g as u32, worker, pf));
-            }
-            // The caller is CPU worker 0; spawn the rest.
-            for _ in 1..nc {
-                s.spawn(move || cpu_worker(hub, shared, part, cfg));
-            }
-            if nc > 0 {
-                cpu_worker(hub, shared, part, cfg);
-            }
-        });
-
-        let st = hub
-            .state
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let ratio = st.scheduler.dynamic_ratio();
-        (st.meter, st.stalled, ratio)
+    let hub = Hub {
+        state: Mutex::new(HubState {
+            scheduler,
+            part,
+            meter: Meter::new(),
+            inflight: 0,
+            release_gen: 0,
+            verdicts: 0,
+            active: nc + ng,
+            done: false,
+            stalled: false,
+        }),
+        cond: Condvar::new(),
     };
+    let shared = SharedModel::new(model);
+    let prefetcher = part.spill().map(|h| Prefetcher::spawn(h.clone()));
+    std::thread::scope(|s| {
+        let hub = &hub;
+        let shared = &shared;
+        let pf = prefetcher.as_ref();
+        for (g, worker) in gpus.into_iter().enumerate() {
+            let who = WorkerClass::Gpu(g as u32);
+            let health = Some(worker.health_handle());
+            let seat = Seat::Gpu(Box::new(worker));
+            s.spawn(move || relaxed_worker(hub, shared, part, cfg, who, seat, health, pf));
+        }
+        // The caller is CPU worker 0; spawn the rest. CPU seats feed no
+        // prefetch window and ignore health: their loads pin on demand.
+        let cpu = move || {
+            let seat = Seat::Cpu(CpuWorker { spec: cfg.cpu });
+            relaxed_worker(hub, shared, part, cfg, WorkerClass::Cpu, seat, None, None)
+        };
+        for _ in 1..nc {
+            s.spawn(cpu);
+        }
+        if nc > 0 {
+            cpu();
+        }
+    });
+    // The IO thread joins inside the timed run.
+    drop(prefetcher);
+    let st = hub
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let final_dynamic_ratio = st.scheduler.dynamic_ratio();
+    let meter = st.meter;
 
     let wall = start.elapsed().as_secs_f64();
     let final_rmse = probes.finish(wall, model, test);
@@ -967,7 +890,7 @@ fn run_relaxed(ctx: ExecContext<'_>) -> ExecOutcome {
         gpu_points: meter.gpu_points,
         cpu_busy_secs: meter.cpu_busy,
         gpu_busy_secs: meter.gpu_busy,
-        ended_early: stalled,
+        ended_early: st.stalled,
         measured: Some(measured),
     }
 }
@@ -975,7 +898,8 @@ fn run_relaxed(ctx: ExecContext<'_>) -> ExecOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::tests::{low_rank_data, test_cfg};
+    use crate::devices::GpuWorker;
+    use crate::executor::tests::{assert_points_are_released_passes, low_rank_data, test_cfg};
     use crate::layout::{uniform_layout, StarLayout};
     use crate::scheduler::{StarScheduler, UniformScheduler, SOFT_CAP_SLACK};
     use mf_sgd::{eval, Model};
@@ -1218,6 +1142,7 @@ mod tests {
         let (train, test) = low_rank_data(48, 48, 9);
         let cfg = test_cfg(2);
         let layout = StarLayout::build(&train, 2, 1, 0.5);
+        let part = GridPartition::build(&train, layout.spec.clone());
         let blocks = layout.spec.block_count() as u64;
         let sched = StarScheduler::new(layout, cfg.iterations, true);
         let gpu = GpuWorker::new(cfg.gpu);
@@ -1247,6 +1172,7 @@ mod tests {
         );
         let total: u64 = out.report.update_counts.iter().map(|&c| c as u64).sum();
         assert_eq!(total, out.report.total_passes);
+        assert_points_are_released_passes(&part, &out.report);
     }
 
     #[test]
@@ -1342,7 +1268,7 @@ mod tests {
             .zip(0..)
             .map(|(class, pass)| (class, task(pass)))
             .collect();
-        assert_eq!(round_units(&round), [0..2, 2..3, 3..4, 4..5]);
+        assert_eq!(round_units(&round), [0, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -319,7 +319,7 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::tests::{low_rank_data, test_cfg};
+    use crate::executor::tests::{assert_points_are_released_passes, low_rank_data, test_cfg};
     use crate::layout::uniform_layout;
     use crate::scheduler::UniformScheduler;
     use mf_sparse::RealFs;
@@ -507,8 +507,10 @@ mod tests {
             &mut VirtualExecutor::new(),
         );
         // The single CPU device died on the bad block: strictly fewer
-        // passes than the budget, and exact accounting for what did run.
+        // passes than the budget, and exact accounting for what did run,
+        // the points of the block that never ran not among them.
         assert!(out.report.total_passes < 9 * cfg.iterations as u64);
+        assert_points_are_released_passes(&spilled, &out.report);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -178,15 +178,19 @@ pub struct RunReport {
     pub update_counts: Vec<u32>,
     /// The planned GPU workload share α (HSGD\* variants).
     pub alpha_planned: Option<f64>,
-    /// Ratings processed by GPU devices.
+    /// Ratings of the tasks GPU devices released. Released tasks only, in
+    /// both worlds: a task lost with a failed seat counts once, for the
+    /// seat that redoes it, and a task that never ran not at all.
     pub gpu_points: u64,
-    /// Ratings processed by CPU workers.
+    /// Ratings of the tasks CPU workers released (released tasks only).
     pub cpu_points: u64,
     /// Cross-region (dynamic phase) task assignments.
     pub steals: u64,
-    /// Total busy seconds across CPU workers.
+    /// Total busy seconds of the tasks CPU workers released (released
+    /// tasks only).
     pub cpu_busy_secs: f64,
-    /// Total kernel-busy seconds across GPUs.
+    /// Total kernel-busy seconds of the tasks GPUs released (released
+    /// tasks only).
     pub gpu_busy_secs: f64,
     /// Configured iterations.
     pub iterations: u32,

@@ -6,14 +6,19 @@
 //! paper's two kinds of worker, matched directly:
 //!
 //! * A [`CpuWorker`] slot keeps one task in flight and requests the next
-//!   on completion; a [`GpuWorker`] slot keeps [`GPU_QUEUE_DEPTH`]
-//!   (current + prefetched), which is what lets the stream pipeline
-//!   overlap the next block's transfer with the current kernel — the
-//!   reason the HSGD\* grid has `2·n_g` extra columns.
+//!   on completion; a [`GpuWorker`](crate::devices::GpuWorker) slot keeps
+//!   [`GPU_QUEUE_DEPTH`](crate::runtime::GPU_QUEUE_DEPTH) (current +
+//!   prefetched), which is what lets the stream pipeline overlap the next
+//!   block's transfer with the current kernel — the reason the HSGD\*
+//!   grid has `2·n_g` extra columns.
 //! * Every task executes real SGD arithmetic on the shared model at
-//!   dispatch; its completion event fires at the modeled time. Because
-//!   concurrently scheduled tasks are independent (disjoint factor rows),
-//!   the serialized execution is equivalent to the parallel one.
+//!   dispatch, through `devices::Seat::run`, the task body the
+//!   real-thread world runs too; its completion event fires at the
+//!   modeled time. Because concurrently scheduled tasks are independent
+//!   (disjoint factor rows), the serialized execution is equivalent to
+//!   the parallel one. A task's points and busy time are counted when it
+//!   is released, as on threads, so a task lost with a failed seat is
+//!   counted once, by the seat that redoes it.
 //! * Each slot reads a [`HealthCell`], as the real-thread world does: a
 //!   `Degraded(f)` seat's completions stretch by `f`, a `Failed` one
 //!   gets no more work and its in-flight tasks drain back to the
@@ -33,15 +38,15 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mf_des::{Engine, EngineHandle, SimTime};
-use mf_sgd::Model;
+use mf_sgd::{Model, SharedModel};
 use mf_sparse::SparseMatrix;
 
 use crate::config::HeteroConfig;
-use crate::devices::{CpuWorker, GpuWorker};
+use crate::devices::{CpuWorker, Seat};
 use crate::executor::{
     train_with_executor, DeviceHealth, ExecContext, ExecOutcome, Executor, HealthCell, ProbeState,
 };
-use crate::runtime::GPU_QUEUE_DEPTH;
+use crate::runtime::Meter;
 use crate::scheduler::{BlockScheduler, Task, WorkerClass};
 use crate::spill::{IoSpec, IoTimeline};
 
@@ -54,26 +59,13 @@ enum Ev {
     Probe,
 }
 
-enum Seat {
-    Cpu(CpuWorker),
-    Gpu(Box<GpuWorker>),
-}
-
-/// One seat plus its health, in-flight window and identity.
+/// One seat plus its health, identity and in-flight window: each task
+/// beside its modeled busy seconds, counted when it is released.
 struct Slot {
     seat: Seat,
     class: WorkerClass,
     health: Arc<HealthCell>,
-    inflight: VecDeque<Task>,
-}
-
-impl Slot {
-    fn depth(&self) -> usize {
-        match self.seat {
-            Seat::Cpu(_) => 1,
-            Seat::Gpu(_) => GPU_QUEUE_DEPTH,
-        }
-    }
+    inflight: VecDeque<(Task, f64)>,
 }
 
 struct Sim<'a, 'b> {
@@ -90,10 +82,7 @@ struct Sim<'a, 'b> {
     disk: IoTimeline,
     hook: Option<&'b mut DispatchHook>,
     probes: ProbeState,
-    cpu_points: u64,
-    gpu_points: u64,
-    cpu_busy: f64,
-    gpu_busy: f64,
+    meter: Meter,
     end_time: SimTime,
 }
 
@@ -126,7 +115,6 @@ impl Sim<'_, '_> {
     /// the slot's `Degraded` factor and the dispatch hook's.
     fn run(&mut self, i: usize, now: SimTime, task: &Task) -> (SimTime, f64) {
         let (part, hyper) = (self.ctx.part, &self.ctx.cfg.hyper);
-        let gamma = hyper.gamma_at(task.pass);
         let slot = &mut self.slots[i];
         let start = match self.disk.pin(part, task, now) {
             Ok(start) => start,
@@ -139,16 +127,10 @@ impl Sim<'_, '_> {
                 return (now, 0.0);
             }
         };
-        let (done, busy) = match &mut slot.seat {
-            Seat::Cpu(cpu) => {
-                let (dur, _sq) = cpu.process(self.ctx.model, part, task, gamma, hyper);
-                (start + dur, dur.as_secs())
-            }
-            Seat::Gpu(gpu) => {
-                let (cost, _sq) = gpu.process(start, self.ctx.model, part, task, gamma, hyper);
-                (cost.times.done, cost.t_kernel.as_secs())
-            }
-        };
+        let model = SharedModel::new(self.ctx.model);
+        // SAFETY: the DES borrows the model exclusively and runs one task
+        // at a time on this thread.
+        let (done, busy) = unsafe { slot.seat.run(start, &model, part, task, hyper) };
         // The arithmetic ran above, so the pins can drop at once.
         part.unpin_blocks(&task.blocks);
         let mut stretch = match slot.health.get() {
@@ -175,7 +157,7 @@ impl Sim<'_, '_> {
         // (even if it failed while processing the task just dispatched);
         // whatever it still holds drains back to the scheduler as its
         // finish events arrive.
-        while self.slots[i].inflight.len() < self.slots[i].depth()
+        while self.slots[i].inflight.len() < self.slots[i].seat.depth()
             && !self.slots[i].health.is_failed()
         {
             let class = self.slots[i].class;
@@ -183,17 +165,7 @@ impl Sim<'_, '_> {
                 break;
             };
             let (done, busy) = self.run(i, now, &task);
-            match class {
-                WorkerClass::Cpu => {
-                    self.cpu_busy += busy;
-                    self.cpu_points += task.points as u64;
-                }
-                WorkerClass::Gpu(_) => {
-                    self.gpu_busy += busy;
-                    self.gpu_points += task.points as u64;
-                }
-            }
-            self.slots[i].inflight.push_back(task);
+            self.slots[i].inflight.push_back((task, busy));
             h.schedule(done, Ev::Finish(i));
         }
     }
@@ -216,7 +188,7 @@ impl Sim<'_, '_> {
         match ev {
             Ev::Kick(i) => self.dispatch(i, now, h),
             Ev::Finish(i) => {
-                let task = self.slots[i]
+                let (task, busy) = self.slots[i]
                     .inflight
                     .pop_front()
                     .expect("device finish without a task in flight");
@@ -225,8 +197,9 @@ impl Sim<'_, '_> {
                     // is lost, so the pass goes back to the scheduler for
                     // another device to redo. (The SGD arithmetic already
                     // ran at dispatch — the DES world cannot un-apply it —
-                    // but scheduling-wise the pass is not counted and the
-                    // bands are free again.) With the drain fix disabled,
+                    // but neither the pass nor its points and busy time
+                    // are counted, and the bands are free again.) With the
+                    // drain fix disabled,
                     // the task simply vanishes with the device, which is
                     // the pre-fix stalling behaviour the fuzz harness's
                     // negative test pins down.
@@ -237,6 +210,7 @@ impl Sim<'_, '_> {
                     return;
                 }
                 self.ctx.scheduler.release(&task);
+                self.meter.record(self.slots[i].class, task.points, busy);
                 self.end_time = self.end_time.max(now);
                 self.probes.at_boundary(
                     self.ctx.scheduler.completed(),
@@ -310,7 +284,7 @@ impl VirtualExecutor {
 
     /// Gives CPU slot `i` the health cell `cells[i]`; a slot without one
     /// gets a fresh cell. GPU slots read their worker's own cell
-    /// ([`GpuWorker::health_handle`]).
+    /// ([`GpuWorker::health_handle`](crate::devices::GpuWorker::health_handle)).
     pub fn with_cpu_health(mut self, cells: Vec<Arc<HealthCell>>) -> VirtualExecutor {
         self.cpu_health = cells;
         self
@@ -374,10 +348,7 @@ impl Executor for VirtualExecutor {
             disk: IoTimeline::new(self.io),
             hook: self.hook.as_deref_mut(),
             probes: ProbeState::new(nblocks, target),
-            cpu_points: 0,
-            gpu_points: 0,
-            cpu_busy: 0.0,
-            gpu_busy: 0.0,
+            meter: Meter::new(),
             end_time: SimTime::ZERO,
             ctx: &mut ctx,
         };
@@ -424,10 +395,10 @@ impl Executor for VirtualExecutor {
             rmse_series: std::mem::take(&mut sim.probes.series),
             time_to_target_secs: sim.probes.time_to_target,
             final_rmse,
-            cpu_points: sim.cpu_points,
-            gpu_points: sim.gpu_points,
-            cpu_busy_secs: sim.cpu_busy,
-            gpu_busy_secs: sim.gpu_busy,
+            cpu_points: sim.meter.cpu_points,
+            gpu_points: sim.meter.gpu_points,
+            cpu_busy_secs: sim.meter.cpu_busy,
+            gpu_busy_secs: sim.meter.gpu_busy,
             ended_early: sim.probes.stopped || stalled,
             measured: None,
         }
@@ -494,7 +465,7 @@ pub fn run_training_with_hook<S: BlockScheduler + Send, H: FnMut(u64, &Model)>(
 mod tests {
     use super::*;
     use crate::devices::GpuWorker;
-    use crate::executor::tests::{low_rank_data, test_cfg};
+    use crate::executor::tests::{assert_points_are_released_passes, low_rank_data, test_cfg};
     use crate::layout::uniform_layout;
     use crate::scheduler::UniformScheduler;
 
@@ -637,10 +608,11 @@ mod tests {
         // A star run whose GPU dies after 3 dispatched tasks, with one of
         // them still in flight. The drain fix must requeue the in-flight
         // work so the CPU workers finish everything: no pass lost, no
-        // deadlock panic, accounting exact.
+        // deadlock panic, accounting exact — the lost tasks' points too.
         let (train, test) = low_rank_data(48, 48, 11);
         let cfg = test_cfg(2);
         let layout = StarLayout::build(&train, 2, 1, 0.5);
+        let part = mf_sparse::GridPartition::build(&train, layout.spec.clone());
         let sched = StarScheduler::new(layout, cfg.iterations, true);
         let gpu = GpuWorker::new(cfg.gpu);
         let cell = gpu.health_handle();
@@ -670,6 +642,7 @@ mod tests {
         // a double-executed one would leave them below.
         let total: u64 = out.report.update_counts.iter().map(|&c| c as u64).sum();
         assert_eq!(total, out.report.total_passes);
+        assert_points_are_released_passes(&part, &out.report);
         // And nothing was left unassigned: the CPU side stole the dead
         // GPU's region to completion.
         assert_eq!(

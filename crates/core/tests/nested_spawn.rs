@@ -1,4 +1,4 @@
-//! A relaxed run nested inside an `mf-par` batch must spawn no threads.
+//! A run nested inside an `mf-par` batch must spawn no threads.
 //!
 //! The check compares the process's live thread ids before and after the
 //! run, so it lives alone in its own test binary: beside other tests in one
@@ -6,14 +6,18 @@
 
 use std::collections::HashSet;
 use std::ffi::OsString;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hsgd_core::devices::GpuWorker;
 use hsgd_core::layout::StarLayout;
 use hsgd_core::scheduler::StarScheduler;
-use hsgd_core::{run_training_real, CostModelKind, CpuSpec, DevicePool, ExecMode, HeteroConfig};
+use hsgd_core::spill::scratch_dir;
+use hsgd_core::{
+    run_training_real, train_out_of_core_real, CostModelKind, CpuSpec, DevicePool, ExecMode,
+    HeteroConfig,
+};
 use mf_par::ThreadPool;
-use mf_sparse::{Rating, SparseMatrix};
+use mf_sparse::{Rating, RealFs, SparseMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,10 +53,11 @@ fn thread_ids() -> HashSet<OsString> {
 }
 
 #[test]
-fn nested_hetero_runs_inline_and_serves_gpus_without_spawning() {
-    // With GPUs in the pool, a nested relaxed run must still spawn no
-    // threads: the inline loop serves the GPU classes on the caller, so a
-    // star scheduler's GPU region drains too.
+fn nested_runs_spawn_no_thread() {
+    // With GPUs in the pool, a nested run must still spawn no threads,
+    // in either mode, in RAM or spilled: it runs exclusive rounds on the
+    // calling thread with no prefetch thread, so a star scheduler's GPU
+    // region drains too.
     let pool = ThreadPool::new(2);
     let (train, test) = low_rank_data(40, 40, 8);
     let cfg = HeteroConfig {
@@ -74,38 +79,55 @@ fn nested_hetero_runs_inline_and_serves_gpus_without_spawning() {
         probe_interval_secs: None,
         target_rmse: None,
     };
+    // A quarter of the blocks' bytes: spilled runs evict and reload.
+    let budget = train.nnz() * Rating::WIRE_BYTES / 4;
     // The partition build and RMSE probes use the global pool: start its
     // workers now so they are not counted against the run.
     ThreadPool::global();
-    let total = Mutex::new(Vec::new());
-    pool.run_indexed(2, |_| {
-        let before = thread_ids();
-        let layout = StarLayout::build(&train, 2, 1, 0.5);
-        let blocks = layout.spec.block_count() as u64;
-        let sched = StarScheduler::new(layout, cfg.iterations, true);
-        let out = run_training_real(
-            &train,
-            &test,
-            sched,
-            DevicePool {
+    let cases = [
+        (ExecMode::Relaxed, false),
+        (ExecMode::Relaxed, true),
+        (ExecMode::Exclusive, true),
+    ];
+    for (mode, spilled) in cases {
+        let total = Mutex::new(Vec::new());
+        pool.run_indexed(2, |i| {
+            let label = format!("nested {mode:?} (spilled: {spilled})");
+            let before = thread_ids();
+            let layout = StarLayout::build(&train, 2, 1, 0.5);
+            let blocks = layout.spec.block_count() as u64;
+            let sched = StarScheduler::new(layout, cfg.iterations, true);
+            let devices = DevicePool {
                 cpu_workers: 4,
                 gpus: vec![GpuWorker::new(cfg.gpu)],
                 gpu_start: vec![],
-            },
-            &cfg,
-            ExecMode::Relaxed,
-            None,
-            "nested-hetero",
-        );
-        let new: Vec<_> = thread_ids().difference(&before).cloned().collect();
-        assert!(new.is_empty(), "nested relaxed run spawned {new:?}");
-        assert!(out.report.gpu_points > 0, "inline loop must serve GPUs");
-        total
-            .lock()
-            .unwrap()
-            .push((out.report.total_passes, blocks));
-    });
-    for (passes, blocks) in total.into_inner().unwrap() {
-        assert_eq!(passes, blocks * cfg.iterations as u64);
+            };
+            let out = if spilled {
+                let dir = scratch_dir(&format!("nested_{mode:?}_{i}"));
+                let fs = Arc::new(RealFs);
+                let out = train_out_of_core_real(
+                    &train, &test, sched, devices, &cfg, mode, fs, &dir, budget, None, &label,
+                )
+                .unwrap();
+                let _ = std::fs::remove_dir_all(&dir);
+                out
+            } else {
+                run_training_real(&train, &test, sched, devices, &cfg, mode, None, &label)
+            };
+            let new: Vec<_> = thread_ids().difference(&before).cloned().collect();
+            assert!(new.is_empty(), "{label} spawned {new:?}");
+            assert!(out.report.gpu_points > 0, "{label}: the GPU seat must run");
+            total
+                .lock()
+                .unwrap()
+                .push((out.report.total_passes, blocks));
+        });
+        for (passes, blocks) in total.into_inner().unwrap() {
+            assert_eq!(
+                passes,
+                blocks * cfg.iterations as u64,
+                "{mode:?}, {spilled}"
+            );
+        }
     }
 }

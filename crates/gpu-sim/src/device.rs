@@ -3,15 +3,15 @@
 use std::ops::Range;
 
 use mf_des::SimTime;
-use mf_sgd::{Model, SharedModel};
-use mf_sparse::{BlockSlices, Rating};
+use mf_sgd::SharedModel;
+use mf_sparse::Rating;
 
 use crate::kernel_model::KernelModel;
 use crate::memory::{GlobalMemory, GpuMemError};
 use crate::simt::{KernelBlock, SimtKernel};
 use crate::spec::GpuSpec;
 use crate::stream::{PipelineTimes, StreamPipeline};
-use crate::transfer::PcieBus;
+use crate::transfer::{Direction, PcieBus};
 
 /// Timing breakdown of one processed block.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,74 +118,25 @@ impl GpuDevice {
         }
     }
 
-    /// Processes one block: executes the real SGD arithmetic on `model`
-    /// and advances the stream pipeline, returning the timing breakdown.
+    /// Processes a task: runs the real SGD arithmetic on `model` slice by
+    /// slice, in order, and advances the stream pipeline, returning the
+    /// timing breakdown and the squared-error sum. A multi-slice task
+    /// (an HSGD\* static-phase GPU task's sub-row blocks) ships as one
+    /// transfer and runs as one kernel launch, timed like a single block
+    /// of the combined size.
     ///
-    /// Transfer accounting per assignment (matching the paper's model):
-    /// * H2D: the block's ratings, the `Q` column segment, and the `P` row
+    /// `transfer` names the task's `P` rows and `Q` columns. Transfer
+    /// accounting then matches the paper's model:
+    /// * H2D: the ratings, the `Q` column segment, and the `P` row
     ///   segment unless resident.
     /// * D2H: the updated `Q` segment (plus `P` if not resident). Strictly
     ///   smaller than H2D — the ratings never come back — which is why
     ///   Eq. 9 ignores `f^{g⇒c}`.
     ///
-    /// # Errors
-    ///
-    /// Fails (without side effects) if the block footprint exceeds device
-    /// memory.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_block(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        block: BlockSlices<'_>,
-        p_rows: Range<u32>,
-        q_cols: Range<u32>,
-        gamma: f32,
-        lambda_p: f32,
-        lambda_q: f32,
-    ) -> Result<(BlockCost, f64), GpuMemError> {
-        self.process_task(
-            now,
-            model,
-            &[block.into()],
-            p_rows,
-            q_cols,
-            gamma,
-            lambda_p,
-            lambda_q,
-        )
-    }
-
-    /// Processes a multi-slice task — e.g. an HSGD\* static-phase GPU task
-    /// whose sub-row blocks ship as **one** transfer and run as one kernel
-    /// launch. Timing is identical to a single block of the combined size;
-    /// arithmetic runs slice by slice in order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_task(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        blocks: &[KernelBlock<'_>],
-        p_rows: Range<u32>,
-        q_cols: Range<u32>,
-        gamma: f32,
-        lambda_p: f32,
-        lambda_q: f32,
-    ) -> Result<(BlockCost, f64), GpuMemError> {
-        let shared = SharedModel::new(model);
-        // SAFETY: `model` is exclusively borrowed for the whole call.
-        unsafe {
-            self.process_task_shared(
-                now, &shared, blocks, p_rows, q_cols, gamma, lambda_p, lambda_q,
-            )
-        }
-    }
-
-    /// [`GpuDevice::process_task`] through a [`SharedModel`] view — the
-    /// real-thread entry point: a GPU worker thread updates rows the
-    /// block scheduler reserved for this task while CPU workers run
-    /// concurrently on disjoint rows. Timing/memory accounting is
-    /// identical to the `&mut Model` path.
+    /// `None` is the fully resident regime (the cuMF single-GPU regime:
+    /// R, P and Q bulk-loaded once): no transfer, no transient
+    /// footprint, only kernel time, so the pipeline degenerates to
+    /// back-to-back kernels.
     ///
     /// # Safety
     ///
@@ -198,49 +149,52 @@ impl GpuDevice {
     /// Fails (without side effects) if the task footprint exceeds device
     /// memory.
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn process_task_shared(
+    pub unsafe fn process_task(
         &mut self,
         now: SimTime,
         model: &SharedModel<'_>,
         blocks: &[KernelBlock<'_>],
-        p_rows: Range<u32>,
-        q_cols: Range<u32>,
+        transfer: Option<(Range<u32>, Range<u32>)>,
         gamma: f32,
         lambda_p: f32,
         lambda_q: f32,
     ) -> Result<(BlockCost, f64), GpuMemError> {
-        let k = model.k() as u64;
         let total_points: usize = blocks.iter().map(|b| b.ratings.len()).sum();
-        let block_bytes = (total_points * Rating::WIRE_BYTES) as u64;
-        let p_bytes = (p_rows.end - p_rows.start) as u64 * k * 4;
-        let q_bytes = (q_cols.end - q_cols.start) as u64 * k * 4;
-        let p_resident = self.p_rows_resident(&p_rows);
-
-        let h2d_bytes = block_bytes + q_bytes + if p_resident { 0 } else { p_bytes };
-        let d2h_bytes = q_bytes + if p_resident { 0 } else { p_bytes };
-
-        // Transient footprint: in-flight buffers (double-buffered by the
-        // stream pipeline → ×2).
-        let footprint = 2 * (block_bytes + q_bytes) + if p_resident { 0 } else { p_bytes };
-        self.memory.alloc(footprint)?;
-
-        let t_h2d = self
-            .bus
-            .time_for(crate::transfer::Direction::HostToDevice, h2d_bytes);
         let t_kernel = self.kernel_model.time_for(total_points as u64);
-        let t_d2h = self
-            .bus
-            .time_for(crate::transfer::Direction::DeviceToHost, d2h_bytes);
+        let (h2d_bytes, d2h_bytes, footprint) = match &transfer {
+            None => (0, 0, 0),
+            Some((p_rows, q_cols)) => {
+                let k = model.k() as u64;
+                let block_bytes = (total_points * Rating::WIRE_BYTES) as u64;
+                let p_bytes = if self.p_rows_resident(p_rows) {
+                    0
+                } else {
+                    (p_rows.end - p_rows.start) as u64 * k * 4
+                };
+                let q_bytes = (q_cols.end - q_cols.start) as u64 * k * 4;
+                // Transient footprint: in-flight buffers (double-buffered
+                // by the stream pipeline → ×2).
+                (
+                    block_bytes + q_bytes + p_bytes,
+                    q_bytes + p_bytes,
+                    2 * (block_bytes + q_bytes) + p_bytes,
+                )
+            }
+        };
+        self.memory.alloc(footprint)?;
+        let (t_h2d, t_d2h) = match transfer {
+            None => (SimTime::ZERO, SimTime::ZERO),
+            Some(_) => (
+                self.bus.time_for(Direction::HostToDevice, h2d_bytes),
+                self.bus.time_for(Direction::DeviceToHost, d2h_bytes),
+            ),
+        };
         let times = self.pipeline.submit(now, t_h2d, t_kernel, t_d2h);
 
-        // Real arithmetic, block by block.
         let mut sq_err = 0.0;
         for &block in blocks {
             // SAFETY: forwarded caller contract.
-            sq_err += unsafe {
-                self.kernel
-                    .execute_shared(model, block, gamma, lambda_p, lambda_q)
-            };
+            sq_err += unsafe { self.kernel.execute(model, block, gamma, lambda_p, lambda_q) };
         }
         self.points_processed += total_points as u64;
 
@@ -258,70 +212,6 @@ impl GpuDevice {
         ))
     }
 
-    /// Processes a task whose data is already fully resident on the
-    /// device (the cuMF single-GPU regime: R, P and Q bulk-loaded once).
-    /// Only kernel time is charged; the pipeline degenerates to
-    /// back-to-back kernels.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_task_resident(
-        &mut self,
-        now: SimTime,
-        model: &mut Model,
-        blocks: &[KernelBlock<'_>],
-        gamma: f32,
-        lambda_p: f32,
-        lambda_q: f32,
-    ) -> (BlockCost, f64) {
-        let shared = SharedModel::new(model);
-        // SAFETY: `model` is exclusively borrowed for the whole call.
-        unsafe {
-            self.process_task_resident_shared(now, &shared, blocks, gamma, lambda_p, lambda_q)
-        }
-    }
-
-    /// [`GpuDevice::process_task_resident`] through a [`SharedModel`]
-    /// view (see [`GpuDevice::process_task_shared`] for when that is
-    /// needed).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`GpuDevice::process_task_shared`].
-    pub unsafe fn process_task_resident_shared(
-        &mut self,
-        now: SimTime,
-        model: &SharedModel<'_>,
-        blocks: &[KernelBlock<'_>],
-        gamma: f32,
-        lambda_p: f32,
-        lambda_q: f32,
-    ) -> (BlockCost, f64) {
-        let total_points: usize = blocks.iter().map(|b| b.ratings.len()).sum();
-        let t_kernel = self.kernel_model.time_for(total_points as u64);
-        let times = self
-            .pipeline
-            .submit(now, SimTime::ZERO, t_kernel, SimTime::ZERO);
-        let mut sq_err = 0.0;
-        for &block in blocks {
-            // SAFETY: forwarded caller contract.
-            sq_err += unsafe {
-                self.kernel
-                    .execute_shared(model, block, gamma, lambda_p, lambda_q)
-            };
-        }
-        self.points_processed += total_points as u64;
-        (
-            BlockCost {
-                h2d_bytes: 0,
-                d2h_bytes: 0,
-                t_h2d: SimTime::ZERO,
-                t_kernel,
-                t_d2h: SimTime::ZERO,
-                times,
-            },
-            sq_err,
-        )
-    }
-
     /// Resets pipeline and statistics for a fresh run (keeps resident
     /// pinning).
     pub fn reset(&mut self) {
@@ -334,9 +224,7 @@ impl GpuDevice {
     /// throughput measurements. Does not disturb pipeline state.
     pub fn probe_end_to_end_secs(&self, points: u64, extra_bytes: u64) -> f64 {
         let bytes = points * Rating::WIRE_BYTES as u64 + extra_bytes;
-        let t_h2d = self
-            .bus
-            .time_for(crate::transfer::Direction::HostToDevice, bytes);
+        let t_h2d = self.bus.time_for(Direction::HostToDevice, bytes);
         let t_kernel = self.kernel_model.time_for(points);
         // Single shot: no overlap possible for the first block.
         (t_h2d + t_kernel).as_secs()
@@ -347,6 +235,7 @@ impl GpuDevice {
 mod tests {
     use super::*;
 
+    use mf_sgd::Model;
     use mf_sparse::SoaRatings;
 
     fn device() -> GpuDevice {
@@ -358,24 +247,36 @@ mod tests {
         SoaRatings::from_entries(&entries)
     }
 
+    /// Runs `b` on `dev` as a one-block task at time zero, γ = 0.01.
+    fn run(
+        dev: &mut GpuDevice,
+        model: &mut Model,
+        b: &SoaRatings,
+        transfer: Option<(Range<u32>, Range<u32>)>,
+        lambda: f32,
+    ) -> Result<(BlockCost, f64), GpuMemError> {
+        let shared = SharedModel::new(model);
+        let blocks = [b.as_slices().into()];
+        // SAFETY: `model` is exclusively borrowed for the whole call.
+        unsafe {
+            dev.process_task(
+                SimTime::ZERO,
+                &shared,
+                &blocks,
+                transfer,
+                0.01,
+                lambda,
+                lambda,
+            )
+        }
+    }
+
     #[test]
     fn processing_updates_model_and_time() {
         let mut dev = device();
         let mut model = Model::init(8, 8, 4, 1);
         let before = model.clone();
-        let b = block(100);
-        let (cost, sq) = dev
-            .process_block(
-                SimTime::ZERO,
-                &mut model,
-                b.as_slices(),
-                0..8,
-                0..8,
-                0.01,
-                0.05,
-                0.05,
-            )
-            .unwrap();
+        let (cost, sq) = run(&mut dev, &mut model, &block(100), Some((0..8, 0..8)), 0.05).unwrap();
         assert_ne!(model, before, "kernel must actually update factors");
         assert!(sq > 0.0);
         assert!(cost.times.done > SimTime::ZERO);
@@ -388,34 +289,35 @@ mod tests {
         let mut dev = device();
         let mut model = Model::init(64, 64, 16, 2);
         let b = block(10);
-        let (cost_cold, _) = dev
-            .process_block(
-                SimTime::ZERO,
-                &mut model,
-                b.as_slices(),
-                0..32,
-                0..8,
-                0.01,
-                0.0,
-                0.0,
-            )
-            .unwrap();
+        let (cost_cold, _) = run(&mut dev, &mut model, &b, Some((0..32, 0..8)), 0.0).unwrap();
         dev.pin_p_rows(0..32, 16).unwrap();
-        let (cost_warm, _) = dev
-            .process_block(
-                SimTime::ZERO,
-                &mut model,
-                b.as_slices(),
-                0..32,
-                0..8,
-                0.01,
-                0.0,
-                0.0,
-            )
-            .unwrap();
+        let (cost_warm, _) = run(&mut dev, &mut model, &b, Some((0..32, 0..8)), 0.0).unwrap();
         let p_bytes = 32 * 16 * 4;
         assert_eq!(cost_cold.h2d_bytes - cost_warm.h2d_bytes, p_bytes);
         assert_eq!(cost_cold.d2h_bytes - cost_warm.d2h_bytes, p_bytes);
+    }
+
+    #[test]
+    fn fully_resident_tasks_charge_kernel_time_only() {
+        // No transfer: no bytes either way, no copy time, no footprint,
+        // and back-to-back tasks finish one kernel apart.
+        let mut dev = device();
+        let mut model = Model::init(8, 8, 4, 6);
+        let before = model.clone();
+        let b = block(5_000);
+        let (c1, sq) = run(&mut dev, &mut model, &b, None, 0.0).unwrap();
+        let (c2, _) = run(&mut dev, &mut model, &b, None, 0.0).unwrap();
+        assert_ne!(model, before, "the kernel still runs");
+        assert!(sq > 0.0);
+        for c in [c1, c2] {
+            assert_eq!((c.h2d_bytes, c.d2h_bytes), (0, 0));
+            assert_eq!((c.t_h2d, c.t_d2h), (SimTime::ZERO, SimTime::ZERO));
+            assert_eq!(c.t_kernel, dev.kernel_model().time_for(5_000));
+        }
+        assert_eq!(c1.times.done, c1.t_kernel);
+        assert_eq!(c2.times.done - c1.times.done, c1.t_kernel);
+        assert_eq!(dev.memory().high_water(), 0, "no transient footprint");
+        assert_eq!(dev.points_processed(), 10_000);
     }
 
     #[test]
@@ -436,17 +338,7 @@ mod tests {
         };
         let mut dev = GpuDevice::new(spec);
         let mut model = Model::init(8, 8, 4, 3);
-        let b = block(1000);
-        let err = dev.process_block(
-            SimTime::ZERO,
-            &mut model,
-            b.as_slices(),
-            0..8,
-            0..8,
-            0.01,
-            0.0,
-            0.0,
-        );
+        let err = run(&mut dev, &mut model, &block(1000), Some((0..8, 0..8)), 0.0);
         assert!(err.is_err());
         assert_eq!(dev.memory().in_use(), 0);
         assert_eq!(dev.points_processed(), 0);
@@ -459,30 +351,8 @@ mod tests {
         let mut dev = device();
         let mut model = Model::init(8, 8, 4, 4);
         let b = block(50_000);
-        let (c1, _) = dev
-            .process_block(
-                SimTime::ZERO,
-                &mut model,
-                b.as_slices(),
-                0..8,
-                0..8,
-                0.01,
-                0.0,
-                0.0,
-            )
-            .unwrap();
-        let (c2, _) = dev
-            .process_block(
-                SimTime::ZERO,
-                &mut model,
-                b.as_slices(),
-                0..8,
-                0..8,
-                0.01,
-                0.0,
-                0.0,
-            )
-            .unwrap();
+        let (c1, _) = run(&mut dev, &mut model, &b, Some((0..8, 0..8)), 0.0).unwrap();
+        let (c2, _) = run(&mut dev, &mut model, &b, Some((0..8, 0..8)), 0.0).unwrap();
         let serial = (c1.t_h2d + c1.t_kernel + c1.t_d2h).as_secs();
         let increment = (c2.times.done - c1.times.done).as_secs();
         assert!(
@@ -497,10 +367,7 @@ mod tests {
         let t = dev.probe_end_to_end_secs(1000, 0);
         let expect = dev
             .bus()
-            .time_for(
-                crate::transfer::Direction::HostToDevice,
-                1000 * Rating::WIRE_BYTES as u64,
-            )
+            .time_for(Direction::HostToDevice, 1000 * Rating::WIRE_BYTES as u64)
             .as_secs()
             + dev.kernel_model().time_for(1000).as_secs();
         assert!((t - expect).abs() < 1e-12);
@@ -511,32 +378,10 @@ mod tests {
         let mut dev = device();
         let mut model = Model::init(8, 8, 4, 5);
         let b = block(10);
-        let _ = dev
-            .process_block(
-                SimTime::ZERO,
-                &mut model,
-                b.as_slices(),
-                0..8,
-                0..8,
-                0.01,
-                0.0,
-                0.0,
-            )
-            .unwrap();
+        run(&mut dev, &mut model, &b, Some((0..8, 0..8)), 0.0).unwrap();
         dev.reset();
         assert_eq!(dev.points_processed(), 0);
-        let (cost, _) = dev
-            .process_block(
-                SimTime::ZERO,
-                &mut model,
-                b.as_slices(),
-                0..8,
-                0..8,
-                0.01,
-                0.0,
-                0.0,
-            )
-            .unwrap();
+        let (cost, _) = run(&mut dev, &mut model, &b, Some((0..8, 0..8)), 0.0).unwrap();
         assert_eq!(cost.times.h2d_done, cost.t_h2d, "pipeline starts idle");
     }
 }

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mf_sgd::{Model, SharedModel};
+use mf_sgd::SharedModel;
 use mf_sparse::{BlockId, BlockKey, BlockSlices};
 
 use crate::spec::GpuSpec;
@@ -127,26 +127,10 @@ impl SimtKernel {
     }
 
     /// Executes the SGD kernel over a structure-of-arrays `block`,
-    /// mutating `model` exactly as the GPU would. Returns the sum of
-    /// squared pre-update errors.
-    pub fn execute<'b>(
-        &mut self,
-        model: &mut Model,
-        block: impl Into<KernelBlock<'b>>,
-        gamma: f32,
-        lambda_p: f32,
-        lambda_q: f32,
-    ) -> f64 {
-        let shared = SharedModel::new(model);
-        // SAFETY: `model` is exclusively borrowed for the whole call, so
-        // no other thread can touch any factor row.
-        unsafe { self.execute_shared(&shared, block.into(), gamma, lambda_p, lambda_q) }
-    }
-
-    /// [`SimtKernel::execute`] through a [`SharedModel`] view — the entry
-    /// point for real-thread runtimes where a GPU worker thread updates
-    /// factor rows the block scheduler has reserved for it while other
-    /// workers run concurrently on disjoint rows.
+    /// updating `model` exactly as the GPU would, and returns the sum of
+    /// squared pre-update errors. Both execution worlds call it: the DES
+    /// with its exclusive model, a real-thread GPU seat on rows the block
+    /// scheduler reserved for it while other seats run on disjoint rows.
     ///
     /// The block is handed to [`SharedModel::sgd_block_exclusive`] in
     /// lane order: the memoized copy for a keyed block (gathered on its
@@ -160,7 +144,7 @@ impl SimtKernel {
     /// factor rows of any user or item appearing in `block` — exactly the
     /// conflict-freedom guarantee the FPSGD/HSGD\* schedulers provide for
     /// an in-flight task.
-    pub unsafe fn execute_shared(
+    pub unsafe fn execute(
         &mut self,
         model: &SharedModel<'_>,
         block: KernelBlock<'_>,
@@ -231,8 +215,22 @@ impl SimtKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_sgd::kernel;
+    use mf_sgd::{kernel, Model};
     use mf_sparse::{Rating, SoaRatings};
+
+    /// Runs `block` through `simt` over `model`.
+    fn execute<'b>(
+        simt: &mut SimtKernel,
+        model: &mut Model,
+        block: impl Into<KernelBlock<'b>>,
+        gamma: f32,
+        lambda_p: f32,
+        lambda_q: f32,
+    ) -> f64 {
+        let shared = SharedModel::new(model);
+        // SAFETY: `model` is exclusively borrowed for the whole call.
+        unsafe { simt.execute(&shared, block.into(), gamma, lambda_p, lambda_q) }
+    }
 
     fn spec_with(workers: u32) -> GpuSpec {
         GpuSpec::default().with_workers(workers)
@@ -257,7 +255,14 @@ mod tests {
         let mut seq_model = gpu_model.clone();
 
         let mut kernel1 = SimtKernel::new(&spec_with(1));
-        let sq_gpu = kernel1.execute(&mut gpu_model, soa.as_slices(), 0.01, 0.05, 0.05);
+        let sq_gpu = execute(
+            &mut kernel1,
+            &mut gpu_model,
+            soa.as_slices(),
+            0.01,
+            0.05,
+            0.05,
+        );
 
         let mut sq_seq = 0.0;
         for e in &block {
@@ -277,8 +282,22 @@ mod tests {
             SoaRatings::from_entries(&(0..64).map(|i| Rating::new(i, i, 2.0)).collect::<Vec<_>>());
         let mut a = Model::init(64, 64, 4, 2);
         let mut b = a.clone();
-        SimtKernel::new(&spec_with(1)).execute(&mut a, block.as_slices(), 0.05, 0.0, 0.0);
-        SimtKernel::new(&spec_with(16)).execute(&mut b, block.as_slices(), 0.05, 0.0, 0.0);
+        execute(
+            &mut SimtKernel::new(&spec_with(1)),
+            &mut a,
+            block.as_slices(),
+            0.05,
+            0.0,
+            0.0,
+        );
+        execute(
+            &mut SimtKernel::new(&spec_with(16)),
+            &mut b,
+            block.as_slices(),
+            0.05,
+            0.0,
+            0.0,
+        );
         assert_eq!(a, b);
     }
 
@@ -293,8 +312,22 @@ mod tests {
         );
         let mut a = Model::init(1, 8, 4, 3);
         let mut b = a.clone();
-        SimtKernel::new(&spec_with(1)).execute(&mut a, block.as_slices(), 0.05, 0.0, 0.0);
-        SimtKernel::new(&spec_with(8)).execute(&mut b, block.as_slices(), 0.05, 0.0, 0.0);
+        execute(
+            &mut SimtKernel::new(&spec_with(1)),
+            &mut a,
+            block.as_slices(),
+            0.05,
+            0.0,
+            0.0,
+        );
+        execute(
+            &mut SimtKernel::new(&spec_with(8)),
+            &mut b,
+            block.as_slices(),
+            0.05,
+            0.0,
+            0.0,
+        );
         assert_ne!(a, b, "interleaving should reorder racy updates");
     }
 
@@ -321,7 +354,14 @@ mod tests {
                             .collect::<Vec<_>>(),
                     );
                     let before = gathered.clone();
-                    let sq = simt.execute(&mut gathered, block.as_slices(), 0.02, 0.01, 0.03);
+                    let sq = execute(
+                        &mut simt,
+                        &mut gathered,
+                        block.as_slices(),
+                        0.02,
+                        0.01,
+                        0.03,
+                    );
                     let sq_lanes = simt.lane_loop(block.as_slices(), |e| {
                         let (p, q) = oracle.pq_rows_mut(e.u, e.v);
                         kernel::sgd_step(p, q, e.r, 0.02, 0.01, 0.03)
@@ -333,7 +373,8 @@ mod tests {
                         // Storage order (one lane) must differ, or the
                         // block could not tell lane order from it.
                         let mut storage = before;
-                        SimtKernel::new(&spec_with(1)).execute(
+                        execute(
+                            &mut SimtKernel::new(&spec_with(1)),
                             &mut storage,
                             block.as_slices(),
                             0.02,
@@ -379,8 +420,15 @@ mod tests {
                 ratings: ratings.as_slices(),
                 memo_key: Some(key),
             };
-            let sq = memo.execute(&mut memo_model, keyed, 0.02, 0.01, 0.03);
-            let sq_fresh = fresh.execute(&mut fresh_model, ratings.as_slices(), 0.02, 0.01, 0.03);
+            let sq = execute(&mut memo, &mut memo_model, keyed, 0.02, 0.01, 0.03);
+            let sq_fresh = execute(
+                &mut fresh,
+                &mut fresh_model,
+                ratings.as_slices(),
+                0.02,
+                0.01,
+                0.03,
+            );
             assert_eq!(sq.to_bits(), sq_fresh.to_bits(), "pass {pass}: Σ err²");
             assert_eq!(
                 bits(&memo_model),
@@ -396,7 +444,8 @@ mod tests {
     fn empty_block_is_noop() {
         let mut model = Model::init(2, 2, 2, 5);
         let before = model.clone();
-        let sq = SimtKernel::new(&spec_with(128)).execute(
+        let sq = execute(
+            &mut SimtKernel::new(&spec_with(128)),
             &mut model,
             mf_sparse::BlockSlices::empty(),
             0.1,
